@@ -89,7 +89,7 @@ class RunStore:
 
     @staticmethod
     def write_record(run_dir: Path, record: RunRecord):
-        (run_dir / "record.json").write_text(json.dumps(asdict(record), indent=2) + "\n")
+        (run_dir / "record.json").write_text(_dumps(asdict(record), indent=2) + "\n")
 
 
 def load_run_record(path: str | Path) -> RunRecord:
@@ -153,8 +153,13 @@ def _optimizer_config(args, config, seed: int) -> OptimizerConfig:
     )
 
 
+def _dumps(record: dict, **kwargs) -> str:
+    """JSON text that refuses NaN and infinities, which are not valid JSON."""
+    return json.dumps(record, allow_nan=False, **kwargs)
+
+
 def _json_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
+    return _dumps(record, separators=(",", ":"))
 
 
 # --- Subcommand handlers ----------------------------------------------------------
@@ -178,7 +183,7 @@ def _cmd_reduce(args, config, store: RunStore, seed: int, workers: int) -> int:
     out_path = Path(_resolve(args, config, "output", None) or run_dir / "functions.txt")
     out_path.write_text("".join(t.to_text() + "\n" for t in space))
     summary = {"stage_counts": space.stage_counts(), "output": str(out_path)}
-    print(json.dumps(summary, indent=2))
+    print(_dumps(summary, indent=2))
     record = RunRecord(
         run_id=run_dir.name,
         subcommand="reduce",
@@ -234,14 +239,15 @@ def _cmd_eval(args, config, store: RunStore, seed: int, workers: int) -> int:
     cfg = _optimizer_config(args, config, seed)
     t0 = time.perf_counter()
     record = _eval_record(psi, state_text, eq, mode, cfg)
-    print(json.dumps(record, indent=2))
+    text = _dumps(record, indent=2)
+    print(text)
     run_config = {
         "state": state_text, "f": f_text, "g": g_text, "mode": mode,
         "seed": seed, "restarts": cfg.restarts, "max_evals": cfg.max_evals, "tol": cfg.tol,
     }
     run_dir = store.new_run("eval", run_config)
     out_path = run_dir / "result.json"
-    out_path.write_text(json.dumps(record, indent=2) + "\n")
+    out_path.write_text(text + "\n")
     RunStore.write_record(run_dir, RunRecord(
         run_id=run_dir.name, subcommand="eval", config=run_config | {"workers": workers},
         seed=seed, version=__version__, outputs=[str(out_path)],
@@ -317,6 +323,8 @@ def _cmd_search(args, config, store: RunStore, seed: int, workers: int) -> int:
     t0 = time.perf_counter()
     psi, g, state_text, cfg, results = _run_search(args, config, seed, workers)
     summary = _summary_record(results, g, state_text, cfg)
+    lines = [_json_line(r.to_json_dict(include_timing=False)) for r in results]
+    lines.append(_json_line(summary))
     run_config = {
         "state": state_text, "g": _resolve(args, config, "g", None),
         "functions": _resolve(args, config, "functions", None),
@@ -325,11 +333,8 @@ def _cmd_search(args, config, store: RunStore, seed: int, workers: int) -> int:
     }
     run_dir = store.new_run("search", run_config)
     out_path = Path(_resolve(args, config, "output", None) or run_dir / "results.jsonl")
-    with open(out_path, "w") as fh:
-        for r in results:
-            fh.write(_json_line(r.to_json_dict(include_timing=False)) + "\n")
-        fh.write(_json_line(summary) + "\n")
-    print(json.dumps(summary, indent=2))
+    out_path.write_text("".join(line + "\n" for line in lines))
+    print(_dumps(summary, indent=2))
     RunStore.write_record(run_dir, RunRecord(
         run_id=run_dir.name, subcommand="search",
         config=run_config | {"workers": workers},
@@ -357,10 +362,11 @@ def _cmd_score(args, config, store: RunStore, seed: int, workers: int) -> int:
         "sample": _resolve(args, config, "sample", None),
         "seed": seed, "restarts": cfg.restarts, "max_evals": cfg.max_evals, "tol": cfg.tol,
     }
+    text = _dumps(report, indent=2)
     run_dir = store.new_run("score", run_config)
     out_path = run_dir / "score.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
+    out_path.write_text(text + "\n")
+    print(text)
     RunStore.write_record(run_dir, RunRecord(
         run_id=run_dir.name, subcommand="score",
         config=run_config | {"workers": workers},
@@ -419,9 +425,9 @@ def _cmd_sweep(args, config, store: RunStore, seed: int, workers: int) -> int:
     csv_path = Path(spec.output_path or run_dir / "sweep.csv")
     csv_path.write_text(result.to_csv())
     sidecar_path = csv_path.with_suffix(".json")
-    sidecar_path.write_text(json.dumps(result.sidecar_dict(), indent=2) + "\n")
+    sidecar_path.write_text(_dumps(result.sidecar_dict(), indent=2) + "\n")
     valid = sum(1 for p in result.points if p.valid)
-    print(json.dumps({
+    print(_dumps({
         "points": len(result.points), "valid": valid,
         "csv": str(csv_path), "sidecar": str(sidecar_path),
     }, indent=2))
@@ -448,6 +454,10 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
                         help="run-record directory (default ./runs)")
     parser.add_argument("--config", default=default,
                         help="JSON config file mirroring the flags")
+
+
+_MAX_EVALS_HELP = ("cap on best-response updates per restart; one sweep over every "
+                   "(player, question bit) is 2n updates (default 5000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,14 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--output", default=None, help="JSON-lines results path")
         p.add_argument("--g", default=None, help="answer-side expression or n:HEX table")
         p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--max-evals", type=int, default=None, dest="max_evals")
+        p.add_argument("--max-evals", type=int, default=None, dest="max_evals",
+                       help=_MAX_EVALS_HELP)
         p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("sweep", help="gain landscape over a family parameter grid")
     _add_global_flags(p, suppress=True)
     p.add_argument("--spec", default=None, help="sweep specification JSON file")
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-evals", type=int, default=None, dest="max_evals")
+    p.add_argument("--max-evals", type=int, default=None, dest="max_evals",
+                   help=_MAX_EVALS_HELP)
     p.add_argument("--tol", type=float, default=None)
     return parser
 

@@ -10,6 +10,10 @@ Conventions
 - Measurement is always in the computational basis after the gates; the
   answer tuple is the measured bit string in player order.
 - Win probability averages over all 2**n question tuples with equal weight.
+- ``phi`` never changes a win probability: it multiplies the second row of
+  the gate, and so every answer-1 amplitude of that player on that question,
+  by one phase, which no outcome probability sees.  The optimizer therefore
+  returns phi = 0.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ class StateVector:
         n = int(round(math.log2(amps.size))) if amps.size else 0
         if amps.size < 2 or (1 << n) != amps.size:
             raise ValueError(f"amplitude count {amps.size} is not a power of two >= 2")
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite numbers")
         norm = np.linalg.norm(amps)
         if norm < 1e-9:
             raise ValueError("state amplitudes are (numerically) the zero vector")
@@ -144,13 +150,6 @@ def outcome_distribution(psi: StateVector) -> np.ndarray:
     return np.abs(psi.amplitudes) ** 2
 
 
-_EINSUM_SUBSCRIPTS = {
-    2: "Bqai,Brbj,ij->Bqrab",
-    3: "Bqai,Brbj,Bsck,ijk->Bqrsabc",
-    4: "Bqai,Brbj,Bsck,Btdl,ijkl->Bqrstabcd",
-}
-
-
 def _build_gate_stack(angles: np.ndarray) -> np.ndarray:
     """Vectorized gate construction: (..., 3) angles -> (..., 2, 2) unitaries."""
     theta, phi, lam = angles[..., 0], angles[..., 1], angles[..., 2]
@@ -171,23 +170,64 @@ def win_mask(eq: GameEquation) -> np.ndarray:
     return (f[:, None] == g[None, :]).astype(float).reshape(-1)
 
 
-class GainKernel:
-    """Vectorized win-probability evaluation for batches of angle vectors.
+def _apply_2x2(m: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m00 x0 + m01 x1, m10 x0 + m11 x1) for a broadcastable (..., 2, 2) matrix m."""
+    return m[..., 0, 0] * x0 + m[..., 0, 1] * x1, m[..., 1, 0] * x0 + m[..., 1, 1] * x1
 
-    One einsum contracts the shared state with every player's two gates,
-    producing amplitudes for all (question, answer) pairs at once; the win
-    mask then reduces them to gains.  The contraction path is computed once
-    and reused.
+
+class GainKernel:
+    """Vectorized win-probability evaluation for batches of strategies.
+
+    ``amplitudes`` contracts the shared state with every player's two gates,
+    one player at a time, producing the amplitudes of all (question, answer)
+    pairs at once; the win mask then reduces them to gains.
+    ``partial_amplitudes``, ``response_operator`` and
+    ``amplitudes_from_partial`` are the steps of one player's best response
+    in the see-saw optimizer.
+
+    For one player, the (B, 2**n, 2**n) amplitudes are viewed as
+    (B, hi, q, lo, hi, a, lo): ``q`` and ``a`` are the player's question and
+    answer bits, ``hi`` and ``lo`` the bits of the players before and after
+    them.  Such a view costs no copy.
     """
 
     def __init__(self, psi: StateVector, eq: GameEquation):
         if psi.n != eq.arity:
             raise ValueError(f"state has {psi.n} qubits but the equation arity is {eq.arity}")
-        self.n = psi.n
+        n = self.n = psi.n
         self.psi_tensor = psi.tensor()
         self.mask = win_mask(eq)
-        self.subscripts = _EINSUM_SUBSCRIPTS[self.n]
-        self._path = None
+        # per player, (hi, q, lo, hi, lo): the win mask with them answering 0 minus answering 1
+        self._signs = []
+        for k in range(n):
+            m = self._player_view(self.mask[None], k)[0]
+            self._signs.append(m[..., 0, :] - m[..., 1, :])
+
+    def _player_view(self, amps: np.ndarray, player: int) -> np.ndarray:
+        hi, lo = 1 << player, 1 << (self.n - 1 - player)
+        return amps.reshape(amps.shape[0], hi, 2, lo, hi, 2, lo)
+
+    def amplitudes(self, gates: np.ndarray) -> np.ndarray:
+        """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 2**n, 2**n) amplitudes.
+
+        Rows are question tuples and columns answer tuples, both big-endian.
+        """
+        batch, n = gates.shape[0], self.n
+        t = self.psi_tensor.reshape(1, 1, -1)
+        for i in range(n):
+            # (B, done players' (question, answer) bits, this player's qubit, the rest)
+            t = t.reshape(t.shape[0], 4**i, 2, -1).transpose(0, 2, 1, 3).reshape(t.shape[0], 2, -1)
+            t = gates[:, i].reshape(batch, 4, 2) @ t
+        # the bits come out as (q_n, a_n, ..., q_1, a_1): put the questions first
+        t = t.reshape((batch,) + (2,) * (2 * n))
+        order = (0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2))
+        return t.transpose(order).reshape(batch, 1 << n, 1 << n)
+
+    def gains_of(self, amps: np.ndarray) -> np.ndarray:
+        """(B, 2**n, 2**n) amplitudes -> (B,) win probabilities."""
+        probs = amps.real**2 + amps.imag**2
+        # rounding can put a sure win a few ulps above 1
+        return np.minimum(probs.reshape(amps.shape[0], -1) @ self.mask / (1 << self.n), 1.0)
 
     def gains(self, angle_batch: np.ndarray) -> np.ndarray:
         """(B, 6n) angle rows -> (B,) win probabilities."""
@@ -195,12 +235,44 @@ class GainKernel:
         if batch.ndim != 2 or batch.shape[1] != 6 * self.n:
             raise ValueError(f"expected shape (B, {6 * self.n}), got {batch.shape}")
         gates = _build_gate_stack(batch.reshape(batch.shape[0], self.n, 2, 3))
-        operands = [gates[:, i] for i in range(self.n)] + [self.psi_tensor]
-        if self._path is None:
-            self._path = np.einsum_path(self.subscripts, *operands, optimize="optimal")[0]
-        amps = np.einsum(self.subscripts, *operands, optimize=self._path)
-        probs = np.abs(amps.reshape(batch.shape[0], -1)) ** 2
-        return probs @ self.mask / (1 << self.n)
+        return self.gains_of(self.amplitudes(gates))
+
+    def partial_amplitudes(
+        self, amps: np.ndarray, gates: np.ndarray, player: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Amplitudes with one player's gates undone, one array per index of their qubit.
+
+        ``amps`` come from ``amplitudes``; ``gates`` (B, 2, 2, 2) are the
+        player's gates inside them.  Each array is (B, hi, q, lo, hi, lo);
+        the player's answer-c amplitude is row c of their gate for question
+        q applied to the pair.
+        """
+        view = self._player_view(amps, player)
+        undo = gates.conj().swapaxes(-1, -2).reshape(-1, 1, 2, 1, 1, 1, 2, 2)
+        return _apply_2x2(undo, view[..., 0, :], view[..., 1, :])
+
+    def response_operator(
+        self, partial: tuple[np.ndarray, np.ndarray], player: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(h, b), each (B, 2): the player's response operator per question bit.
+
+        If the player answers 0 on |u> and 1 on the orthogonal vector, the
+        win probability is <u|D|u> / 2**n plus terms free of u, where
+        D = [[c + h, b], [conj(b), c - h]] for some real c is built from
+        ``partial`` and the win mask with the player answering 0 minus
+        answering 1.
+        """
+        p0, p1 = partial
+        signs = self._signs[player]
+        h = (signs * (p0.real**2 + p0.imag**2 - p1.real**2 - p1.imag**2)).sum(axis=(1, 3, 4, 5))
+        return h / 2.0, (signs * p0 * p1.conj()).sum(axis=(1, 3, 4, 5))
+
+    def amplitudes_from_partial(
+        self, partial: tuple[np.ndarray, np.ndarray], gates: np.ndarray
+    ) -> np.ndarray:
+        """Inverse of ``partial_amplitudes``: apply the player's (new) gates."""
+        a0, a1 = _apply_2x2(gates.reshape(-1, 1, 2, 1, 1, 1, 2, 2), *partial)
+        return np.stack([a0, a1], axis=5).reshape(a0.shape[0], 1 << self.n, 1 << self.n)
 
 
 def win_probability(psi: StateVector, strategy: QuantumStrategy, eq: GameEquation) -> float:

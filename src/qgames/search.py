@@ -1,9 +1,10 @@
 """Best classical and quantum strategies, batch searches, and gap metrics.
 
 The classical optimum is exact: all 2**(2n) deterministic strategies are
-enumerated.  The quantum optimum is a multi-start local ascent over the 6n
-gate angles; every reported quantum gain is the re-evaluated win probability
-of the returned strategy, so it is always an achievable lower bound.
+enumerated.  The quantum optimum is a multi-start see-saw ascent over every
+player's measurements; every reported quantum gain is the re-evaluated win
+probability of the returned strategy, so it is always an achievable lower
+bound.
 
 Batch searches derive one seed per function from (master seed, function
 index), which makes results independent of worker count and schedule.
@@ -12,6 +13,7 @@ index), which makes results independent of worker count and schedule.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,10 +21,16 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .boolfn import GameEquation, TruthTable
-from .quantum import FOUR_PI, GainKernel, QuantumStrategy, StateVector, win_probability
+from .quantum import (
+    FOUR_PI,
+    GainKernel,
+    QuantumStrategy,
+    StateVector,
+    _build_gate_stack,
+    win_probability,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -65,14 +73,22 @@ class ClassicalStrategy:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """See-saw settings.
+
+    ``restarts`` random starts run per game; ``max_evals`` caps the
+    best-response updates of one restart, where a sweep over every
+    (player, question bit) is 2n updates; a restart stops early once a
+    sweep raises its gain by less than ``tol``.
+    """
+
     restarts: int = 20
     max_evals: int = 5000
     tol: float = 1e-6
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.restarts <= 0 or self.max_evals <= 0 or self.tol <= 0:
-            raise ValueError("restarts, max_evals and tol must all be positive")
+        if self.restarts <= 0 or self.max_evals <= 0 or not 0 < self.tol < math.inf:
+            raise ValueError("restarts, max_evals and tol must all be positive and finite")
 
 
 @dataclass
@@ -165,19 +181,70 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
 
 # --- Quantum search -------------------------------------------------------------
 
-_FD_STEP = 1e-6
+def _best_response_gates(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gates whose answer-0 projector maximizes <u|D|u> for D = [[c + h, b], [b*, c - h]].
+
+    The top eigenvector of D is u = (cos t/2, e^{-i w} sin t/2) up to a
+    phase, with t = atan2(|b|, h) and w the phase of b (any w will do when
+    b = 0).  The returned gate has conj(u) as its first row, so it answers
+    0 on exactly u.
+    """
+    t = np.arctan2(np.abs(b), h) / 2.0
+    c, s = np.cos(t), np.sin(t)
+    w = np.exp(1j * np.angle(b))
+    return np.stack([c, w * s, s, -w * c], axis=-1).reshape(h.shape + (2, 2))
 
 
-def _objective_with_gradient(kernel: GainKernel, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negated gain and its central finite-difference gradient, one batched call."""
-    d = x.size
-    batch = np.tile(x, (2 * d + 1, 1))
-    idx = np.arange(d)
-    batch[1 + idx, idx] += _FD_STEP
-    batch[1 + d + idx, idx] -= _FD_STEP
-    gains = kernel.gains(batch)
-    grad = (gains[1 : d + 1] - gains[d + 1 :]) / (2.0 * _FD_STEP)
-    return -float(gains[0]), -grad
+def _angles_from_gates(gates: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) gates -> (..., 3) angles with phi = 0 and the same win probabilities.
+
+    Only the first row matters: the second is fixed up to a phase, which
+    no win probability sees.  The row's phase is chosen so that cos(t/2) >= 0.
+    """
+    r0, r1 = gates[..., 0, 0], gates[..., 0, 1]
+    # -e^{i lam} has the phase of r1 * conj(r0); any lam will do when sin(t/2) = 0
+    turn = -r1 * np.where(r0 == 0, 1.0, r0.conj())
+    lam = np.where(turn == 0, 0.0, np.angle(turn))
+    theta = 2.0 * np.arctan2(np.abs(r1), np.abs(r0))
+    return np.stack([theta, np.zeros_like(theta), lam], axis=-1)
+
+
+def _see_saw(kernel: GainKernel, gates: np.ndarray, max_updates: int, tol: float) -> np.ndarray:
+    """Batched see-saw ascent from (R, n, 2, 2, 2) start gates; returns the final gates.
+
+    With every other player's gates fixed, the win probability is linear in
+    one player's answer-0 projector for one question bit, so its best
+    rank-1 response is the top eigenvector of a 2x2 Hermitian operator
+    (Werner & Wolf 2001; Liang & Doherty 2007).  A sweep replaces both
+    question bits' gates of player 1, then of player 2, and so on: 2n
+    updates, none of which can lower a row's gain.  A row stops when a
+    sweep raises its gain by less than ``tol`` or when it has made
+    ``max_updates`` updates; rows that stop leave the batch.
+    """
+    out = np.empty_like(gates)
+    rows = np.arange(gates.shape[0])
+    gates = gates.copy()
+    amps = kernel.amplitudes(gates)
+    gains = kernel.gains_of(amps)
+    updates = 0
+    while rows.size:
+        for k in range(kernel.n):
+            bits = min(2, max_updates - updates)
+            if bits <= 0:
+                break
+            updates += bits
+            partial = kernel.partial_amplitudes(amps, gates[:, k], k)
+            new = _best_response_gates(*kernel.response_operator(partial, k))
+            if bits == 1:
+                new[:, 1] = gates[:, k, 1]
+            gates[:, k] = new
+            amps = kernel.amplitudes_from_partial(partial, new)
+        new_gains = kernel.gains_of(amps)
+        stop = (new_gains - gains < tol) | (updates >= max_updates)
+        out[rows[stop]] = gates[stop]
+        keep = ~stop
+        rows, gates, amps, gains = rows[keep], gates[keep], amps[keep], new_gains[keep]
+    return out
 
 
 def optimize_quantum(
@@ -186,16 +253,16 @@ def optimize_quantum(
     cfg: OptimizerConfig | None = None,
     extra_starts: Sequence[np.ndarray] = (),
 ) -> tuple[float, QuantumStrategy]:
-    """Multi-start finite-difference gradient ascent over the 6n angles.
+    """Multi-start see-saw ascent over every player's measurements.
 
-    Each restart draws a start uniformly from [0, 4pi)^{6n} and runs a
-    deterministic quasi-Newton ascent with batched central-difference
-    gradients until the gain improves by less than ``cfg.tol``.  The
-    evaluation budget per restart (``cfg.max_evals``) counts every
-    win-probability evaluation, finite-difference probes included.
-    ``extra_starts`` adds warm starts after the random restarts (used for
-    sweep chaining).  The returned gain is re-evaluated from the returned
-    strategy, never taken from the optimizer state.
+    Each restart draws a start uniformly from [0, 4pi)^{6n}, turns it into
+    gates and runs the see-saw of ``_see_saw``; all restarts run as one
+    batch.  A restart stops when one sweep (2n best-response updates)
+    raises its gain by less than ``cfg.tol``, or after ``cfg.max_evals``
+    updates.  ``extra_starts`` adds warm starts after the random restarts
+    (used for sweep chaining).  The returned angles have phi = 0, and the
+    returned gain is re-evaluated from the returned strategy, never taken
+    from the optimizer state.
     """
     if psi.n != eq.arity:
         raise ValueError(f"state has {psi.n} qubits but the equation arity is {eq.arity}")
@@ -205,21 +272,10 @@ def optimize_quantum(
     rng = np.random.default_rng(cfg.seed)
     starts = [rng.uniform(0.0, FOUR_PI, dim) for _ in range(cfg.restarts)]
     starts.extend(np.asarray(s, dtype=float).reshape(dim) for s in extra_starts)
-    max_calls = max(1, cfg.max_evals // (2 * dim + 1))
-
-    best_gain, best_x = -1.0, starts[0]
-    for x0 in starts:
-        res = minimize(
-            lambda x: _objective_with_gradient(kernel, x),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxfun": max_calls, "ftol": cfg.tol, "gtol": 1e-12},
-        )
-        gain = float(kernel.gains(res.x.reshape(1, -1))[0])
-        if gain > best_gain:
-            best_gain, best_x = gain, res.x
-    strategy = QuantumStrategy(best_x.reshape(psi.n, 2, 3))
+    start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), psi.n, 2, 3))
+    angles = _angles_from_gates(_see_saw(kernel, start_gates, cfg.max_evals, cfg.tol))
+    best = int(np.argmax(kernel.gains(angles.reshape(len(starts), dim))))
+    strategy = QuantumStrategy(angles[best])
     return win_probability(psi, strategy, eq), strategy
 
 

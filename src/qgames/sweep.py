@@ -10,10 +10,12 @@ sweep are independent chains.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +36,8 @@ class SweepAxis:
             raise ValueError("swept axes need at least 2 steps")
         if not self.start < self.stop:
             raise ValueError("axis range must be non-empty (start < stop)")
+        if not math.isfinite(self.start) or not math.isfinite(self.stop):
+            raise ValueError("axis range must be finite")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -61,9 +65,11 @@ class SweepSpec:
                 raise ValueError(f"family {self.family.value} has no parameter {p!r}")
             if p in fixed:
                 raise ValueError(f"parameter {p!r} is both swept and fixed")
-        for p in fixed:
+        for p, value in fixed.items():
             if p not in names:
                 raise ValueError(f"family {self.family.value} has no parameter {p!r}")
+            if not cmath.isfinite(value):
+                raise ValueError(f"fixed parameter {p!r} must be finite")
         remaining = [p for p in names if p not in swept and p not in fixed]
         if remaining:
             raise ValueError(f"parameters {remaining} are neither swept nor fixed")
@@ -99,10 +105,10 @@ class SweepResult:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for point in self.points:
-            row = [repr(c) for c in point.coords]
+            row = [repr(float(c)) for c in point.coords]
             if point.valid:
-                row += [repr(point.gain), "1"]
-                row += [repr(a) for a in point.strategy.reduced_angles().reshape(-1)]
+                row += [repr(float(point.gain)), "1"]
+                row += [repr(float(a)) for a in point.strategy.reduced_angles().reshape(-1)]
             else:
                 row += ["", "0"] + [""] * (6 * n)
             writer.writerow(row)
@@ -145,12 +151,7 @@ def _sweep_chain(
         except ValueError:
             points.append(SweepPoint(coords, False, None, None))
             continue
-        point_cfg = OptimizerConfig(
-            restarts=cfg.restarts,
-            max_evals=cfg.max_evals,
-            tol=cfg.tol,
-            seed=derive_task_seed(cfg.seed, flat_index),
-        )
+        point_cfg = replace(cfg, seed=derive_task_seed(cfg.seed, flat_index))
         extra = [warm] if warm is not None else []
         gain, strategy = optimize_quantum(psi, spec.equation, point_cfg, extra_starts=extra)
         warm = strategy.angles.reshape(-1)
@@ -229,9 +230,7 @@ def family_report(
         seeds = np.random.SeedSequence((cfg.seed, k)).generate_state(2)
         params = random_family_params(family, int(seeds[0])) if parametric else {}
         psi = make_family_state(family, params)
-        draw_cfg = OptimizerConfig(
-            restarts=cfg.restarts, max_evals=cfg.max_evals, tol=cfg.tol, seed=int(seeds[1])
-        )
+        draw_cfg = replace(cfg, seed=int(seeds[1]))
         gain, _ = optimize_quantum(psi, eq, draw_cfg)
         gains.append(gain)
         params_used.append(params)

@@ -133,6 +133,18 @@ class TestEval:
             run_cli("eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--frobnicate")
         assert err.value.code == USAGE_ERROR
 
+    def test_nan_state_is_validation_error_without_nan_output(self, out, capsys):
+        code = run_cli("eval", "--state", "[[NaN,0],[0,0],[0,0],[1,0]]", "--f", "xy",
+                       "--g", "a^b", "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out + captured.err
+
+    def test_nan_tol_is_validation_error(self, out):
+        code = run_cli("eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--tol", "nan",
+                       "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+
 
 @pytest.fixture
 def functions_file(tmp_path):

@@ -132,6 +132,15 @@ class TestStateVector:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError):
+            StateVector([bad, 0, 0, 1])
+
+    def test_family_literal_with_nan_parameter_is_rejected(self):
+        with pytest.raises(ValueError):
+            parse_state_literal("g_abcd:a=nan,b=0,c=0,d=1")
+
 
 class TestApplyStrategy:
     def test_identity_strategy_is_noop(self):

@@ -14,7 +14,13 @@ from qgames.boolfn import (
     parse_table,
     reduce_function_space,
 )
-from qgames.quantum import QuantumStrategy, StateVector, make_named_state, win_probability
+from qgames.quantum import (
+    GainKernel,
+    QuantumStrategy,
+    StateVector,
+    make_named_state,
+    win_probability,
+)
 from qgames.search import (
     ClassicalStrategy,
     GameResult,
@@ -168,6 +174,65 @@ class TestOptimizeQuantum:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(tol=-1.0)
+
+    def test_non_finite_tol_rejected(self):
+        with pytest.raises(ValueError):
+            OptimizerConfig(tol=float("nan"))
+        with pytest.raises(ValueError):
+            OptimizerConfig(tol=float("inf"))
+
+
+class TestSeeSaw:
+    @pytest.mark.parametrize("state, equation", [
+        ("epr", chsh_equation), ("ghz4", ghz_game_equation), ("w4", w_game_equation),
+    ])
+    def test_restart_gain_never_decreases_from_sweep_to_sweep(self, state, equation):
+        # with one restart, a cap of s sweeps returns that restart after s sweeps
+        psi = make_named_state(state)
+        eq = equation()
+        sweep = 2 * psi.n
+        for seed in (0, 1, 2):
+            start = np.random.default_rng(seed).uniform(0.0, 4 * math.pi, 3 * sweep)
+            gains = [win_probability(psi, QuantumStrategy(start.reshape(psi.n, 2, 3)), eq)]
+            gains += [
+                optimize_quantum(psi, eq, OptimizerConfig(restarts=1, max_evals=s * sweep, seed=seed))[0]
+                for s in range(1, 16)
+            ]
+            assert all(later >= earlier - 1e-12 for earlier, later in zip(gains, gains[1:]))
+
+    def test_angles_have_zero_phi_and_player_shape(self):
+        for state, equation in (("epr", chsh_equation), ("ghz4", ghz_game_equation)):
+            psi = make_named_state(state)
+            _, strategy = optimize_quantum(psi, equation(), OptimizerConfig(restarts=3, seed=4))
+            assert strategy.angles.shape == (psi.n, 2, 3)
+            assert np.all(strategy.angles[..., 1] == 0.0)
+
+    def test_tiny_max_evals_is_honoured(self):
+        # max_evals counts best-response updates: 3 updates touch player 1's
+        # two gates and player 2's question-0 gate, and leave the start elsewhere
+        psi = make_named_state("ghz4")
+        seed = 8
+        start = QuantumStrategy(
+            np.random.default_rng(seed).uniform(0.0, 4 * math.pi, 24).reshape(4, 2, 3)
+        )
+        _, strategy = optimize_quantum(
+            psi, ghz_game_equation(), OptimizerConfig(restarts=1, max_evals=3, seed=seed)
+        )
+        for player in range(4):
+            for bit in (0, 1):
+                overlap = abs(np.vdot(start.gate(player, bit)[0], strategy.gate(player, bit)[0]))
+                updated = (player, bit) in ((0, 0), (0, 1), (1, 0))
+                assert (overlap < 1 - 1e-9) == updated
+
+    def test_phi_never_changes_a_gain(self):
+        kernel = GainKernel(make_named_state("l"), w_game_equation())
+        rng = np.random.default_rng(23)
+        angles = rng.uniform(0.0, 4 * math.pi, (64, 4, 2, 3))
+        shifted = angles.copy()
+        shifted[..., 1] = rng.uniform(0.0, 4 * math.pi, (64, 4, 2))
+        before = kernel.gains(angles.reshape(64, -1))
+        after = kernel.gains(shifted.reshape(64, -1))
+        assert np.abs(before - after).max() <= 1e-15
 
 
 class TestDeterministicEmbedding:

@@ -1,5 +1,8 @@
 """Family parameter sweeps and random-draw family reports."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,17 @@ class TestSpecValidation:
             SweepAxis("a", 1.0, 1.0, 5)
         with pytest.raises(ValueError):
             SweepAxis("a", 2.0, 1.0, 5)
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError):
+            SweepAxis("a", 0.0, float("inf"), 3)
+        with pytest.raises(ValueError):
+            SweepSpec(
+                family=FamilyId.L_ABC2,
+                axes=(SweepAxis("a", 0.0, 1.0, 2),),
+                fixed={"b": float("nan"), "c": 0.0},
+                equation=ghz_game_equation(),
+            )
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
@@ -134,6 +148,22 @@ class TestRunSweep:
         assert header[:3] == ["a", "gain", "valid"]
         assert header[3] == "theta_1_0"
         assert len(header) == 3 + 24
+
+    def test_csv_fields_parse_as_floats(self):
+        spec = SweepSpec(
+            family=FamilyId.L_A4,
+            axes=(SweepAxis("a", 0.5, 2.0, 2),),
+            equation=ghz_game_equation(),
+            config=FAST,
+        )
+        result = run_sweep(spec)
+        rows = list(csv.reader(io.StringIO(result.to_csv())))[1:]
+        assert len(rows) == 2
+        for row, point in zip(rows, result.points):
+            values = [float(field) for field in row]
+            assert values[0] == point.coords[0]
+            assert values[1] == point.gain
+            assert values[3:] == point.strategy.reduced_angles().reshape(-1).tolist()
 
     def test_2d_rows_identical_across_worker_counts(self):
         spec = SweepSpec(
