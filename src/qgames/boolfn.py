@@ -58,6 +58,10 @@ class TruthTable:
         """Table entry at a big-endian input index."""
         return (self.bits >> index) & 1
 
+    def values(self) -> np.ndarray:
+        """All 2**n table entries, indexed big-endian."""
+        return (self.bits >> np.arange(self.num_inputs)) & 1
+
     def evaluate(self, inputs: Sequence[int]) -> int:
         """Evaluate on an input tuple (player 1 first)."""
         if len(inputs) != self.arity:

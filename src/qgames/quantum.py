@@ -55,15 +55,7 @@ class UnitaryParams:
 
 def build_unitary(p: UnitaryParams) -> np.ndarray:
     """2x2 complex matrix of the three-angle parameterization."""
-    half = p.theta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * p.lam) * s],
-            [cmath.exp(1j * p.phi) * s, cmath.exp(1j * (p.phi + p.lam)) * c],
-        ],
-        dtype=complex,
-    )
+    return _build_gate_stack(np.array(p.as_tuple()))
 
 
 class StateVector:
@@ -164,10 +156,7 @@ def _build_gate_stack(angles: np.ndarray) -> np.ndarray:
 
 def win_mask(eq: GameEquation) -> np.ndarray:
     """Flat (2**n * 2**n,) 0/1 mask over (question, answer) pairs with f(q) = g(a)."""
-    size = 1 << eq.arity
-    f = np.array([eq.f.value(q) for q in range(size)])
-    g = np.array([eq.g.value(a) for a in range(size)])
-    return (f[:, None] == g[None, :]).astype(float).reshape(-1)
+    return (eq.f.values()[:, None] == eq.g.values()[None, :]).astype(float).reshape(-1)
 
 
 def _apply_2x2(m: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,6 +166,12 @@ def _apply_2x2(m: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarra
 
 class GainKernel:
     """Vectorized win-probability evaluation for batches of strategies.
+
+    One kernel holds one shared state and the win masks of one or more
+    games.  Each batch row may play its own game: ``game`` is the (B,)
+    index of each row's game in the kernel, and None means that every row
+    plays the first.  A row's results do not depend on the other rows of
+    its batch, bit for bit.
 
     ``amplitudes`` contracts the shared state with every player's two gates,
     one player at a time, producing the amplitudes of all (question, answer)
@@ -191,21 +186,29 @@ class GainKernel:
     them.  Such a view costs no copy.
     """
 
-    def __init__(self, psi: StateVector, eq: GameEquation):
-        if psi.n != eq.arity:
-            raise ValueError(f"state has {psi.n} qubits but the equation arity is {eq.arity}")
+    def __init__(self, psi: StateVector, eqs: GameEquation | Sequence[GameEquation]):
+        eqs = [eqs] if isinstance(eqs, GameEquation) else list(eqs)
+        for eq in eqs:
+            if psi.n != eq.arity:
+                raise ValueError(f"state has {psi.n} qubits but the equation arity is {eq.arity}")
         n = self.n = psi.n
         self.psi_tensor = psi.tensor()
-        self.mask = win_mask(eq)
-        # per player, (hi, q, lo, hi, lo): the win mask with them answering 0 minus answering 1
+        # (G, 4**n): one win mask per game
+        self.masks = np.stack([win_mask(eq) for eq in eqs])
+        # per player, (G, hi, q, lo, hi, lo): the win mask with them answering 0 minus answering 1
         self._signs = []
         for k in range(n):
-            m = self._player_view(self.mask[None], k)[0]
+            m = self._player_view(self.masks, k)
             self._signs.append(m[..., 0, :] - m[..., 1, :])
 
     def _player_view(self, amps: np.ndarray, player: int) -> np.ndarray:
         hi, lo = 1 << player, 1 << (self.n - 1 - player)
         return amps.reshape(amps.shape[0], hi, 2, lo, hi, 2, lo)
+
+    @staticmethod
+    def _per_row(tables: np.ndarray, game: np.ndarray | None) -> np.ndarray:
+        """Each row's table out of (G, ...) per-game tables; a single table broadcasts."""
+        return tables if game is None or tables.shape[0] == 1 else tables[game]
 
     def amplitudes(self, gates: np.ndarray) -> np.ndarray:
         """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 2**n, 2**n) amplitudes.
@@ -223,19 +226,22 @@ class GainKernel:
         order = (0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2))
         return t.transpose(order).reshape(batch, 1 << n, 1 << n)
 
-    def gains_of(self, amps: np.ndarray) -> np.ndarray:
+    def gains_of(self, amps: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, 2**n, 2**n) amplitudes -> (B,) win probabilities."""
-        probs = amps.real**2 + amps.imag**2
+        batch = amps.shape[0]
+        probs = (amps.real**2 + amps.imag**2).reshape(batch, 1, -1)
+        # one dot product per row, so that no row's sum depends on the others
+        wins = (probs @ self._per_row(self.masks, game)[:, :, None]).reshape(batch)
         # rounding can put a sure win a few ulps above 1
-        return np.minimum(probs.reshape(amps.shape[0], -1) @ self.mask / (1 << self.n), 1.0)
+        return np.minimum(wins / (1 << self.n), 1.0)
 
-    def gains(self, angle_batch: np.ndarray) -> np.ndarray:
+    def gains(self, angle_batch: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, 6n) angle rows -> (B,) win probabilities."""
         batch = np.asarray(angle_batch, dtype=float)
         if batch.ndim != 2 or batch.shape[1] != 6 * self.n:
             raise ValueError(f"expected shape (B, {6 * self.n}), got {batch.shape}")
         gates = _build_gate_stack(batch.reshape(batch.shape[0], self.n, 2, 3))
-        return self.gains_of(self.amplitudes(gates))
+        return self.gains_of(self.amplitudes(gates), game)
 
     def partial_amplitudes(
         self, amps: np.ndarray, gates: np.ndarray, player: int
@@ -252,7 +258,7 @@ class GainKernel:
         return _apply_2x2(undo, view[..., 0, :], view[..., 1, :])
 
     def response_operator(
-        self, partial: tuple[np.ndarray, np.ndarray], player: int
+        self, partial: tuple[np.ndarray, np.ndarray], player: int, game: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(h, b), each (B, 2): the player's response operator per question bit.
 
@@ -263,7 +269,7 @@ class GainKernel:
         answering 1.
         """
         p0, p1 = partial
-        signs = self._signs[player]
+        signs = self._per_row(self._signs[player], game)
         h = (signs * (p0.real**2 + p0.imag**2 - p1.real**2 - p1.imag**2)).sum(axis=(1, 3, 4, 5))
         return h / 2.0, (signs * p0 * p1.conj()).sum(axis=(1, 3, 4, 5))
 

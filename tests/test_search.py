@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from qgames.search import (
     search_space,
     stratified_subsample,
 )
+from qgames.search import _CHUNK_ROWS, _optimize_games
 
 
 def chsh_equation():
@@ -315,12 +317,81 @@ class TestSearchSpace:
         space, psi, g, cfg = small_run
         seen = []
         search_space(g, psi, cfg, space, workers=1, progress=lambda done, total: seen.append((done, total)))
-        assert seen[-1] == (len(space), len(space))
+        assert seen == [(done, len(space)) for done in range(1, len(space) + 1)]
 
     def test_arity_mismatch(self, small_run):
         space, psi, g, cfg = small_run
         with pytest.raises(ValueError):
             search_space(g, make_named_state("ghz4"), cfg, space)
+
+
+@pytest.fixture(scope="module")
+def chunked_run():
+    # 30 restarts put 4 games in a chunk, so these 10 functions span 3 chunks
+    space = list(reduce_function_space(4, require_all_relevant=True))
+    tables = stratified_subsample(space, 10, 3)
+    g = parse_table("a^b^c^d", ANSWER_VARS[4])
+    cfg = OptimizerConfig(restarts=30, seed=5)
+    assert len(tables) > 2 * (_CHUNK_ROWS // cfg.restarts)
+    return space, tables, g, make_named_state("ghz4"), cfg
+
+
+def _alone(f, g, psi, cfg, index, state):
+    """The GameResult of one game optimized on its own, with its search seed."""
+    eq = GameEquation(f, g)
+    seed = derive_task_seed(cfg.seed, index)
+    quantum, strategy = optimize_quantum(psi, eq, replace(cfg, seed=seed))
+    classical, maximizers = classical_best(eq)
+    return GameResult(
+        equation=eq, classical_gain=classical, classical_strategy=maximizers[0],
+        quantum_gain=quantum, quantum_strategy=strategy, gap=quantum - classical,
+        state=state, config=cfg, seed=seed,
+    )
+
+
+class TestChunkedSearch:
+    def test_each_game_matches_the_game_run_alone(self, chunked_run):
+        _, tables, g, psi, cfg = chunked_run
+        results = search_space(g, psi, cfg, tables, workers=1, state_descriptor="ghz4")
+        for index, (f, result) in enumerate(zip(tables, results)):
+            alone = _alone(f, g, psi, cfg, index, "ghz4")
+            assert result.to_json_dict() == alone.to_json_dict()
+            assert result.quantum_gain == win_probability(psi, result.quantum_strategy, result.equation)
+
+    def test_a_game_does_not_depend_on_its_neighbours(self, chunked_run):
+        space, tables, g, psi, cfg = chunked_run
+        others = stratified_subsample(space, 10, 4)
+        assert all(a != b for a, b in zip(tables, others))
+        base = search_space(g, psi, cfg, tables, workers=1)
+        # every game keeps its index (and so its seed) but gets new chunk neighbours
+        for keep in (0, 5, 9):
+            mixed = [t if i == keep else o for i, (t, o) in enumerate(zip(tables, others))]
+            moved = search_space(g, psi, cfg, mixed, workers=1)
+            assert moved[keep].to_json_dict() == base[keep].to_json_dict()
+
+    def test_a_game_does_not_depend_on_its_place_in_the_batch(self, chunked_run):
+        _, tables, g, psi, cfg = chunked_run
+        eqs = [GameEquation(t, g) for t in tables[:5]]
+        seeds = [11, 12, 13, 14, 15]
+        alone = [_optimize_games(psi, [eq], [seed], cfg)[0] for eq, seed in zip(eqs, seeds)]
+        for order in ([4, 3, 2, 1, 0], [2, 2, 0], [1, 4, 1, 3, 0, 2]):
+            batch = _optimize_games(psi, [eqs[i] for i in order], [seeds[i] for i in order], cfg)
+            for i, (gain, strategy) in zip(order, batch):
+                assert gain == alone[i][0]
+                assert np.array_equal(strategy.angles, alone[i][1].angles)
+
+    def test_worker_count_and_progress_over_several_chunks(self, chunked_run):
+        _, tables, g, psi, cfg = chunked_run
+        lines, seen = {}, {}
+        for workers in (1, 2):
+            seen[workers] = []
+            results = search_space(
+                g, psi, cfg, tables, workers=workers,
+                progress=lambda done, total, log=seen[workers]: log.append((done, total)),
+            )
+            lines[workers] = [json.dumps(r.to_json_dict()) for r in results]
+            assert seen[workers] == [(done, len(tables)) for done in range(1, len(tables) + 1)]
+        assert lines[1] == lines[2]
 
 
 class TestSeeds:
