@@ -533,12 +533,14 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return USAGE_ERROR
-    seed = int(_resolve(args, config, "seed", DEFAULT_SEED))
-    workers = _resolve(args, config, "workers", None)
-    workers = int(workers) if workers is not None else os.cpu_count() or 1
     store = RunStore(_resolve(args, config, "output_dir", "runs"))
     handler = _HANDLERS[args.subcommand]
     try:
+        seed = int(_resolve(args, config, "seed", DEFAULT_SEED))
+        workers = _resolve(args, config, "workers", None)
+        workers = int(workers) if workers is not None else os.cpu_count() or 1
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         return handler(args, config, store, seed, workers)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

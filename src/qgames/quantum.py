@@ -159,31 +159,44 @@ def win_mask(eq: GameEquation) -> np.ndarray:
     return (eq.f.values()[:, None] == eq.g.values()[None, :]).astype(float).reshape(-1)
 
 
-def _apply_2x2(m: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m00 x0 + m01 x1, m10 x0 + m11 x1) for a broadcastable (..., 2, 2) matrix m."""
-    return m[..., 0, 0] * x0 + m[..., 0, 1] * x1, m[..., 1, 0] * x0 + m[..., 1, 1] * x1
+def _best_response_gates(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gates whose answer-0 projector maximizes <u|D|u> for D = [[c + h, b], [b*, c - h]].
+
+    The top eigenvector of D is u = (cos t/2, e^{-i w} sin t/2) up to a
+    phase, with t = atan2(|b|, h) and w the phase of b (any w will do when
+    b = 0).  The returned gate has conj(u) as its first row, so it answers
+    0 on exactly u.
+    """
+    t = np.arctan2(np.abs(b), h) / 2.0
+    c, s = np.cos(t), np.sin(t)
+    w = np.exp(1j * np.angle(b))
+    return np.stack([c, w * s, s, -w * c], axis=-1).reshape(h.shape + (2, 2))
 
 
 class GainKernel:
-    """Vectorized win-probability evaluation for batches of strategies.
+    """Vectorized win-probability evaluation and see-saw steps for batches of strategies.
 
     One kernel holds one shared state and the win masks of one or more
     games.  Each batch row may play its own game: ``game`` is the (B,)
     index of each row's game in the kernel, and None means that every row
-    plays the first.  A row's results do not depend on the other rows of
-    its batch, bit for bit.
+    plays the first.  Every product is stacked per row, never one 2-D
+    product across rows, so a row's results do not depend on the other
+    rows of its batch, bit for bit.
 
-    ``amplitudes`` contracts the shared state with every player's two gates,
-    one player at a time, producing the amplitudes of all (question, answer)
-    pairs at once; the win mask then reduces them to gains.
-    ``partial_amplitudes``, ``response_operator`` and
-    ``amplitudes_from_partial`` are the steps of one player's best response
-    in the see-saw optimizer.
+    Amplitudes of all (question, answer) pairs are a (B, 4**n) array in a
+    pair-major layout: its axes are each player's (question bit, answer
+    bit) pair, question bit first.  Layout k puts player k's pair outermost
+    and the others after it in cyclic order k+1, ..., n-1, 0, ..., k-1;
+    ``amplitudes`` and ``gains_of`` use layout 0, player 1 first.
 
-    For one player, the (B, 2**n, 2**n) amplitudes are viewed as
-    (B, hi, q, lo, hi, a, lo): ``q`` and ``a`` are the player's question and
-    answer bits, ``hi`` and ``lo`` the bits of the players before and after
-    them.  Such a view costs no copy.
+    ``best_response`` takes amplitudes in player k's layout.  With that
+    player's gate undone, the amplitudes no longer depend on their question
+    bit, so it undoes only the question-0 slice: one (2, 2) @ (2, M)
+    product per row, M = 4**(n-1).  The response operator is the player's
+    sign table (the win mask with them answering 0 minus answering 1) times
+    that undone state, and the new gates are applied as a (M, 2) @ (2, 4)
+    product, whose output puts the player's pair last: layout k+1, with no
+    copy.  A sweep over every player returns to layout 0.
     """
 
     def __init__(self, psi: StateVector, eqs: GameEquation | Sequence[GameEquation]):
@@ -192,18 +205,17 @@ class GainKernel:
             if psi.n != eq.arity:
                 raise ValueError(f"state has {psi.n} qubits but the equation arity is {eq.arity}")
         n = self.n = psi.n
-        self.psi_tensor = psi.tensor()
-        # (G, 4**n): one win mask per game
-        self.masks = np.stack([win_mask(eq) for eq in eqs])
-        # per player, (G, hi, q, lo, hi, lo): the win mask with them answering 0 minus answering 1
+        self.psi = psi.amplitudes
+        # (G, 4, ..., 4): one win mask per game, in layout 0
+        bits = np.stack([win_mask(eq) for eq in eqs]).reshape((-1,) + (2,) * (2 * n))
+        order = (0, *(1 + k + n * a for k in range(n) for a in (0, 1)))
+        pairs = bits.transpose(order).reshape((-1,) + (4,) * n)
+        self.masks = pairs.reshape(-1, 4**n)
+        # per player, (G, 2, 4**(n-1)) in their layout: the mask with them answering 0 minus 1
         self._signs = []
         for k in range(n):
-            m = self._player_view(self.masks, k)
-            self._signs.append(m[..., 0, :] - m[..., 1, :])
-
-    def _player_view(self, amps: np.ndarray, player: int) -> np.ndarray:
-        hi, lo = 1 << player, 1 << (self.n - 1 - player)
-        return amps.reshape(amps.shape[0], hi, 2, lo, hi, 2, lo)
+            m = pairs.transpose(0, *(1 + (k + j) % n for j in range(n))).reshape(-1, 2, 2, 4**n // 4)
+            self._signs.append(m[:, :, 0] - m[:, :, 1])
 
     @staticmethod
     def _per_row(tables: np.ndarray, game: np.ndarray | None) -> np.ndarray:
@@ -211,23 +223,16 @@ class GainKernel:
         return tables if game is None or tables.shape[0] == 1 else tables[game]
 
     def amplitudes(self, gates: np.ndarray) -> np.ndarray:
-        """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 2**n, 2**n) amplitudes.
-
-        Rows are question tuples and columns answer tuples, both big-endian.
-        """
-        batch, n = gates.shape[0], self.n
-        t = self.psi_tensor.reshape(1, 1, -1)
-        for i in range(n):
-            # (B, done players' (question, answer) bits, this player's qubit, the rest)
-            t = t.reshape(t.shape[0], 4**i, 2, -1).transpose(0, 2, 1, 3).reshape(t.shape[0], 2, -1)
-            t = gates[:, i].reshape(batch, 4, 2) @ t
-        # the bits come out as (q_n, a_n, ..., q_1, a_1): put the questions first
-        t = t.reshape((batch,) + (2,) * (2 * n))
-        order = (0, *range(2 * n - 1, 0, -2), *range(2 * n, 0, -2))
-        return t.transpose(order).reshape(batch, 1 << n, 1 << n)
+        """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 4**n) amplitudes in layout 0."""
+        batch = gates.shape[0]
+        t = self.psi.reshape(1, -1)
+        # the last player first: each step's qubit is the last axis, and its pair goes first
+        for k in reversed(range(self.n)):
+            t = gates[:, k].reshape(batch, 4, 2) @ t.reshape(t.shape[0], -1, 2).swapaxes(1, 2)
+        return t.reshape(batch, -1)
 
     def gains_of(self, amps: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
-        """(B, 2**n, 2**n) amplitudes -> (B,) win probabilities."""
+        """(B, 4**n) amplitudes in layout 0 -> (B,) win probabilities."""
         batch = amps.shape[0]
         probs = (amps.real**2 + amps.imag**2).reshape(batch, 1, -1)
         # one dot product per row, so that no row's sum depends on the others
@@ -243,42 +248,35 @@ class GainKernel:
         gates = _build_gate_stack(batch.reshape(batch.shape[0], self.n, 2, 3))
         return self.gains_of(self.amplitudes(gates), game)
 
-    def partial_amplitudes(
-        self, amps: np.ndarray, gates: np.ndarray, player: int
+    def best_response(
+        self, amps: np.ndarray, gates: np.ndarray, player: int,
+        game: np.ndarray | None = None, questions: int = 2,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitudes with one player's gates undone, one array per index of their qubit.
+        """One see-saw step: the player's best gates and the amplitudes they give.
 
-        ``amps`` come from ``amplitudes``; ``gates`` (B, 2, 2, 2) are the
-        player's gates inside them.  Each array is (B, hi, q, lo, hi, lo);
-        the player's answer-c amplitude is row c of their gate for question
-        q applied to the pair.
+        ``amps`` (B, 4**n) are in the player's layout and ``gates``
+        (B, 2, 2, 2) are the player's gates inside them.  With every other
+        player fixed, the win probability is linear in the player's answer-0
+        projector on each question bit, and the best rank-1 projector is the
+        top eigenvector of D = [[c + h, b], [b*, c - h]] (Werner & Wolf 2001;
+        Liang & Doherty 2007).  For the undone state (p0, p1), h is the sign
+        table times |p0|^2 - |p1|^2 over two and b the sign table times
+        p0 conj(p1).  ``questions`` = 1 replaces only the question-0 gate.
+        Returns the amplitudes in the next player's layout and the new
+        (B, 2, 2, 2) gates.
         """
-        view = self._player_view(amps, player)
-        undo = gates.conj().swapaxes(-1, -2).reshape(-1, 1, 2, 1, 1, 1, 2, 2)
-        return _apply_2x2(undo, view[..., 0, :], view[..., 1, :])
-
-    def response_operator(
-        self, partial: tuple[np.ndarray, np.ndarray], player: int, game: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(h, b), each (B, 2): the player's response operator per question bit.
-
-        If the player answers 0 on |u> and 1 on the orthogonal vector, the
-        win probability is <u|D|u> / 2**n plus terms free of u, where
-        D = [[c + h, b], [conj(b), c - h]] for some real c is built from
-        ``partial`` and the win mask with the player answering 0 minus
-        answering 1.
-        """
-        p0, p1 = partial
+        batch = amps.shape[0]
+        # (B, 2, M): the player's qubit and the other players' pairs, question 0's gate undone
+        undone = gates[:, 0].conj().swapaxes(1, 2) @ amps.reshape(batch, 2, 2, -1)[:, 0]
+        probs = undone.real**2 + undone.imag**2
         signs = self._per_row(self._signs[player], game)
-        h = (signs * (p0.real**2 + p0.imag**2 - p1.real**2 - p1.imag**2)).sum(axis=(1, 3, 4, 5))
-        return h / 2.0, (signs * p0 * p1.conj()).sum(axis=(1, 3, 4, 5))
-
-    def amplitudes_from_partial(
-        self, partial: tuple[np.ndarray, np.ndarray], gates: np.ndarray
-    ) -> np.ndarray:
-        """Inverse of ``partial_amplitudes``: apply the player's (new) gates."""
-        a0, a1 = _apply_2x2(gates.reshape(-1, 1, 2, 1, 1, 1, 2, 2), *partial)
-        return np.stack([a0, a1], axis=5).reshape(a0.shape[0], 1 << self.n, 1 << self.n)
+        h = (signs @ (probs[:, 0] - probs[:, 1])[..., None])[..., 0] / 2.0
+        b = (signs @ (undone[:, 0] * undone[:, 1].conj())[..., None])[..., 0]
+        new = _best_response_gates(h, b)
+        if questions == 1:
+            new[:, 1] = gates[:, 1]
+        amps = undone.swapaxes(1, 2) @ new.reshape(batch, 4, 2).swapaxes(1, 2)
+        return amps.reshape(batch, -1), new
 
 
 def win_probability(psi: StateVector, strategy: QuantumStrategy, eq: GameEquation) -> float:

@@ -182,20 +182,6 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
 
 # --- Quantum search -------------------------------------------------------------
 
-def _best_response_gates(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gates whose answer-0 projector maximizes <u|D|u> for D = [[c + h, b], [b*, c - h]].
-
-    The top eigenvector of D is u = (cos t/2, e^{-i w} sin t/2) up to a
-    phase, with t = atan2(|b|, h) and w the phase of b (any w will do when
-    b = 0).  The returned gate has conj(u) as its first row, so it answers
-    0 on exactly u.
-    """
-    t = np.arctan2(np.abs(b), h) / 2.0
-    c, s = np.cos(t), np.sin(t)
-    w = np.exp(1j * np.angle(b))
-    return np.stack([c, w * s, s, -w * c], axis=-1).reshape(h.shape + (2, 2))
-
-
 def _angles_from_gates(gates: np.ndarray) -> np.ndarray:
     """(..., 2, 2) gates -> (..., 3) angles with phi = 0 and the same win probabilities.
 
@@ -215,16 +201,14 @@ def _see_saw(
 ) -> np.ndarray:
     """Batched see-saw ascent from (R, n, 2, 2, 2) start gates; returns the final gates.
 
-    Row r plays game ``game[r]`` of the kernel.  With every other player's
-    gates fixed, the win probability is linear in one player's answer-0
-    projector for one question bit, so its best rank-1 response is the top
-    eigenvector of a 2x2 Hermitian operator (Werner & Wolf 2001; Liang &
-    Doherty 2007).  A sweep replaces both question bits' gates of player 1,
-    then of player 2, and so on: 2n updates, none of which can lower a
-    row's gain.  A row stops when a sweep raises its gain by less than
-    ``tol`` or when it has made ``max_updates`` updates; rows that stop
-    leave the batch.  Every kernel step treats each row on its own, so a
-    row's path does not depend on the other rows of the batch.
+    Row r plays game ``game[r]`` of the kernel.  A sweep replaces both
+    question bits' gates of player 1 by their best response
+    (``GainKernel.best_response``), then of player 2, and so on: 2n
+    updates, none of which can lower a row's gain.  A row stops when a
+    sweep raises its gain by less than ``tol`` or when it has made
+    ``max_updates`` updates; rows that stop leave the batch.  Every kernel
+    step treats each row on its own, so a row's path does not depend on
+    the other rows of the batch.
     """
     out = np.empty_like(gates)
     rows = np.arange(gates.shape[0])
@@ -238,14 +222,12 @@ def _see_saw(
             if bits <= 0:
                 break
             updates += bits
-            partial = kernel.partial_amplitudes(amps, gates[:, k], k)
-            new = _best_response_gates(*kernel.response_operator(partial, k, game))
-            if bits == 1:
-                new[:, 1] = gates[:, k, 1]
-            gates[:, k] = new
-            amps = kernel.amplitudes_from_partial(partial, new)
+            amps, gates[:, k] = kernel.best_response(amps, gates[:, k], k, game, bits)
+        if updates >= max_updates:
+            out[rows] = gates
+            break
         new_gains = kernel.gains_of(amps, game)
-        stop = (new_gains - gains < tol) | (updates >= max_updates)
+        stop = new_gains - gains < tol
         out[rows[stop]] = gates[stop]
         keep = ~stop
         rows, gates, amps, gains, game = (
@@ -313,9 +295,11 @@ def optimize_quantum(
 
 #: Rows of one search see-saw batch: a search runs its games in chunks of
 #: ``_CHUNK_ROWS // restarts`` consecutive functions (at least one), six at
-#: the default 20 restarts.  On GHZ4 searches, 80 to 240 rows per batch ran
-#: 1.4 to 1.6 times as many games per second as one game per batch; peak
-#: memory grows with the batch, by about 2 MB at 240 rows.
+#: the default 20 restarts.  On a 12-game GHZ4 search, 80, 120 and 240 rows
+#: per batch ran 430-480, 460-520 and 500-600 games per second; peak memory
+#: grows with the batch, by about 0.7 MB from 120 to 240 rows.  Above 149
+#: rows, ``TestChunkedSearch``'s 10 games at 30 restarts fit in two chunks
+#: and no longer cover a game in a middle chunk.
 _CHUNK_ROWS = 120
 
 
@@ -399,6 +383,7 @@ def search_space(
     tasks = [(lo, [t.bits for t in tables[lo:lo + size]]) for lo in range(0, total, size)]
     workers = workers or os.cpu_count() or 1
     results: list[GameResult] = []
+    t0 = time.perf_counter()
 
     def finish(chunk: list[GameResult]):
         for result in chunk:
@@ -407,7 +392,11 @@ def search_space(
             if progress is not None:
                 progress(done, total)
             elif done == total or done % 250 == 0:
-                logger.info("search progress: %d/%d functions", done, total)
+                rate = done / max(time.perf_counter() - t0, 1e-9)
+                logger.info(
+                    "search progress: %d/%d functions, %.1f games/s, ETA %.0f s",
+                    done, total, rate, (total - done) / rate,
+                )
 
     if workers <= 1 or len(tasks) <= 1:
         for task in tasks:

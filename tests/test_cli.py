@@ -284,6 +284,18 @@ class TestConfigFile:
         code = run_cli("eval", "--config", str(out / "none.json"))
         assert code == VALIDATION_ERROR
 
+    def test_workers_below_one_is_validation_error(self, out, functions_file):
+        config = out / "config.json"
+        config.write_text(json.dumps({"workers": 0}))
+        for flags in (["--workers", "-3"], ["--workers", "0"], ["--config", str(config)]):
+            for argv in (["eval", "--state", "epr", "--f", "xy", "--g", "a^b"],
+                         ["search", "--state", "epr", "--functions", str(functions_file),
+                          "--g", "a^b", "--output", str(out / "results.jsonl")]):
+                runs = out / "rejected-runs"
+                assert run_cli(*flags, *argv, "--output-dir", str(runs)) == VALIDATION_ERROR
+                assert not runs.exists()
+        assert not (out / "results.jsonl").exists()
+
 
 class TestRunStore:
     def test_distinct_run_ids_for_identical_invocations(self, out, capsys):

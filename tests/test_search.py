@@ -1,6 +1,7 @@
 """Classical enumeration, quantum optimization, and batch-search tests."""
 
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from qgames.quantum import (
     GainKernel,
     QuantumStrategy,
     StateVector,
+    _build_gate_stack,
     make_named_state,
     win_probability,
 )
@@ -34,7 +36,7 @@ from qgames.search import (
     search_space,
     stratified_subsample,
 )
-from qgames.search import _CHUNK_ROWS, _optimize_games
+from qgames.search import _CHUNK_ROWS, _optimize_games, _see_saw
 
 
 def chsh_equation():
@@ -237,6 +239,92 @@ class TestSeeSaw:
         assert np.abs(before - after).max() <= 1e-15
 
 
+def _step_setup(n, seed, batch=6):
+    """A kernel on a random n-qubit state with three random games, and random gates."""
+    rng = np.random.default_rng(seed)
+    psi = StateVector(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    size = 1 << (1 << n)
+    eqs = [
+        GameEquation(TruthTable(n, int(rng.integers(size))), TruthTable(n, int(rng.integers(size))))
+        for _ in range(3)
+    ]
+    gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (batch, n, 2, 3)))
+    return GainKernel(psi, eqs), gates, rng.integers(0, 3, batch), rng
+
+
+def _to_layout(amps, n, player):
+    """Layout-0 amplitudes (player 1's (question, answer) pair first) rotated to ``player``'s layout."""
+    pairs = amps.reshape((amps.shape[0],) + (4,) * n)
+    return pairs.transpose(0, *(1 + (player + j) % n for j in range(n))).reshape(amps.shape[0], -1)
+
+
+def _random_unitaries(rng, count):
+    return np.linalg.qr(rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))[0]
+
+
+class TestBestResponseStep:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_layout_zero_holds_every_question_answer_amplitude(self, n):
+        kernel, gates, _, _ = _step_setup(n, 30 + n)
+        amps = kernel.amplitudes(gates).reshape((-1,) + (2,) * (2 * n))
+        for q in range(1 << n):
+            bits = [(q >> (n - 1 - i)) & 1 for i in range(n)]
+            op = np.ones((gates.shape[0], 1, 1))
+            for i, bit in enumerate(bits):
+                op = np.einsum("bij,bkl->bikjl", op, gates[:, i, bit]).reshape(
+                    gates.shape[0], 2 * op.shape[1], 2 * op.shape[2])
+            expect = (op @ kernel.psi).reshape((-1,) + (2,) * n)
+            got = amps[(slice(None), *(x for bit in bits for x in (bit, slice(None))))]
+            # got's axes are the answer bits in player order
+            assert np.abs(got - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("questions", [1, 2])
+    def test_step_amplitudes_equal_fresh_amplitudes(self, n, questions):
+        kernel, gates, game, _ = _step_setup(n, n)
+        for player in range(n):
+            amps = _to_layout(kernel.amplitudes(gates), n, player)
+            stepped, new = kernel.best_response(amps, gates[:, player], player, game, questions)
+            updated = gates.copy()
+            updated[:, player] = new
+            if questions == 1:
+                assert np.array_equal(new[:, 1], gates[:, player, 1])
+            fresh = _to_layout(kernel.amplitudes(updated), n, (player + 1) % n)
+            assert np.abs(stepped - fresh).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_step_is_a_best_response_for_each_question_bit(self, n):
+        kernel, gates, game, rng = _step_setup(n, 10 + n)
+        for player in range(n):
+            before = kernel.gains_of(kernel.amplitudes(gates), game)
+            amps = _to_layout(kernel.amplitudes(gates), n, player)
+            _, new = kernel.best_response(amps, gates[:, player], player, game)
+            updated = gates.copy()
+            updated[:, player] = new
+            best = kernel.gains_of(kernel.amplitudes(updated), game)
+            assert np.all(best >= before - 1e-12)
+            for bit in (0, 1):
+                for u in _random_unitaries(rng, 40):
+                    tried = updated.copy()
+                    tried[:, player, bit] = u
+                    gains = kernel.gains_of(kernel.amplitudes(tried), game)
+                    assert np.all(gains <= best + 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_see_saw_cap_mid_sweep_matches_steps_on_fresh_amplitudes(self, n):
+        kernel, gates, game, _ = _step_setup(n, 20 + n)
+        # a tol of -inf never stops a row early, so the cap alone ends the ascent
+        for cap in range(1, 3 * n + 1):
+            expect = gates.copy()
+            for update in range(0, cap, 2):
+                player = (update // 2) % n
+                amps = _to_layout(kernel.amplitudes(expect), n, player)
+                _, expect[:, player] = kernel.best_response(
+                    amps, expect[:, player], player, game, min(2, cap - update))
+            got = _see_saw(kernel, gates, game, cap, -np.inf)
+            assert np.abs(got - expect).max() < 1e-9
+
+
 class TestDeterministicEmbedding:
     def test_identity_bitflip_gates_reproduce_classical_gain(self):
         # a deterministic strategy embeds as (0,0,0)/(pi,0,pi) gates on |0..0>
@@ -323,6 +411,14 @@ class TestSearchSpace:
         space, psi, g, cfg = small_run
         with pytest.raises(ValueError):
             search_space(g, make_named_state("ghz4"), cfg, space)
+
+    def test_log_line_reports_rate_and_eta(self, small_run, caplog):
+        space, psi, g, cfg = small_run
+        with caplog.at_level(logging.INFO, logger="qgames.search"):
+            search_space(g, psi, cfg, space, workers=1)
+        last = caplog.records[-1].getMessage()
+        assert last.startswith(f"search progress: {len(space)}/{len(space)} functions, ")
+        assert last.endswith(" games/s, ETA 0 s")
 
 
 @pytest.fixture(scope="module")
