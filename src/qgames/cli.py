@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .boolfn import (
@@ -34,7 +35,7 @@ from .boolfn import (
     parse_table,
     reduce_function_space,
 )
-from .quantum import StateVector, parse_state_literal
+from .quantum import FamilyId, StateVector, parse_state_literal
 from .search import (
     DEFAULT_SEED,
     GameResult,
@@ -144,11 +145,21 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
     return default
 
 
-def _optimizer_config(args, config, seed: int) -> OptimizerConfig:
+def _optimizer_config(args, config, seed: int, first: dict | None = None) -> OptimizerConfig:
+    """Optimizer settings: ``first`` (a sweep spec's config block), then flags, then the
+    config file, then the defaults."""
+    first = first or {}
+    default = OptimizerConfig()
+
+    def value(key: str):
+        if first.get(key) is not None:
+            return first[key]
+        return _resolve(args, config, key, getattr(default, key))
+
     return OptimizerConfig(
-        restarts=int(_resolve(args, config, "restarts", 20)),
-        max_evals=int(_resolve(args, config, "max_evals", 5000)),
-        tol=float(_resolve(args, config, "tol", 1e-6)),
+        restarts=int(value("restarts")),
+        max_evals=int(value("max_evals")),
+        tol=float(value("tol")),
         seed=seed,
     )
 
@@ -165,6 +176,20 @@ def _json_line(record: dict) -> str:
 # --- Subcommand handlers ----------------------------------------------------------
 
 
+def _record_run(
+    store: RunStore, subcommand: str, run_config: dict, seed: int, workers: int, t0: float,
+    write: Callable[[Path], list[Path]],
+) -> int:
+    """A new run directory, the run's outputs (``write(run_dir)`` returns their paths), then its record."""
+    run_dir = store.new_run(subcommand, run_config)
+    outputs = [str(path) for path in write(run_dir)]
+    RunStore.write_record(run_dir, RunRecord(
+        run_id=run_dir.name, subcommand=subcommand, config=run_config | {"workers": workers},
+        seed=seed, version=__version__, outputs=outputs, elapsed_s=time.perf_counter() - t0,
+    ))
+    return 0
+
+
 def _cmd_reduce(args, config, store: RunStore, seed: int, workers: int) -> int:
     arity = int(_resolve(args, config, "arity", 4))
     all_relevant = bool(_resolve(args, config, "all_relevant", False))
@@ -179,22 +204,14 @@ def _cmd_reduce(args, config, store: RunStore, seed: int, workers: int) -> int:
         "keep_complements": keep_complements,
         "seed": seed,
     }
-    run_dir = store.new_run("reduce", run_config)
-    out_path = Path(_resolve(args, config, "output", None) or run_dir / "functions.txt")
-    out_path.write_text("".join(t.to_text() + "\n" for t in space))
-    summary = {"stage_counts": space.stage_counts(), "output": str(out_path)}
-    print(_dumps(summary, indent=2))
-    record = RunRecord(
-        run_id=run_dir.name,
-        subcommand="reduce",
-        config=run_config | {"workers": workers},
-        seed=seed,
-        version=__version__,
-        outputs=[str(out_path)],
-        elapsed_s=time.perf_counter() - t0,
-    )
-    RunStore.write_record(run_dir, record)
-    return 0
+
+    def write(run_dir: Path) -> list[Path]:
+        out_path = Path(_resolve(args, config, "output", None) or run_dir / "functions.txt")
+        out_path.write_text("".join(t.to_text() + "\n" for t in space))
+        print(_dumps({"stage_counts": space.stage_counts(), "output": str(out_path)}, indent=2))
+        return [out_path]
+
+    return _record_run(store, "reduce", run_config, seed, workers, t0, write)
 
 
 def _eval_record(
@@ -238,22 +255,16 @@ def _cmd_eval(args, config, store: RunStore, seed: int, workers: int) -> int:
     eq = GameEquation(_parse_side(f_text, psi.n, "f"), _parse_side(g_text, psi.n, "g"))
     cfg = _optimizer_config(args, config, seed)
     t0 = time.perf_counter()
-    record = _eval_record(psi, state_text, eq, mode, cfg)
-    text = _dumps(record, indent=2)
+    text = _dumps(_eval_record(psi, state_text, eq, mode, cfg), indent=2)
     print(text)
-    run_config = {
-        "state": state_text, "f": f_text, "g": g_text, "mode": mode,
-        "seed": seed, "restarts": cfg.restarts, "max_evals": cfg.max_evals, "tol": cfg.tol,
-    }
-    run_dir = store.new_run("eval", run_config)
-    out_path = run_dir / "result.json"
-    out_path.write_text(text + "\n")
-    RunStore.write_record(run_dir, RunRecord(
-        run_id=run_dir.name, subcommand="eval", config=run_config | {"workers": workers},
-        seed=seed, version=__version__, outputs=[str(out_path)],
-        elapsed_s=time.perf_counter() - t0,
-    ))
-    return 0
+    run_config = {"state": state_text, "f": f_text, "g": g_text, "mode": mode} | asdict(cfg)
+
+    def write(run_dir: Path) -> list[Path]:
+        out_path = run_dir / "result.json"
+        out_path.write_text(text + "\n")
+        return [out_path]
+
+    return _record_run(store, "eval", run_config, seed, workers, t0, write)
 
 
 def _load_functions(path: str, arity: int) -> list[TruthTable]:
@@ -273,6 +284,7 @@ def _load_functions(path: str, arity: int) -> list[TruthTable]:
 
 
 def _run_search(args, config, seed: int, workers: int):
+    """The search of ``search`` and ``score``: its g, state, config, results and run config."""
     state_text = _resolve(args, config, "state", None)
     g_text = _resolve(args, config, "g", None)
     functions_path = _resolve(args, config, "functions", None)
@@ -288,7 +300,10 @@ def _run_search(args, config, seed: int, workers: int):
     results = search_space(
         g, psi, cfg, tables, workers=workers, state_descriptor=state_text
     )
-    return psi, g, state_text, cfg, results
+    run_config = {
+        "state": state_text, "g": g_text, "functions": functions_path, "sample": sample,
+    } | asdict(cfg)
+    return g, state_text, cfg, results, run_config
 
 
 def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfig, top: int = 10) -> dict:
@@ -312,73 +327,49 @@ def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfi
         ],
         "g": g.to_text(),
         "state": state_text,
-        "config": {
-            "restarts": cfg.restarts, "max_evals": cfg.max_evals,
-            "tol": cfg.tol, "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
     }
 
 
 def _cmd_search(args, config, store: RunStore, seed: int, workers: int) -> int:
     t0 = time.perf_counter()
-    psi, g, state_text, cfg, results = _run_search(args, config, seed, workers)
+    g, state_text, cfg, results, run_config = _run_search(args, config, seed, workers)
     summary = _summary_record(results, g, state_text, cfg)
     lines = [_json_line(r.to_json_dict(include_timing=False)) for r in results]
     lines.append(_json_line(summary))
-    run_config = {
-        "state": state_text, "g": _resolve(args, config, "g", None),
-        "functions": _resolve(args, config, "functions", None),
-        "sample": _resolve(args, config, "sample", None),
-        "seed": seed, "restarts": cfg.restarts, "max_evals": cfg.max_evals, "tol": cfg.tol,
-    }
-    run_dir = store.new_run("search", run_config)
-    out_path = Path(_resolve(args, config, "output", None) or run_dir / "results.jsonl")
-    out_path.write_text("".join(line + "\n" for line in lines))
-    print(_dumps(summary, indent=2))
-    RunStore.write_record(run_dir, RunRecord(
-        run_id=run_dir.name, subcommand="search",
-        config=run_config | {"workers": workers},
-        seed=seed, version=__version__, outputs=[str(out_path)],
-        elapsed_s=time.perf_counter() - t0,
-    ))
-    return 0
+
+    def write(run_dir: Path) -> list[Path]:
+        out_path = Path(_resolve(args, config, "output", None) or run_dir / "results.jsonl")
+        out_path.write_text("".join(line + "\n" for line in lines))
+        print(_dumps(summary, indent=2))
+        return [out_path]
+
+    return _record_run(store, "search", run_config, seed, workers, t0, write)
 
 
 def _cmd_score(args, config, store: RunStore, seed: int, workers: int) -> int:
     t0 = time.perf_counter()
-    psi, g, state_text, cfg, results = _run_search(args, config, seed, workers)
+    g, state_text, cfg, results, run_config = _run_search(args, config, seed, workers)
     summary = _summary_record(results, g, state_text, cfg, top=3)
-    report = {
+    text = _dumps({
         "state": state_text,
         "g": g.to_text(),
         "count": summary["count"],
         "game_score": summary["game_score"],
         "average_gap": summary["average_gap"],
         "max_gap": summary["top_gaps"][0] if summary["top_gaps"] else None,
-    }
-    run_config = {
-        "state": state_text, "g": _resolve(args, config, "g", None),
-        "functions": _resolve(args, config, "functions", None),
-        "sample": _resolve(args, config, "sample", None),
-        "seed": seed, "restarts": cfg.restarts, "max_evals": cfg.max_evals, "tol": cfg.tol,
-    }
-    text = _dumps(report, indent=2)
-    run_dir = store.new_run("score", run_config)
-    out_path = run_dir / "score.json"
-    out_path.write_text(text + "\n")
-    print(text)
-    RunStore.write_record(run_dir, RunRecord(
-        run_id=run_dir.name, subcommand="score",
-        config=run_config | {"workers": workers},
-        seed=seed, version=__version__, outputs=[str(out_path)],
-        elapsed_s=time.perf_counter() - t0,
-    ))
-    return 0
+    }, indent=2)
+
+    def write(run_dir: Path) -> list[Path]:
+        out_path = run_dir / "score.json"
+        out_path.write_text(text + "\n")
+        print(text)
+        return [out_path]
+
+    return _record_run(store, "score", run_config, seed, workers, t0, write)
 
 
 def _sweep_spec_from_file(path: str, seed: int, args, config) -> SweepSpec:
-    from .quantum import FamilyId
-
     raw = json.loads(Path(path).read_text())
     family = next((f for f in FamilyId if f.value == raw.get("family", "").lower()), None)
     if family is None:
@@ -396,19 +387,12 @@ def _sweep_spec_from_file(path: str, seed: int, args, config) -> SweepSpec:
     fixed = {k.lower(): _parse_complex_json(v) for k, v in raw.get("fixed", {}).items()}
     f_table = _parse_side(str(raw["f"]), 4, "f")
     g_table = _parse_side(str(raw["g"]), 4, "g")
-    opt = raw.get("config", {})
-    cfg = OptimizerConfig(
-        restarts=int(opt.get("restarts", _resolve(args, config, "restarts", 20))),
-        max_evals=int(opt.get("max_evals", _resolve(args, config, "max_evals", 5000))),
-        tol=float(opt.get("tol", _resolve(args, config, "tol", 1e-6))),
-        seed=seed,
-    )
     return SweepSpec(
         family=family,
         axes=axes,
         equation=GameEquation(f_table, g_table),
         fixed=fixed,
-        config=cfg,
+        config=_optimizer_config(args, config, seed, raw.get("config")),
         output_path=raw.get("output"),
     )
 
@@ -419,26 +403,20 @@ def _cmd_sweep(args, config, store: RunStore, seed: int, workers: int) -> int:
         raise ValueError("sweep needs --spec")
     t0 = time.perf_counter()
     spec = _sweep_spec_from_file(spec_path, seed, args, config)
-    result = run_sweep(spec, workers=workers)
-    run_config = {"spec": spec_path, "seed": seed}
-    run_dir = store.new_run("sweep", run_config)
-    csv_path = Path(spec.output_path or run_dir / "sweep.csv")
-    csv_path.write_text(result.to_csv())
-    sidecar_path = csv_path.with_suffix(".json")
-    sidecar_path.write_text(_dumps(result.sidecar_dict(), indent=2) + "\n")
-    valid = sum(1 for p in result.points if p.valid)
-    print(_dumps({
-        "points": len(result.points), "valid": valid,
-        "csv": str(csv_path), "sidecar": str(sidecar_path),
-    }, indent=2))
-    RunStore.write_record(run_dir, RunRecord(
-        run_id=run_dir.name, subcommand="sweep",
-        config=run_config | {"workers": workers},
-        seed=seed, version=__version__,
-        outputs=[str(csv_path), str(sidecar_path)],
-        elapsed_s=time.perf_counter() - t0,
-    ))
-    return 0
+    result = run_sweep(spec)
+
+    def write(run_dir: Path) -> list[Path]:
+        csv_path = Path(spec.output_path or run_dir / "sweep.csv")
+        csv_path.write_text(result.to_csv())
+        sidecar_path = csv_path.with_suffix(".json")
+        sidecar_path.write_text(_dumps(result.sidecar_dict(), indent=2) + "\n")
+        print(_dumps({
+            "points": len(result.points), "valid": sum(1 for p in result.points if p.valid),
+            "csv": str(csv_path), "sidecar": str(sidecar_path),
+        }, indent=2))
+        return [csv_path, sidecar_path]
+
+    return _record_run(store, "sweep", {"spec": spec_path, "seed": seed}, seed, workers, t0, write)
 
 
 # --- Parser ------------------------------------------------------------------------

@@ -176,12 +176,13 @@ def _best_response_gates(h: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GainKernel:
     """Vectorized win-probability evaluation and see-saw steps for batches of strategies.
 
-    One kernel holds one shared state and the win masks of one or more
-    games.  Each batch row may play its own game: ``game`` is the (B,)
-    index of each row's game in the kernel, and None means that every row
-    plays the first.  Every product is stacked per row, never one 2-D
-    product across rows, so a row's results do not depend on the other
-    rows of its batch, bit for bit.
+    One kernel holds one or more states and the win masks of one or more
+    games.  Each batch row may play its own game on its own state: ``game``
+    and ``state`` are the (B,) indices of each row's game and state in the
+    kernel, and None means that every row takes the first.  Every product
+    is stacked per row, never one 2-D product across rows, and no
+    arithmetic reuses a temporary in place, so a row's results do not
+    depend on the other rows of its batch, bit for bit, at any batch size.
 
     Amplitudes of all (question, answer) pairs are a (B, 4**n) array in a
     pair-major layout: its axes are each player's (question bit, answer
@@ -199,13 +200,19 @@ class GainKernel:
     copy.  A sweep over every player returns to layout 0.
     """
 
-    def __init__(self, psi: StateVector, eqs: GameEquation | Sequence[GameEquation]):
+    def __init__(
+        self,
+        states: StateVector | Sequence[StateVector],
+        eqs: GameEquation | Sequence[GameEquation],
+    ):
+        states = [states] if isinstance(states, StateVector) else list(states)
         eqs = [eqs] if isinstance(eqs, GameEquation) else list(eqs)
+        n = self.n = states[0].n
         for eq in eqs:
-            if psi.n != eq.arity:
-                raise ValueError(f"state has {psi.n} qubits but the equation arity is {eq.arity}")
-        n = self.n = psi.n
-        self.psi = psi.amplitudes
+            if n != eq.arity:
+                raise ValueError(f"state has {n} qubits but the equation arity is {eq.arity}")
+        # (S, 2**n): one row per state; states of other sizes do not stack
+        self.states = np.stack([psi.amplitudes for psi in states])
         # (G, 4, ..., 4): one win mask per game, in layout 0
         bits = np.stack([win_mask(eq) for eq in eqs]).reshape((-1,) + (2,) * (2 * n))
         order = (0, *(1 + k + n * a for k in range(n) for a in (0, 1)))
@@ -217,15 +224,20 @@ class GainKernel:
             m = pairs.transpose(0, *(1 + (k + j) % n for j in range(n))).reshape(-1, 2, 2, 4**n // 4)
             self._signs.append(m[:, :, 0] - m[:, :, 1])
 
-    @staticmethod
-    def _per_row(tables: np.ndarray, game: np.ndarray | None) -> np.ndarray:
-        """Each row's table out of (G, ...) per-game tables; a single table broadcasts."""
-        return tables if game is None or tables.shape[0] == 1 else tables[game]
+    @property
+    def psi(self) -> np.ndarray:
+        """The first state's flat (2**n,) amplitudes: the state of a one-state kernel."""
+        return self.states[0]
 
-    def amplitudes(self, gates: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _per_row(tables: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+        """Each row's table out of (G, ...) tables; one table, or no index, broadcasts the first."""
+        return tables[:1] if index is None or tables.shape[0] == 1 else tables[index]
+
+    def amplitudes(self, gates: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
         """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 4**n) amplitudes in layout 0."""
         batch = gates.shape[0]
-        t = self.psi.reshape(1, -1)
+        t = self._per_row(self.states, state)
         # the last player first: each step's qubit is the last axis, and its pair goes first
         for k in reversed(range(self.n)):
             t = gates[:, k].reshape(batch, 4, 2) @ t.reshape(t.shape[0], -1, 2).swapaxes(1, 2)
@@ -240,13 +252,16 @@ class GainKernel:
         # rounding can put a sure win a few ulps above 1
         return np.minimum(wins / (1 << self.n), 1.0)
 
-    def gains(self, angle_batch: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
+    def gains(
+        self, angle_batch: np.ndarray, game: np.ndarray | None = None,
+        state: np.ndarray | None = None,
+    ) -> np.ndarray:
         """(B, 6n) angle rows -> (B,) win probabilities."""
         batch = np.asarray(angle_batch, dtype=float)
         if batch.ndim != 2 or batch.shape[1] != 6 * self.n:
             raise ValueError(f"expected shape (B, {6 * self.n}), got {batch.shape}")
         gates = _build_gate_stack(batch.reshape(batch.shape[0], self.n, 2, 3))
-        return self.gains_of(self.amplitudes(gates), game)
+        return self.gains_of(self.amplitudes(gates, state), game)
 
     def best_response(
         self, amps: np.ndarray, gates: np.ndarray, player: int,
@@ -271,7 +286,11 @@ class GainKernel:
         probs = undone.real**2 + undone.imag**2
         signs = self._per_row(self._signs[player], game)
         h = (signs @ (probs[:, 0] - probs[:, 1])[..., None])[..., 0] / 2.0
-        b = (signs @ (undone[:, 0] * undone[:, 1].conj())[..., None])[..., 0]
+        # a named factor, not a temporary: numpy multiplies into a large enough
+        # temporary in place, which rounds differently and so made a row's b
+        # depend on its batch size from 256 rows on (at n = 4)
+        conj1 = undone[:, 1].conj()
+        b = (signs @ (undone[:, 0] * conj1)[..., None])[..., 0]
         new = _best_response_gates(h, b)
         if questions == 1:
             new[:, 1] = gates[:, 1]

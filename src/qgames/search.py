@@ -197,23 +197,25 @@ def _angles_from_gates(gates: np.ndarray) -> np.ndarray:
 
 
 def _see_saw(
-    kernel: GainKernel, gates: np.ndarray, game: np.ndarray, max_updates: int, tol: float
+    kernel: GainKernel, gates: np.ndarray, game: np.ndarray, max_updates: int, tol: float,
+    state: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched see-saw ascent from (R, n, 2, 2, 2) start gates; returns the final gates.
 
-    Row r plays game ``game[r]`` of the kernel.  A sweep replaces both
-    question bits' gates of player 1 by their best response
-    (``GainKernel.best_response``), then of player 2, and so on: 2n
-    updates, none of which can lower a row's gain.  A row stops when a
+    Row r plays game ``game[r]`` of the kernel on state ``state[r]`` (the
+    first when ``state`` is None).  A sweep replaces both question bits'
+    gates of player 1 by their best response (``GainKernel.best_response``),
+    then of player 2, and so on: 2n updates, none of which can lower a
+    row's gain.  A row stops when a
     sweep raises its gain by less than ``tol`` or when it has made
     ``max_updates`` updates; rows that stop leave the batch.  Every kernel
     step treats each row on its own, so a row's path does not depend on
-    the other rows of the batch.
+    the other rows of the batch, whatever its size.
     """
     out = np.empty_like(gates)
     rows = np.arange(gates.shape[0])
     gates = gates.copy()
-    amps = kernel.amplitudes(gates)
+    amps = kernel.amplitudes(gates, state)
     gains = kernel.gains_of(amps, game)
     updates = 0
     while rows.size:
@@ -237,35 +239,39 @@ def _see_saw(
 
 
 def _optimize_games(
-    psi: StateVector,
-    eqs: Sequence[GameEquation],
+    states: StateVector | Sequence[StateVector],
+    eqs: GameEquation | Sequence[GameEquation],
     seeds: Sequence[int],
     cfg: OptimizerConfig,
-    extra_starts: Sequence[np.ndarray] = (),
+    extra_starts: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> list[tuple[float, QuantumStrategy]]:
-    """``optimize_quantum`` for several games on one state, run as one see-saw batch.
+    """``optimize_quantum`` for several games, run as one see-saw batch.
 
-    Game j draws its restarts from ``seeds[j]``; each game's result is
+    Game j plays ``eqs[j]`` on ``states[j]``; a single state or equation is
+    shared by every game.  It draws its restarts from ``seeds[j]`` and adds
+    the warm starts ``extra_starts[j]`` after them.  Each game's result is
     bit-identical to running it alone.
     """
-    dim = 6 * psi.n
-    extras = [np.asarray(s, dtype=float).reshape(dim) for s in extra_starts]
-    starts = []
-    for seed in seeds:
+    kernel = GainKernel(states, eqs)
+    dim = 6 * kernel.n
+    starts, counts = [], []
+    for seed, extras in zip(seeds, extra_starts or [()] * len(seeds)):
         rng = np.random.default_rng(seed)
         starts.extend(rng.uniform(0.0, FOUR_PI, dim) for _ in range(cfg.restarts))
-        starts.extend(extras)
-    per_game = cfg.restarts + len(extras)
-    game = np.repeat(np.arange(len(eqs)), per_game)
-    kernel = GainKernel(psi, eqs)
-    start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), psi.n, 2, 3))
-    angles = _angles_from_gates(_see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol))
+        starts.extend(np.asarray(s, dtype=float).reshape(dim) for s in extras)
+        counts.append(cfg.restarts + len(extras))
+    game = np.repeat(np.arange(len(seeds)), counts)
+    start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
+    angles = _angles_from_gates(
+        _see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol, state=game)
+    )
     # the gains of the returned angles, evaluated afresh: never the optimizer state
-    gains = kernel.gains(angles.reshape(len(starts), dim), game).reshape(len(eqs), per_game)
-    best = np.argmax(gains, axis=1)
-    return [
-        (float(gains[j, b]), QuantumStrategy(angles[j * per_game + b])) for j, b in enumerate(best)
-    ]
+    gains = kernel.gains(angles.reshape(len(starts), dim), game, state=game)
+    results = []
+    for lo, count in zip(np.cumsum([0] + counts[:-1]), counts):
+        best = lo + int(np.argmax(gains[lo:lo + count]))
+        results.append((float(gains[best]), QuantumStrategy(angles[best])))
+    return results
 
 
 def optimize_quantum(
@@ -285,10 +291,8 @@ def optimize_quantum(
     returned gain is the win probability of the returned strategy,
     re-evaluated from its angles, never taken from the optimizer state.
     """
-    if psi.n != eq.arity:
-        raise ValueError(f"state has {psi.n} qubits but the equation arity is {eq.arity}")
     cfg = cfg or OptimizerConfig()
-    return _optimize_games(psi, [eq], [cfg.seed], cfg, extra_starts)[0]
+    return _optimize_games(psi, eq, [cfg.seed], cfg, [extra_starts])[0]
 
 
 # --- Batch search over a function space ------------------------------------------

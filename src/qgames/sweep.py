@@ -5,7 +5,8 @@ complex values enter through the fixed parameters), optimizes the quantum
 strategy with a per-point derived seed, and records the gain.  Along the
 primary axis the previous point's best angles are added as one extra warm
 start, which removes optimizer noise from landscape plots; rows of a 2D
-sweep are independent chains.
+sweep are independent chains.  A sweep runs in one process: step i of every
+chain is one see-saw batch, each chain on its own state.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import cmath
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boolfn import GameEquation
 from .quantum import FAMILY_PARAM_NAMES, FamilyId, QuantumStrategy, make_family_state, random_family_params
-from .search import OptimizerConfig, derive_task_seed, optimize_quantum
+from .search import OptimizerConfig, _optimize_games, derive_task_seed
 
 
 @dataclass(frozen=True)
@@ -131,59 +131,50 @@ class SweepResult:
         }
 
 
-def _sweep_chain(
-    spec: SweepSpec, row_coord: float | None, row_index: int, cfg: OptimizerConfig
-) -> list[SweepPoint]:
-    """Sweep the primary axis for one fixed secondary value, chaining warm starts."""
-    axis0 = spec.axes[0]
-    fixed = dict(spec.fixed or {})
-    if row_coord is not None:
-        fixed[spec.axes[1].param] = row_coord
-    points: list[SweepPoint] = []
-    warm: np.ndarray | None = None
-    for i, value in enumerate(axis0.values()):
-        params = dict(fixed)
-        params[axis0.param] = value
-        coords = (float(value),) if row_coord is None else (float(value), float(row_coord))
-        flat_index = row_index * axis0.steps + i
-        try:
-            psi = make_family_state(spec.family, params)
-        except ValueError:
-            points.append(SweepPoint(coords, False, None, None))
-            continue
-        point_cfg = replace(cfg, seed=derive_task_seed(cfg.seed, flat_index))
-        extra = [warm] if warm is not None else []
-        gain, strategy = optimize_quantum(psi, spec.equation, point_cfg, extra_starts=extra)
-        warm = strategy.angles.reshape(-1)
-        points.append(SweepPoint(coords, True, gain, strategy))
-    return points
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the gain landscape on the grid, in deterministic raster order.
 
-    The warm-start chain serializes the primary axis; rows of a 2D sweep are
-    independent chains and run across ``workers`` processes when asked.
-    Degenerate grid points (zero state) are recorded as invalid and skipped
-    by the chain; the sweep always completes, whatever the worker count.
+    Each value of the second axis (one chain for a 1D sweep) is a
+    warm-start chain along the primary axis.  Step i of every chain runs as
+    one see-saw batch, each chain on its own state, in this process; a
+    point's result does not depend on the other chains of its batch.
+    Degenerate grid points (zero state) are recorded as invalid and
+    skipped: their chain carries its warm start on to its next point.
     """
     cfg = spec.config or OptimizerConfig()
-    points: list[SweepPoint] = []
-    if len(spec.axes) == 1:
-        points.extend(_sweep_chain(spec, None, 0, cfg))
-    else:
-        rows = [(float(v), j) for j, v in enumerate(spec.axes[1].values())]
-        if workers > 1 and len(rows) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for chain in pool.map(
-                    _sweep_chain, [spec] * len(rows), [v for v, _ in rows],
-                    [j for _, j in rows], [cfg] * len(rows),
-                ):
-                    points.extend(chain)
-        else:
-            for row_value, j in rows:
-                points.extend(_sweep_chain(spec, row_value, j, cfg))
-    return SweepResult(spec=spec, seed=cfg.seed, points=tuple(points))
+    axis0 = spec.axes[0]
+    rows = (None,) if len(spec.axes) == 1 else tuple(float(v) for v in spec.axes[1].values())
+    chains: list[list[SweepPoint]] = [[] for _ in rows]
+    warm: list[np.ndarray | None] = [None] * len(rows)
+    for i, value in enumerate(axis0.values()):
+        batch, states = [], []
+        for j, row_value in enumerate(rows):
+            params = dict(spec.fixed or {})
+            coords = (float(value),)
+            if row_value is not None:
+                params[spec.axes[1].param] = row_value
+                coords += (row_value,)
+            params[axis0.param] = value
+            try:
+                states.append(make_family_state(spec.family, params))
+            except ValueError:
+                chains[j].append(SweepPoint(coords, False, None, None))
+                continue
+            batch.append((j, coords))
+        if not batch:
+            continue
+        found = _optimize_games(
+            states,
+            spec.equation,
+            [derive_task_seed(cfg.seed, j * axis0.steps + i) for j, _ in batch],
+            cfg,
+            [[] if warm[j] is None else [warm[j]] for j, _ in batch],
+        )
+        for (j, coords), (gain, strategy) in zip(batch, found):
+            warm[j] = strategy.angles.reshape(-1)
+            chains[j].append(SweepPoint(coords, True, gain, strategy))
+    points = tuple(point for chain in chains for point in chain)
+    return SweepResult(spec=spec, seed=cfg.seed, points=points)
 
 
 @dataclass(frozen=True)
@@ -216,6 +207,7 @@ def family_report(
     phase), not the family's supremum; that may need parameters outside
     the support, as the GHZ limits of L_abc2, L_a2b2 and L_a2_0_3p1 do.
 
+    All draws run as one see-saw batch, each on its own state.
     Parameter-free families are evaluated once; their average is reported
     as not applicable (None).
     """
@@ -223,17 +215,15 @@ def family_report(
         raise ValueError("draws must be >= 1")
     cfg = cfg or OptimizerConfig()
     parametric = bool(FAMILY_PARAM_NAMES[family])
-    gains: list[float] = []
     params_used: list[dict[str, complex]] = []
-    count = draws if parametric else 1
-    for k in range(count):
-        seeds = np.random.SeedSequence((cfg.seed, k)).generate_state(2)
-        params = random_family_params(family, int(seeds[0])) if parametric else {}
-        psi = make_family_state(family, params)
-        draw_cfg = replace(cfg, seed=int(seeds[1]))
-        gain, _ = optimize_quantum(psi, eq, draw_cfg)
-        gains.append(gain)
+    states, seeds = [], []
+    for k in range(draws if parametric else 1):
+        params_seed, draw_seed = np.random.SeedSequence((cfg.seed, k)).generate_state(2)
+        params = random_family_params(family, int(params_seed)) if parametric else {}
         params_used.append(params)
+        states.append(make_family_state(family, params))
+        seeds.append(int(draw_seed))
+    gains = [gain for gain, _ in _optimize_games(states, eq, seeds, cfg)]
     return FamilyReport(
         family=family,
         best_gain=max(gains),

@@ -261,6 +261,25 @@ class TestSweepCommand:
         capsys.readouterr()
         assert (out / "first.csv").read_bytes() == (out / "second.csv").read_bytes()
 
+    def test_optimizer_settings_precedence(self, out, capsys):
+        # the spec's config block, then flags, then the config file, then the defaults
+        config = out / "config.json"
+        config.write_text(json.dumps({"restarts": 4, "max_evals": 400, "tol": 1e-4}))
+        runs = (
+            ({"restarts": 2}, ["--config", str(config), "--restarts", "3", "--max-evals", "300"],
+             {"restarts": 2, "max_evals": 300, "tol": 1e-4}),
+            ({}, ["--config", str(config), "--max-evals", "300"],
+             {"restarts": 4, "max_evals": 300, "tol": 1e-4}),
+            ({}, ["--restarts", "3"], {"restarts": 3, "max_evals": 5000, "tol": 1e-6}),
+        )
+        for k, (block, flags, expected) in enumerate(runs):
+            spec_path = self.write_spec(out / f"spec{k}.json", config=block,
+                                        output=str(out / f"sweep{k}.csv"))
+            assert run_cli("sweep", "--spec", str(spec_path), *flags,
+                           "--output-dir", str(out / "runs")) == 0
+            assert json.loads((out / f"sweep{k}.json").read_text())["config"] == expected
+        capsys.readouterr()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, out, capsys):

@@ -490,6 +490,63 @@ class TestChunkedSearch:
         assert lines[1] == lines[2]
 
 
+def _random_states(rng, count, n=4):
+    return [StateVector(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) for _ in range(count)]
+
+
+class TestRowIndependence:
+    """A row's result is the same, bit for bit, in a batch of any size.
+
+    numpy multiplies into a temporary in place once it reaches 256 KiB,
+    which at n = 4 is a best response of 256 rows; batches that big once
+    rounded differently from the same rows run alone.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 777])
+    def test_kernel_rows_equal_single_row_runs(self, rows):
+        rng = np.random.default_rng(rows)
+        states = _random_states(rng, 3)
+        eqs = [ghz_game_equation(), w_game_equation()]
+        kernel = GainKernel(states, eqs)
+        gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, 4, 2, 3)))
+        state, game = rng.integers(0, 3, rows), rng.integers(0, 2, rows)
+        amps = kernel.amplitudes(gates, state)
+        gains = kernel.gains_of(amps, game)
+        for r in range(rows):
+            one = slice(r, r + 1)
+            # a state index into several states or a one-state kernel: the same bits
+            assert np.array_equal(kernel.amplitudes(gates[one], state[one])[0], amps[r])
+            assert np.array_equal(GainKernel(states[state[r]], eqs).amplitudes(gates[one])[0], amps[r])
+            assert kernel.gains_of(amps[one], game[one])[0] == gains[r]
+        for player in range(4):
+            stepped, new = kernel.best_response(amps, gates[:, player], player, game)
+            for r in range(rows):
+                one = slice(r, r + 1)
+                alone, alone_new = kernel.best_response(amps[one], gates[one, player], player, game[one])
+                assert np.array_equal(alone[0], stepped[r])
+                assert np.array_equal(alone_new[0], new[r])
+            amps, gates[:, player] = stepped, new
+
+    @pytest.mark.parametrize("rows, games, restarts, warmed", [
+        (1, 1, 1, 0), (255, 15, 17, 0), (256, 15, 17, 1), (777, 37, 20, 37),
+    ])
+    def test_optimize_games_equal_games_run_alone(self, rows, games, restarts, warmed):
+        # as in a sweep step: one game on each row's own state, the first
+        # ``warmed`` games with a warm start after their restarts
+        rng = np.random.default_rng(rows)
+        states = _random_states(rng, games)
+        eq = ghz_game_equation()
+        seeds = [int(s) for s in rng.integers(0, 2**31, games)]
+        warm = [[rng.uniform(0.0, 4 * math.pi, 24)] if j < warmed else [] for j in range(games)]
+        cfg = OptimizerConfig(restarts=restarts, max_evals=400, seed=0)
+        assert games * restarts + warmed == rows
+        batch = _optimize_games(states, eq, seeds, cfg, warm)
+        for j, (gain, strategy) in enumerate(batch):
+            alone_gain, alone = _optimize_games(states[j], eq, [seeds[j]], cfg, [warm[j]])[0]
+            assert gain == alone_gain
+            assert np.array_equal(strategy.angles, alone.angles)
+
+
 class TestSeeds:
     def test_task_seed_depends_on_index_not_schedule(self):
         assert derive_task_seed(1729, 0) == derive_task_seed(1729, 0)

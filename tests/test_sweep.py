@@ -2,13 +2,14 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qgames.boolfn import ANSWER_VARS, QUESTION_VARS, GameEquation, parse_table
-from qgames.quantum import FamilyId, make_named_state
-from qgames.search import OptimizerConfig, optimize_quantum
+from qgames.quantum import FamilyId, make_family_state, make_named_state
+from qgames.search import OptimizerConfig, derive_task_seed, optimize_quantum
 from qgames.sweep import FamilyReport, SweepAxis, SweepSpec, family_report, run_sweep
 
 
@@ -165,16 +166,32 @@ class TestRunSweep:
             assert values[1] == point.gain
             assert values[3:] == point.strategy.reduced_angles().reshape(-1).tolist()
 
-    def test_2d_rows_identical_across_worker_counts(self):
+    def test_2d_points_equal_single_warm_started_optimizations(self):
+        # every point is the optimization of its own state, seeded from its
+        # raster index and warm-started from the last valid point of its
+        # chain; the b = 0 chain has the zero state at a = 0, in its middle
         spec = SweepSpec(
-            family=FamilyId.L_A2B2,
-            axes=(SweepAxis("a", 0.5, 1.0, 2), SweepAxis("b", 0.2, 0.4, 2)),
+            family=FamilyId.G_ABCD,
+            axes=(SweepAxis("a", -1.0, 1.0, 3), SweepAxis("b", 0.0, 0.5, 2)),
+            fixed={"c": 0.0, "d": 0.0},
             equation=ghz_game_equation(),
             config=FAST,
         )
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=2)
-        assert serial.to_csv() == parallel.to_csv()
+        result = run_sweep(spec)
+        assert [p.valid for p in result.points] == [True, False, True, True, True, True]
+        steps0 = spec.axes[0].steps
+        for j, b in enumerate(spec.axes[1].values()):
+            warm = []
+            for i, a in enumerate(spec.axes[0].values()):
+                point = result.points[j * steps0 + i]
+                if not point.valid:
+                    continue
+                psi = make_family_state(FamilyId.G_ABCD, {"a": a, "b": b, "c": 0.0, "d": 0.0})
+                cfg = replace(FAST, seed=derive_task_seed(FAST.seed, j * steps0 + i))
+                gain, strategy = optimize_quantum(psi, spec.equation, cfg, extra_starts=warm)
+                assert point.gain == gain
+                assert np.array_equal(point.strategy.angles, strategy.angles)
+                warm = [strategy.angles.reshape(-1)]
 
     def test_sidecar_captures_spec_and_seed(self):
         spec = SweepSpec(
@@ -224,6 +241,16 @@ class TestFamilyReport:
         for params in report.draw_params:
             assert set(params) == {"a"}
             assert 0.2 <= abs(params["a"]) <= 2.0
+
+    def test_draws_equal_single_optimizations(self):
+        report = family_report(FamilyId.L_A4, ghz_game_equation(), draws=3, cfg=FAST)
+        for k, (gain, params) in enumerate(zip(report.draw_gains, report.draw_params)):
+            draw_seed = int(np.random.SeedSequence((FAST.seed, k)).generate_state(2)[1])
+            alone, _ = optimize_quantum(
+                make_family_state(FamilyId.L_A4, params), ghz_game_equation(),
+                replace(FAST, seed=draw_seed),
+            )
+            assert gain == alone
 
     def test_deterministic(self):
         a = family_report(FamilyId.L_A4, ghz_game_equation(), draws=2, cfg=FAST)
