@@ -35,7 +35,7 @@ from .boolfn import (
     parse_table,
     reduce_function_space,
 )
-from .quantum import FamilyId, StateVector, parse_state_literal
+from .quantum import FamilyId, StateVector, _parse_complex, parse_state_literal
 from .search import (
     DEFAULT_SEED,
     GameResult,
@@ -130,10 +130,19 @@ def _parse_complex_json(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, str):
-        return complex(value.replace(" ", "").replace("i", "j"))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return _parse_complex(value)
+    pair = isinstance(value, list) and len(value) == 2
+    if pair and all(isinstance(v, (int, float)) for v in value):
         return complex(value[0], value[1])
     raise ValueError(f"cannot read complex value from {value!r}")
+
+
+def _flat_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object of strings, numbers and booleans, else ValueError."""
+    flat = isinstance(value, dict) and all(isinstance(v, (str, int, float)) for v in value.values())
+    if not flat:
+        raise ValueError(f"{what} must be a JSON object of strings, numbers and booleans")
+    return value
 
 
 def _resolve(args: argparse.Namespace, config: dict, key: str, default):
@@ -148,11 +157,11 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
 def _optimizer_config(args, config, seed: int, first: dict | None = None) -> OptimizerConfig:
     """Optimizer settings: ``first`` (a sweep spec's config block), then flags, then the
     config file, then the defaults."""
-    first = first or {}
+    first = _flat_object(first or {}, "a sweep spec's config")
     default = OptimizerConfig()
 
     def value(key: str):
-        if first.get(key) is not None:
+        if key in first:
             return first[key]
         return _resolve(args, config, key, getattr(default, key))
 
@@ -214,34 +223,21 @@ def _cmd_reduce(args, config, store: RunStore, seed: int, workers: int) -> int:
     return _record_run(store, "reduce", run_config, seed, workers, t0, write)
 
 
-def _eval_record(
-    psi: StateVector,
-    state_text: str,
-    eq: GameEquation,
-    mode: str,
-    cfg: OptimizerConfig,
-) -> dict:
+def _eval_record(psi: StateVector, state_text: str, eq: GameEquation, mode: str,
+                 cfg: OptimizerConfig) -> dict:
+    """The game's record as ``search`` writes it; ``mode`` may leave one half unset."""
     t0 = time.perf_counter()
-    classical = quantum = gap = None
-    strategy = None
+    classical = quantum = gap = strategy = None
     if mode in ("classical", "both"):
         classical, _ = classical_best(eq)
     if mode in ("quantum", "both"):
-        quantum, best = optimize_quantum(psi, eq, cfg)
-        strategy = {"angles": best.reduced_angles().tolist()}
+        quantum, strategy = optimize_quantum(psi, eq, cfg)
     if mode == "both":
         gap = quantum - classical
-    return {
-        "f": eq.f.to_text(),
-        "g": eq.g.to_text(),
-        "classical": classical,
-        "quantum": quantum,
-        "gap": gap,
-        "strategy": strategy,
-        "state": state_text,
-        "seed": cfg.seed,
-        "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
-    }
+    return GameResult(
+        eq, classical, quantum, strategy, gap, state_text, cfg.seed,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+    ).to_json_dict(include_timing=True)
 
 
 def _cmd_eval(args, config, store: RunStore, seed: int, workers: int) -> int:
@@ -371,9 +367,15 @@ def _cmd_score(args, config, store: RunStore, seed: int, workers: int) -> int:
 
 def _sweep_spec_from_file(path: str, seed: int, args, config) -> SweepSpec:
     raw = json.loads(Path(path).read_text())
-    family = next((f for f in FamilyId if f.value == raw.get("family", "").lower()), None)
+    if not (isinstance(raw, dict) and isinstance(raw.get("axes", []), list)
+            and isinstance(raw.get("fixed", {}), dict)
+            and isinstance(raw.get("output") or "", str)):
+        raise ValueError(f"sweep spec {path!r} must be a JSON object with an axes list, "
+                         "a fixed object and a string output")
+    family = next((f for f in FamilyId if f.value == str(raw.get("family", "")).lower()), None)
     if family is None:
         raise ValueError(f"unknown family {raw.get('family')!r}")
+    raw_axes = [_flat_object(a, "each sweep axis") for a in raw.get("axes", [])]
     # axes default to the standard landscape grid: [-9, 9] at 37 steps
     axes = tuple(
         SweepAxis(
@@ -382,7 +384,7 @@ def _sweep_spec_from_file(path: str, seed: int, args, config) -> SweepSpec:
             stop=float(a.get("stop", 9.0)),
             steps=int(a.get("steps", 37)),
         )
-        for a in raw.get("axes", [])
+        for a in raw_axes
     )
     fixed = {k.lower(): _parse_complex_json(v) for k, v in raw.get("fixed", {}).items()}
     f_table = _parse_side(str(raw["f"]), 4, "f")
@@ -504,13 +506,16 @@ def main(argv: list[str] | None = None) -> int:
     config: dict = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text())
+            config = _flat_object(json.loads(Path(args.config).read_text()), "a config file")
         except FileNotFoundError:
             print(f"error: config file {args.config!r} not found", file=sys.stderr)
             return VALIDATION_ERROR
         except json.JSONDecodeError as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return USAGE_ERROR
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return VALIDATION_ERROR
     store = RunStore(_resolve(args, config, "output_dir", "runs"))
     handler = _HANDLERS[args.subcommand]
     try:

@@ -16,6 +16,7 @@ independent of worker count and schedule.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -99,13 +100,11 @@ class GameResult:
     """Outcome of one game: exact classical optimum and best-found quantum gain."""
 
     equation: GameEquation
-    classical_gain: float
-    classical_strategy: ClassicalStrategy | None
-    quantum_gain: float
+    classical_gain: float | None
+    quantum_gain: float | None
     quantum_strategy: QuantumStrategy | None
-    gap: float
+    gap: float | None
     state: str
-    config: OptimizerConfig | None
     seed: int
     elapsed_ms: float | None = None
 
@@ -130,26 +129,16 @@ class GameResult:
         strategy = None
         if record.get("strategy") is not None:
             strategy = QuantumStrategy(np.array(record["strategy"]["angles"]))
-        return cls(
-            equation=GameEquation(
-                TruthTable.from_text(record["f"]), TruthTable.from_text(record["g"])
-            ),
-            classical_gain=record["classical"],
-            classical_strategy=None,
-            quantum_gain=record["quantum"],
-            quantum_strategy=strategy,
-            gap=record["gap"],
-            state=record["state"],
-            config=None,
-            seed=record["seed"],
-            elapsed_ms=record.get("elapsed_ms"),
-        )
+        eq = GameEquation(TruthTable.from_text(record["f"]), TruthTable.from_text(record["g"]))
+        return cls(eq, record["classical"], record["quantum"], strategy, record["gap"],
+                   record["state"], record["seed"], record.get("elapsed_ms"))
 
 
 # --- Classical search -----------------------------------------------------------
 
+@functools.cache
 def _answer_index_table(n: int) -> np.ndarray:
-    """(2**2n, 2**n) matrix: answer index produced by strategy s on question q."""
+    """(2**2n, 2**n) matrix: answer index produced by strategy s on question q (read-only)."""
     strategies = np.arange(1 << (2 * n))[:, None]
     questions = np.arange(1 << n)[None, :]
     answers = np.zeros((1 << (2 * n), 1 << n), dtype=np.int64)
@@ -157,10 +146,8 @@ def _answer_index_table(n: int) -> np.ndarray:
         qbit = (questions >> (n - 1 - i)) & 1
         hbit = (strategies >> (2 * (n - 1 - i) + (1 - qbit))) & 1
         answers |= hbit << (n - 1 - i)
+    answers.flags.writeable = False
     return answers
-
-
-_ANSWER_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
 def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
@@ -170,11 +157,8 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
     maximizing strategy in increasing encoding order.
     """
     n = eq.arity
-    if n not in _ANSWER_TABLE_CACHE:
-        _ANSWER_TABLE_CACHE[n] = _answer_index_table(n)
-    answers = _ANSWER_TABLE_CACHE[n]
     size = 1 << n
-    wins = (eq.g.values()[answers] == eq.f.values()[None, :]).sum(axis=1)
+    wins = (eq.g.values()[_answer_index_table(n)] == eq.f.values()[None, :]).sum(axis=1)
     best = int(wins.max())
     maximizers = np.flatnonzero(wins == best)
     return best / size, [ClassicalStrategy(n, int(s)) for s in maximizers]
@@ -327,23 +311,13 @@ def _run_chunk(
     t0 = time.perf_counter()
     eqs = [GameEquation(TruthTable(g.arity, bits), g) for bits in f_bits]
     seeds = [derive_task_seed(cfg.seed, start + j) for j in range(len(eqs))]
-    classical = [classical_best(eq) for eq in eqs]
+    classical = [classical_best(eq)[0] for eq in eqs]
     quantum = _optimize_games(psi, eqs, seeds, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(eqs)
     return [
-        GameResult(
-            equation=eq,
-            classical_gain=classical_gain,
-            classical_strategy=maximizers[0],
-            quantum_gain=quantum_gain,
-            quantum_strategy=strategy,
-            gap=quantum_gain - classical_gain,
-            state=state_descriptor,
-            config=cfg,
-            seed=seed,
-            elapsed_ms=elapsed_ms,
-        )
-        for eq, seed, (classical_gain, maximizers), (quantum_gain, strategy)
+        GameResult(eq, classical_gain, quantum_gain, strategy, quantum_gain - classical_gain,
+                   state_descriptor, seed, elapsed_ms)
+        for eq, seed, classical_gain, (quantum_gain, strategy)
         in zip(eqs, seeds, classical, quantum)
     ]
 

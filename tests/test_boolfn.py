@@ -6,6 +6,7 @@ input tuples.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,39 @@ def test_canonical_is_orbit_constant_and_idempotent(arity, data):
         assert canonical_representative(t.complement(), flip) == rep
     assert canonical_representative(rep, flip) == rep
     assert rep.bits <= bits
+
+
+class TestClassQueriesAgainstEvaluation:
+    """The class queries against brute force over ``TruthTable.evaluate`` alone.
+
+    The other class tests check ``canonical_representative`` through
+    ``permute_inputs``, which shares its bitwise kernel; these do not.
+    """
+
+    @pytest.mark.parametrize("arity", (2, 3, 4))
+    def test_seeded_tables(self, arity):
+        rng = random.Random(arity)
+        tuples = list(itertools.product((0, 1), repeat=arity))
+        for _ in range(40):
+            t = TruthTable(arity, rng.getrandbits(1 << arity))
+            orbit = []
+            for negated in tuples:
+                mask = int("".join(map(str, negated)), 2)
+                variant = oracle_table(
+                    arity, lambda *x: t.evaluate([a ^ b for a, b in zip(x, negated)])
+                )
+                assert t.permute_inputs(mask).bits == variant
+                orbit.append(variant)
+            flips = {
+                k for k in range(arity) for x in tuples
+                if t.evaluate(x) != t.evaluate(x[:k] + (1 - x[k],) + x[k + 1:])
+            }
+            assert relevant_variables(t) == flips
+            full = (1 << (1 << arity)) - 1
+            assert canonical_representative(t).bits == min(orbit)
+            assert canonical_representative(t, True).bits == min(
+                orbit + [full ^ bits for bits in orbit]
+            )
 
 
 @settings(max_examples=100, deadline=None)

@@ -250,6 +250,22 @@ class TestSweepCommand:
         code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
         assert code == VALIDATION_ERROR
 
+    @pytest.mark.parametrize("spec", (
+        [],
+        {"family": "l_a2b2", "axes": [{"param": "a", "steps": None}], "f": "xy", "g": "ab"},
+        {"family": "l_a2b2", "axes": {"param": "a"}, "f": "xy", "g": "ab"},
+        {"family": "l_a2b2", "axes": [{"param": "a"}], "fixed": {"b": [1, None]},
+         "f": "xy", "g": "ab"},
+        {"family": "l_a2b2", "axes": [{"param": "a"}], "config": {"restarts": [4]},
+         "f": "xy", "g": "ab"},
+    ))
+    def test_wrong_json_types_are_validation_errors(self, out, spec):
+        spec_path = out / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+
     def test_sidecar_round_trips_as_a_spec(self, out, capsys):
         spec_path = self.write_spec(out / "spec.json", output=str(out / "first.csv"))
         assert run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs")) == 0
@@ -302,6 +318,15 @@ class TestConfigFile:
     def test_missing_config_file(self, out):
         code = run_cli("eval", "--config", str(out / "none.json"))
         assert code == VALIDATION_ERROR
+
+    @pytest.mark.parametrize("config", ({"restarts": None}, [1, 2], {"seed": [5]}, "eval"))
+    def test_wrong_json_types_are_validation_errors(self, out, config):
+        path = out / "config.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("--config", str(path), "--output-dir", str(out / "runs"),
+                       "eval", "--state", "epr", "--f", "xy", "--g", "a^b")
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
 
     def test_workers_below_one_is_validation_error(self, out, functions_file):
         config = out / "config.json"

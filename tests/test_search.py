@@ -1,5 +1,6 @@
 """Classical enumeration, quantum optimization, and batch-search tests."""
 
+import itertools
 import json
 import logging
 import math
@@ -439,10 +440,36 @@ def _alone(f, g, psi, cfg, index, state):
     quantum, strategy = optimize_quantum(psi, eq, replace(cfg, seed=seed))
     classical, maximizers = classical_best(eq)
     return GameResult(
-        equation=eq, classical_gain=classical, classical_strategy=maximizers[0],
+        equation=eq, classical_gain=classical,
         quantum_gain=quantum, quantum_strategy=strategy, gap=quantum - classical,
-        state=state, config=cfg, seed=seed,
+        state=state, seed=seed,
     )
+
+
+class TestPlayerPermutationInvariance:
+    """ghz4 and a^b^c^d are unchanged by any permutation of the players, so a
+    function and its input-permuted copies share their classical and quantum values."""
+
+    def test_permuted_functions_share_their_values(self):
+        cfg = OptimizerConfig()
+        functions = stratified_subsample(list(reduce_function_space(4)), 8, 11)
+        permuted = []
+        for f in functions:
+            cube = f.values().reshape((2,) * 4)
+            for perm in itertools.permutations(range(4)):
+                values = cube.transpose(perm).ravel()
+                permuted.append(TruthTable(4, int((values << np.arange(16)).sum())))
+        results = search_space(
+            parse_table("a^b^c^d", ANSWER_VARS[4]), make_named_state("ghz4"), cfg, permuted,
+            workers=1,
+        )
+        for k, f in enumerate(functions):
+            orbit = results[24 * k:24 * k + 24]
+            assert orbit[0].equation.f == f
+            assert len({r.equation.f for r in orbit}) > 1
+            assert len({r.classical_gain for r in orbit}) == 1
+            gains = [r.quantum_gain for r in orbit]
+            assert max(gains) - min(gains) <= cfg.tol
 
 
 class TestChunkedSearch:
@@ -562,9 +589,9 @@ class TestSeeds:
 def _result(gap):
     eq = GameEquation(TruthTable(2, 8), TruthTable(2, 6))
     return GameResult(
-        equation=eq, classical_gain=0.5, classical_strategy=None,
+        equation=eq, classical_gain=0.5,
         quantum_gain=0.5 + gap, quantum_strategy=None, gap=gap,
-        state="epr", config=None, seed=0,
+        state="epr", seed=0,
     )
 
 
@@ -598,9 +625,9 @@ class TestGameResultJson:
         psi = make_named_state("epr")
         gain, strategy = optimize_quantum(psi, eq, OptimizerConfig(restarts=2, seed=9))
         result = GameResult(
-            equation=eq, classical_gain=0.75, classical_strategy=ClassicalStrategy(2, 0),
+            equation=eq, classical_gain=0.75,
             quantum_gain=gain, quantum_strategy=strategy, gap=gain - 0.75,
-            state="epr", config=OptimizerConfig(), seed=9, elapsed_ms=12.0,
+            state="epr", seed=9, elapsed_ms=12.0,
         )
         record = result.to_json_dict()
         assert record["elapsed_ms"] is None  # timing excluded by default
