@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import hashlib
 import json
 import logging
@@ -157,7 +158,7 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
 def _optimizer_config(args, config, seed: int, first: dict | None = None) -> OptimizerConfig:
     """Optimizer settings: ``first`` (a sweep spec's config block), then flags, then the
     config file, then the defaults."""
-    first = _flat_object(first or {}, "a sweep spec's config")
+    first = _check_config_types(_flat_object(first or {}, "a sweep spec's config"))
     default = OptimizerConfig()
 
     def value(key: str):
@@ -490,6 +491,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: ``parse_args`` leaves a parser unchanged."""
+    return build_parser()
+
+
+#: The JSON value types a config key takes, by the type of the flag it names.
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _check_config_types(config: dict) -> dict:
+    """``config`` if each key that names a flag holds a value the flag takes, else ValueError.
+
+    Integer flags take integers, ``--tol`` a number, text flags strings and
+    on/off flags booleans (a JSON boolean is not a number here); a flag
+    with choices, such as ``--mode``, takes one of them.
+    """
+    top = _parser()
+    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {action.dest: action
+             for parser in (top, *commands.choices.values()) for action in parser._actions
+             if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))}
+    for key, value in config.items():
+        if key not in flags:
+            continue
+        action = flags[key]
+        kind = bool if action.const is True else action.type or str
+        if type(value) not in _CONFIG_TYPES[kind]:
+            raise ValueError(f"config key {key!r} takes {kind.__name__} values, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r} takes one of {list(action.choices)}, "
+                             f"got {value!r}")
+    return config
+
+
 _HANDLERS = {
     "reduce": _cmd_reduce,
     "eval": _cmd_eval,
@@ -501,12 +537,13 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     config: dict = {}
     if args.config:
         try:
-            config = _flat_object(json.loads(Path(args.config).read_text()), "a config file")
+            config = _check_config_types(
+                _flat_object(json.loads(Path(args.config).read_text()), "a config file")
+            )
         except FileNotFoundError:
             print(f"error: config file {args.config!r} not found", file=sys.stderr)
             return VALIDATION_ERROR

@@ -265,7 +265,7 @@ class GainKernel:
 
     def best_response(
         self, amps: np.ndarray, gates: np.ndarray, player: int,
-        game: np.ndarray | None = None, questions: int = 2,
+        game: np.ndarray | None = None, questions: int | np.ndarray = 2,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One see-saw step: the player's best gates and the amplitudes they give.
 
@@ -276,9 +276,11 @@ class GainKernel:
         top eigenvector of D = [[c + h, b], [b*, c - h]] (Werner & Wolf 2001;
         Liang & Doherty 2007).  For the undone state (p0, p1), h is the sign
         table times |p0|^2 - |p1|^2 over two and b the sign table times
-        p0 conj(p1).  ``questions`` = 1 replaces only the question-0 gate.
-        Returns the amplitudes in the next player's layout and the new
-        (B, 2, 2, 2) gates.
+        p0 conj(p1).  ``questions``, one count or one per row, is how many
+        question bits get new gates: 1 replaces only the question-0 gate,
+        and 0 keeps both, so that the step only moves the row to the next
+        layout.  Returns the amplitudes in the next player's layout and the
+        new (B, 2, 2, 2) gates.
         """
         batch = amps.shape[0]
         # (B, 2, M): the player's qubit and the other players' pairs, question 0's gate undone
@@ -292,8 +294,9 @@ class GainKernel:
         conj1 = undone[:, 1].conj()
         b = (signs @ (undone[:, 0] * conj1)[..., None])[..., 0]
         new = _best_response_gates(h, b)
-        if questions == 1:
-            new[:, 1] = gates[:, 1]
+        if isinstance(questions, np.ndarray) or questions != 2:
+            kept = np.arange(2) >= np.reshape(questions, (-1, 1))
+            new = np.where(kept[:, :, None, None], gates, new)
         amps = undone.swapaxes(1, 2) @ new.reshape(batch, 4, 2).swapaxes(1, 2)
         return amps.reshape(batch, -1), new
 

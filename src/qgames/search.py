@@ -6,12 +6,14 @@ player's measurements; every reported quantum gain is the re-evaluated win
 probability of the returned strategy, so it is always an achievable lower
 bound.
 
-Batch searches play every function against one ``g`` on one state, so
-they run fixed chunks of consecutive games through one see-saw batch, each
-row with its own game's win mask; worker processes take whole chunks.
-Every game is seeded from (master seed, function index), and no game's
-result depends on the other games of its chunk, which makes results
-independent of worker count and schedule.
+Batch searches play every function against one ``g`` on one state.  They
+split the functions into contiguous tasks, and each task runs the restarts
+of all its games through one refilled see-saw pool: a fixed number of
+rows, each with its own game's win mask, where a row that stops makes room
+for the next waiting restart.  Worker processes take whole tasks.  Every
+game is seeded from (master seed, function index), and no game's result
+depends on the other games of its task, which makes results independent of
+worker count and schedule.
 """
 
 from __future__ import annotations
@@ -180,9 +182,19 @@ def _angles_from_gates(gates: np.ndarray) -> np.ndarray:
     return np.stack([theta, np.zeros_like(theta), lam], axis=-1)
 
 
+#: Rows of a see-saw pool: ``_see_saw`` runs at most this many restarts at
+#: once, and a restart that stops makes room for the next waiting one, so a
+#: search task's best responses run on full batches until its last
+#: restarts drain.  On the 300-function GHZ4 subsample at one worker
+#: (2 vCPUs, numpy 2.4), pools of 60, 120, 240 and 480 rows took 0.46,
+#: 0.43, 0.45 and 0.46 s.  ``TestChunkedSearch`` needs a pool below 150
+#: rows, so that its 10 games at 30 restarts fill more than two pools.
+_CHUNK_ROWS = 120
+
+
 def _see_saw(
     kernel: GainKernel, gates: np.ndarray, game: np.ndarray, max_updates: int, tol: float,
-    state: np.ndarray | None = None,
+    state: np.ndarray | None = None, capacity: int = _CHUNK_ROWS,
 ) -> np.ndarray:
     """Batched see-saw ascent from (R, n, 2, 2, 2) start gates; returns the final gates.
 
@@ -190,34 +202,52 @@ def _see_saw(
     first when ``state`` is None).  A sweep replaces both question bits'
     gates of player 1 by their best response (``GainKernel.best_response``),
     then of player 2, and so on: 2n updates, none of which can lower a
-    row's gain.  A row stops when a
-    sweep raises its gain by less than ``tol`` or when it has made
-    ``max_updates`` updates; rows that stop leave the batch.  Every kernel
-    step treats each row on its own, so a row's path does not depend on
-    the other rows of the batch, whatever its size.
+    row's gain.  A row stops when a sweep raises its gain by less than
+    ``tol`` or when it has made ``max_updates`` updates of its own.
+
+    At most ``capacity`` rows run at once.  At each sweep boundary, where
+    every running row is back in layout 0, the rows that stopped leave and
+    the next waiting rows take their slots through ``amplitudes``.  Every
+    kernel step treats each row on its own, so a row's path does not
+    depend on the other rows it runs with, whatever their number.
     """
+    total = gates.shape[0]
+    sweep = 2 * kernel.n
+
+    def start(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        amps = kernel.amplitudes(gates[rows], None if state is None else state[rows])
+        return gates[rows], amps, kernel.gains_of(amps, game[rows])
+
     out = np.empty_like(gates)
-    rows = np.arange(gates.shape[0])
-    gates = gates.copy()
-    amps = kernel.amplitudes(gates, state)
-    gains = kernel.gains_of(amps, game)
-    updates = 0
+    admitted = min(capacity, total)
+    rows = np.arange(admitted)
+    live, amps, gains = start(rows)
+    updates = np.zeros(rows.size, dtype=int)
     while rows.size:
+        row_game = game[rows]
+        left = max_updates - updates
+        full = left.min() >= sweep
         for k in range(kernel.n):
-            bits = min(2, max_updates - updates)
-            if bits <= 0:
+            # a row capped mid-sweep keeps its gates for the rest of the sweep
+            bits = 2 if full else np.clip(left - 2 * k, 0, 2)
+            if not full and not bits.any():
                 break
-            updates += bits
-            amps, gates[:, k] = kernel.best_response(amps, gates[:, k], k, game, bits)
-        if updates >= max_updates:
-            out[rows] = gates
-            break
-        new_gains = kernel.gains_of(amps, game)
-        stop = new_gains - gains < tol
-        out[rows[stop]] = gates[stop]
+            amps, live[:, k] = kernel.best_response(amps, live[:, k], k, row_game, bits)
+        updates += np.minimum(left, sweep)
+        new_gains = kernel.gains_of(amps, row_game)
+        stop = (updates >= max_updates) | (new_gains - gains < tol)
+        out[rows[stop]] = live[stop]
+        gains = new_gains
+        slots = np.flatnonzero(stop)[:total - admitted]
+        if slots.size:
+            rows[slots] = np.arange(admitted, admitted + slots.size)
+            admitted += slots.size
+            live[slots], amps[slots], gains[slots] = start(rows[slots])
+            updates[slots] = 0
+            stop[slots] = False
         keep = ~stop
-        rows, gates, amps, gains, game = (
-            rows[keep], gates[keep], amps[keep], new_gains[keep], game[keep]
+        rows, live, amps, gains, updates = (
+            rows[keep], live[keep], amps[keep], gains[keep], updates[keep]
         )
     return out
 
@@ -229,7 +259,7 @@ def _optimize_games(
     cfg: OptimizerConfig,
     extra_starts: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> list[tuple[float, QuantumStrategy]]:
-    """``optimize_quantum`` for several games, run as one see-saw batch.
+    """``optimize_quantum`` for several games, run through one see-saw pool.
 
     Game j plays ``eqs[j]`` on ``states[j]``; a single state or equation is
     shared by every game.  It draws its restarts from ``seeds[j]`` and adds
@@ -249,8 +279,14 @@ def _optimize_games(
     angles = _angles_from_gates(
         _see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol, state=game)
     )
-    # the gains of the returned angles, evaluated afresh: never the optimizer state
-    gains = kernel.gains(angles.reshape(len(starts), dim), game, state=game)
+    # the gains of the returned angles, evaluated afresh: never the optimizer state;
+    # a pool's rows at a time, so that memory stays bounded by the pool
+    flat = angles.reshape(len(starts), dim)
+    gains = np.concatenate([
+        kernel.gains(flat[lo:lo + _CHUNK_ROWS], game[lo:lo + _CHUNK_ROWS],
+                     state=game[lo:lo + _CHUNK_ROWS])
+        for lo in range(0, len(starts), _CHUNK_ROWS)
+    ])
     results = []
     for lo, count in zip(np.cumsum([0] + counts[:-1]), counts):
         best = lo + int(np.argmax(gains[lo:lo + count]))
@@ -281,14 +317,9 @@ def optimize_quantum(
 
 # --- Batch search over a function space ------------------------------------------
 
-#: Rows of one search see-saw batch: a search runs its games in chunks of
-#: ``_CHUNK_ROWS // restarts`` consecutive functions (at least one), six at
-#: the default 20 restarts.  On a 12-game GHZ4 search, 80, 120 and 240 rows
-#: per batch ran 430-480, 460-520 and 500-600 games per second; peak memory
-#: grows with the batch, by about 0.7 MB from 120 to 240 rows.  Above 149
-#: rows, ``TestChunkedSearch``'s 10 games at 30 restarts fit in two chunks
-#: and no longer cover a game in a middle chunk.
-_CHUNK_ROWS = 120
+#: Games of one search task, at most: a task's restarts share one see-saw
+#: pool, which runs part-empty only while the task's last restarts drain.
+_TASK_GAMES = 64
 
 
 def derive_task_seed(master_seed: int, index: int) -> int:
@@ -296,7 +327,7 @@ def derive_task_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
 
 
-def _run_chunk(
+def _run_task(
     g: TruthTable,
     psi: StateVector,
     cfg: OptimizerConfig,
@@ -304,15 +335,23 @@ def _run_chunk(
     start: int,
     f_bits: Sequence[int],
 ) -> list[GameResult]:
-    """The games of functions ``start``, ``start + 1``, ... against g, in one see-saw batch.
+    """The games of functions ``start``, ``start + 1``, ... against g, in one see-saw pool.
 
-    Each game's ``elapsed_ms`` is its even share of the chunk's wall time.
+    Each game's ``elapsed_ms`` is its even share of the task's wall time.
+    A failure is raised again as a RuntimeError that names the task's
+    function indices and seeds.
     """
     t0 = time.perf_counter()
-    eqs = [GameEquation(TruthTable(g.arity, bits), g) for bits in f_bits]
-    seeds = [derive_task_seed(cfg.seed, start + j) for j in range(len(eqs))]
-    classical = [classical_best(eq)[0] for eq in eqs]
-    quantum = _optimize_games(psi, eqs, seeds, cfg)
+    seeds = [derive_task_seed(cfg.seed, start + j) for j in range(len(f_bits))]
+    try:
+        eqs = [GameEquation(TruthTable(g.arity, bits), g) for bits in f_bits]
+        classical = [classical_best(eq)[0] for eq in eqs]
+        quantum = _optimize_games(psi, eqs, seeds, cfg)
+    except Exception as exc:
+        raise RuntimeError(
+            f"search task over functions {start}-{start + len(f_bits) - 1} failed "
+            f"(master seed {cfg.seed}, game seeds {seeds}): {exc!r}"
+        ) from exc
     elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(eqs)
     return [
         GameResult(eq, classical_gain, quantum_gain, strategy, quantum_gain - classical_gain,
@@ -320,6 +359,16 @@ def _run_chunk(
         for eq, seed, classical_gain, (quantum_gain, strategy)
         in zip(eqs, seeds, classical, quantum)
     ]
+
+
+def _split_tasks(total: int, workers: int) -> list[tuple[int, int]]:
+    """Near-equal contiguous [lo, hi) ranges of ``total`` functions for ``workers`` processes.
+
+    Each range holds at most ``_TASK_GAMES`` functions, and there are at
+    least ``workers`` ranges when there are that many functions.
+    """
+    count = max(-(-total // _TASK_GAMES), min(workers, total))
+    return [(total * i // count, total * (i + 1) // count) for i in range(count)]
 
 
 _WORKER_CONTEXT: dict = {}
@@ -331,8 +380,8 @@ def _worker_init(g_text: str, amplitudes: np.ndarray, cfg: OptimizerConfig, desc
     )
 
 
-def _worker_chunk(task: tuple[int, list[int]]) -> list[GameResult]:
-    return _run_chunk(*_WORKER_CONTEXT["search"], *task)
+def _worker_task(task: tuple[int, list[int]]) -> list[GameResult]:
+    return _run_task(*_WORKER_CONTEXT["search"], *task)
 
 
 def search_space(
@@ -346,25 +395,25 @@ def search_space(
 ) -> list[GameResult]:
     """One GameResult per candidate f, in input order.
 
-    Consecutive functions run in fixed chunks that share one see-saw
-    batch; with ``workers`` > 1 the chunks are split across processes.
-    Every game is seeded from (cfg.seed, index), and its result does not
-    depend on the other games of its chunk, so the output is identical for
-    any worker count.  ``progress`` (done, total) is called from the
-    coordinating process once per game, as each chunk finishes.
+    The functions are split into contiguous tasks (``_split_tasks``), each
+    run in one see-saw pool; with ``workers`` > 1 the tasks are shared out
+    across processes.  Every game is seeded from (cfg.seed, index), and its
+    result does not depend on the other games of its task, so the output
+    is identical for any worker count.  ``progress`` (done, total) is
+    called from the coordinating process once per game, as each task
+    finishes.
     """
     if g.arity != psi.n:
         raise ValueError(f"g has arity {g.arity} but the state has {psi.n} qubits")
     tables = list(functions)
     total = len(tables)
-    size = max(1, _CHUNK_ROWS // cfg.restarts)
-    tasks = [(lo, [t.bits for t in tables[lo:lo + size]]) for lo in range(0, total, size)]
     workers = workers or os.cpu_count() or 1
+    tasks = [(lo, [t.bits for t in tables[lo:hi]]) for lo, hi in _split_tasks(total, workers)]
     results: list[GameResult] = []
     t0 = time.perf_counter()
 
-    def finish(chunk: list[GameResult]):
-        for result in chunk:
+    def finish(task_results: list[GameResult]):
+        for result in task_results:
             results.append(result)
             done = len(results)
             if progress is not None:
@@ -378,15 +427,15 @@ def search_space(
 
     if workers <= 1 or len(tasks) <= 1:
         for task in tasks:
-            finish(_run_chunk(g, psi, cfg, state_descriptor, *task))
+            finish(_run_task(g, psi, cfg, state_descriptor, *task))
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
             initargs=(g.to_text(), psi.amplitudes, cfg, state_descriptor),
         ) as pool:
-            for chunk in pool.map(_worker_chunk, tasks):
-                finish(chunk)
+            for task_results in pool.map(_worker_task, tasks):
+                finish(task_results)
     return results
 
 

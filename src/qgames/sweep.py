@@ -6,7 +6,7 @@ strategy with a per-point derived seed, and records the gain.  Along the
 primary axis the previous point's best angles are added as one extra warm
 start, which removes optimizer noise from landscape plots; rows of a 2D
 sweep are independent chains.  A sweep runs in one process: step i of every
-chain is one see-saw batch, each chain on its own state.
+chain runs through one see-saw pool, each chain on its own state.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the gain landscape on the grid, in deterministic raster order.
 
     Each value of the second axis (one chain for a 1D sweep) is a
-    warm-start chain along the primary axis.  Step i of every chain runs as
-    one see-saw batch, each chain on its own state, in this process; a
-    point's result does not depend on the other chains of its batch.
+    warm-start chain along the primary axis.  Step i of every chain runs
+    through one see-saw pool, each chain on its own state, in this process;
+    a point's result does not depend on the other chains of its step.
     Degenerate grid points (zero state) are recorded as invalid and
     skipped: their chain carries its warm start on to its next point.
     """
@@ -207,7 +207,7 @@ def family_report(
     phase), not the family's supremum; that may need parameters outside
     the support, as the GHZ limits of L_abc2, L_a2b2 and L_a2_0_3p1 do.
 
-    All draws run as one see-saw batch, each on its own state.
+    All draws run through one see-saw pool, each on its own state.
     Parameter-free families are evaluated once; their average is reported
     as not applicable (None).
     """

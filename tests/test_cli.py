@@ -2,9 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qgames
+from qgames import cli
 from qgames.cli import USAGE_ERROR, VALIDATION_ERROR, load_results_jsonl, load_run_record, main
 
 
@@ -339,6 +344,98 @@ class TestConfigFile:
                 assert run_cli(*flags, *argv, "--output-dir", str(runs)) == VALIDATION_ERROR
                 assert not runs.exists()
         assert not (out / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("config, argv", (
+        ({"state": 5, "f": "xy", "g": "a^b"}, ["eval"]),
+        ({"all_relevant": "no"}, ["reduce", "--arity", "2"]),
+        ({"keep_complements": 1}, ["reduce", "--arity", "2"]),
+        ({"restarts": 2.5}, ["eval", "--state", "epr", "--f", "xy", "--g", "a^b"]),
+        ({"seed": True}, ["eval", "--state", "epr", "--f", "xy", "--g", "a^b"]),
+        ({"tol": "1e-3"}, ["eval", "--state", "epr", "--f", "xy", "--g", "a^b"]),
+        ({"tol": True}, ["eval", "--state", "epr", "--f", "xy", "--g", "a^b"]),
+        ({"mode": "sideways"}, ["eval", "--state", "epr", "--f", "xy", "--g", "a^b"]),
+    ))
+    def test_values_of_the_wrong_type_are_validation_errors(self, out, config, argv):
+        path = out / "config.json"
+        path.write_text(json.dumps(config))
+        output = out / "functions.txt"
+        code = run_cli("--config", str(path), "--output-dir", str(out / "runs"), *argv,
+                       *(["--output", str(output)] if argv[0] == "reduce" else []))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+        assert not output.exists()
+
+    def test_values_of_the_flag_types_are_taken(self, out, capsys):
+        path = out / "config.json"
+        path.write_text(json.dumps({"all_relevant": True, "arity": 2, "tol": 1}))
+        assert run_cli("--config", str(path), "--output-dir", str(out / "runs"), "reduce") == 0
+        counts = read_stdout(capsys)["stage_counts"]
+        assert counts["after_relevance_filter"] is not None
+        path.write_text(json.dumps({"all_relevant": False, "arity": 2}))
+        assert run_cli("--config", str(path), "--output-dir", str(out / "runs"), "reduce") == 0
+        assert read_stdout(capsys)["stage_counts"]["after_relevance_filter"] is None
+
+    def test_a_sweep_spec_config_of_the_wrong_type_is_a_validation_error(self, out):
+        spec = out / "spec.json"
+        spec.write_text(json.dumps({
+            "family": "l_a2b2", "axes": [{"param": "a", "steps": 2}], "fixed": {"b": 0.3},
+            "f": "xy", "g": "ab", "config": {"restarts": 2.5},
+        }))
+        code = run_cli("sweep", "--spec", str(spec), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+
+
+def _eval_result(run_dir):
+    """The ``result.json`` of the one run under ``run_dir``, without its timing."""
+    (path,) = run_dir.glob("*/result.json")
+    record = json.loads(path.read_text())
+    record.pop("elapsed_ms")
+    return record
+
+
+class TestParserReuse:
+    EVAL = ("--seed", "3", "eval", "--state", "ghz4", "--f", "xyz + xy!w + xz!w + yz!w + w!x!y!z",
+            "--g", "a^b^c^d", "--restarts", "4")
+
+    def test_repeated_calls_match_a_fresh_process(self, out, capsys):
+        for k in range(2):
+            assert run_cli(*self.EVAL, "--output-dir", str(out / f"in-process{k}")) == 0
+        capsys.readouterr()
+        src = str(Path(qgames.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-m", "qgames.cli", *self.EVAL,
+                        "--output-dir", str(out / "fresh")],
+                       env=env, check=True, capture_output=True)
+        fresh = _eval_result(out / "fresh")
+        assert _eval_result(out / "in-process0") == fresh
+        assert _eval_result(out / "in-process1") == fresh
+
+    def test_a_usage_error_between_calls(self, out, capsys):
+        assert run_cli(*self.EVAL, "--output-dir", str(out / "first")) == 0
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", "--mode", "sideways")
+        assert err.value.code == USAGE_ERROR
+        with pytest.raises(SystemExit) as err:
+            run_cli("frobnicate")
+        assert err.value.code == USAGE_ERROR
+        assert run_cli(*self.EVAL, "--output-dir", str(out / "second")) == 0
+        capsys.readouterr()
+        assert _eval_result(out / "first") == _eval_result(out / "second")
+
+    def test_the_parser_is_built_once(self, out, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        config = out / "config.json"
+        config.write_text(json.dumps({"restarts": 1}))
+        for _ in range(3):
+            assert run_cli("--config", str(config), "--output-dir", str(out / "runs"),
+                           "eval", "--state", "epr", "--f", "xy", "--g", "a^b") == 0
+        capsys.readouterr()
+        assert built == [1]
 
 
 class TestRunStore:

@@ -37,7 +37,8 @@ from qgames.search import (
     search_space,
     stratified_subsample,
 )
-from qgames.search import _CHUNK_ROWS, _optimize_games, _see_saw
+from qgames import search
+from qgames.search import _CHUNK_ROWS, _optimize_games, _see_saw, _split_tasks
 
 
 def chsh_equation():
@@ -326,6 +327,48 @@ class TestBestResponseStep:
             assert np.abs(got - expect).max() < 1e-9
 
 
+class TestSeeSawPool:
+    """A pool smaller than its rows refills them at sweep boundaries and changes no bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("tol", [-np.inf, 1e-6])
+    def test_refilled_pool_equals_one_batch(self, n, tol):
+        # rows on their own states and games; a tol of -inf stops rows on the cap alone
+        rng = np.random.default_rng(40 + n)
+        rows = 12
+        kernel = GainKernel(_random_states(rng, 3, n), [
+            GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))),
+                         TruthTable(n, int(rng.integers(1 << (1 << n)))))
+            for _ in range(3)
+        ])
+        gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
+        game, state = rng.integers(0, 3, rows), rng.integers(0, 3, rows)
+        for cap in [*range(1, 3 * n + 1), 50, 5000]:
+            whole = _see_saw(kernel, gates, game, cap, tol, state=state, capacity=rows)
+            pooled = _see_saw(kernel, gates, game, cap, tol, state=state, capacity=5)
+            assert np.array_equal(pooled, whole)
+
+    def test_pool_stays_full_while_rows_wait(self):
+        rows, capacity = 40, 7
+        kernel, gates, game, _ = _step_setup(4, 50, batch=rows)
+        amplitudes, best_response = kernel.amplitudes, kernel.best_response
+        admitted, sizes = [0], []
+
+        def admit(gates, state=None):
+            admitted[0] += gates.shape[0]
+            return amplitudes(gates, state)
+
+        def step(amps, *args):
+            sizes.append((amps.shape[0], admitted[0] < rows))
+            return best_response(amps, *args)
+
+        kernel.amplitudes, kernel.best_response = admit, step
+        _see_saw(kernel, gates, game, 5000, 1e-6, capacity=capacity)
+        assert admitted[0] == rows
+        waiting = [size for size, rows_wait in sizes if rows_wait]
+        assert len(waiting) > 4 and set(waiting) == {capacity}
+
+
 class TestDeterministicEmbedding:
     def test_identity_bitflip_gates_reproduce_classical_gain(self):
         # a deterministic strategy embeds as (0,0,0)/(pi,0,pi) gates on |0..0>
@@ -420,6 +463,40 @@ class TestSearchSpace:
         last = caplog.records[-1].getMessage()
         assert last.startswith(f"search progress: {len(space)}/{len(space)} functions, ")
         assert last.endswith(" games/s, ETA 0 s")
+
+    def test_a_failing_task_names_its_functions_and_seeds(self, small_run, monkeypatch):
+        space, psi, g, cfg = small_run
+        assert len(space) >= 3
+        optimize = search._optimize_games
+
+        def fail_on_second(states, eqs, seeds, cfg):
+            if eqs[0].f == space[1]:
+                raise FloatingPointError("overflow in the kernel")
+            return optimize(states, eqs, seeds, cfg)
+
+        monkeypatch.setattr(search, "_TASK_GAMES", 1)
+        monkeypatch.setattr(search, "_optimize_games", fail_on_second)
+        with pytest.raises(RuntimeError) as err:
+            search_space(g, psi, cfg, space, workers=1)
+        message = str(err.value)
+        assert "search task over functions 1-1 failed" in message
+        assert f"master seed {cfg.seed}, game seeds [{derive_task_seed(cfg.seed, 1)}]" in message
+        assert "overflow in the kernel" in message
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
+
+class TestSplitTasks:
+    def test_ranges_cover_the_functions_in_order(self):
+        for total, workers in ((1, 1), (12, 1), (12, 2), (10, 3), (300, 1), (2191, 2), (5, 8)):
+            tasks = _split_tasks(total, workers)
+            assert tasks[0][0] == 0 and tasks[-1][1] == total
+            assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
+            sizes = [hi - lo for lo, hi in tasks]
+            assert max(sizes) <= search._TASK_GAMES and max(sizes) - min(sizes) <= 1
+            assert len(tasks) >= min(workers, total)
+        assert _split_tasks(0, 2) == []
+        assert _split_tasks(12, 1) == [(0, 12)]
+        assert len(_split_tasks(300, 1)) == 5
 
 
 @pytest.fixture(scope="module")
