@@ -158,7 +158,8 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
 def _optimizer_config(args, config, seed: int, first: dict | None = None) -> OptimizerConfig:
     """Optimizer settings: ``first`` (a sweep spec's config block), then flags, then the
     config file, then the defaults."""
-    first = _check_config_types(_flat_object(first or {}, "a sweep spec's config"))
+    first = _check_config_types(_flat_object(first or {}, "a sweep spec's config"),
+                                args.subcommand)
     default = OptimizerConfig()
 
     def value(key: str):
@@ -501,23 +502,35 @@ def _parser() -> argparse.ArgumentParser:
 _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 
 
-def _check_config_types(config: dict) -> dict:
-    """``config`` if each key that names a flag holds a value the flag takes, else ValueError.
+def _flag_type(action: argparse.Action) -> type:
+    """The value type of a store flag: its ``type``, bool for on/off flags, else str."""
+    return bool if action.const is True else action.type or str
+
+
+def _flags(subcommand: str) -> dict[str, argparse.Action]:
+    """The value flags of the top-level parser and of ``subcommand``'s, by config key."""
+    top = _parser()
+    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action
+            for parser in (top, commands.choices[subcommand]) for action in parser._actions
+            if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))}
+
+
+def _check_config_types(config: dict, subcommand: str) -> dict:
+    """``config`` if each key that names a flag of ``subcommand`` holds a value the
+    flag takes, else ValueError.
 
     Integer flags take integers, ``--tol`` a number, text flags strings and
     on/off flags booleans (a JSON boolean is not a number here); a flag
-    with choices, such as ``--mode``, takes one of them.
+    with choices, such as ``--mode``, takes one of them.  Keys of other
+    subcommands' flags are left alone, as ``subcommand`` never reads them.
     """
-    top = _parser()
-    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {action.dest: action
-             for parser in (top, *commands.choices.values()) for action in parser._actions
-             if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))}
+    flags = _flags(subcommand)
     for key, value in config.items():
         if key not in flags:
             continue
         action = flags[key]
-        kind = bool if action.const is True else action.type or str
+        kind = _flag_type(action)
         if type(value) not in _CONFIG_TYPES[kind]:
             raise ValueError(f"config key {key!r} takes {kind.__name__} values, got {value!r}")
         if action.choices is not None and value not in action.choices:
@@ -542,7 +555,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         try:
             config = _check_config_types(
-                _flat_object(json.loads(Path(args.config).read_text()), "a config file")
+                _flat_object(json.loads(Path(args.config).read_text()), "a config file"),
+                args.subcommand,
             )
         except FileNotFoundError:
             print(f"error: config file {args.config!r} not found", file=sys.stderr)

@@ -226,12 +226,12 @@ def _see_saw(
     while rows.size:
         row_game = game[rows]
         left = max_updates - updates
-        full = left.min() >= sweep
+        # a row capped mid-sweep keeps its gates for the rest of the sweep; while
+        # no row is, one count serves every row and spares best_response its
+        # per-row mask, without which search-ghz4 ran about 9% fewer games a second
+        capped = left.min() < sweep
         for k in range(kernel.n):
-            # a row capped mid-sweep keeps its gates for the rest of the sweep
-            bits = 2 if full else np.clip(left - 2 * k, 0, 2)
-            if not full and not bits.any():
-                break
+            bits = np.clip(left - 2 * k, 0, 2) if capped else 2
             amps, live[:, k] = kernel.best_response(amps, live[:, k], k, row_game, bits)
         updates += np.minimum(left, sweep)
         new_gains = kernel.gains_of(amps, row_game)
@@ -317,9 +317,12 @@ def optimize_quantum(
 
 # --- Batch search over a function space ------------------------------------------
 
-#: Games of one search task, at most: a task's restarts share one see-saw
-#: pool, which runs part-empty only while the task's last restarts drain.
-_TASK_GAMES = 64
+#: Start rows of one search task, at most, unless one game has more: a
+#: task's restarts share one see-saw pool, which runs part-empty only while
+#: the task's last restarts drain.  At the default 20 restarts a task holds
+#: 64 games; at n = 4 the task's start gates and results take about 2.7 KB
+#: a row, so a task holds about 3.5 MB whatever ``--restarts`` is.
+_TASK_ROWS = 1280
 
 
 def derive_task_seed(master_seed: int, index: int) -> int:
@@ -361,13 +364,15 @@ def _run_task(
     ]
 
 
-def _split_tasks(total: int, workers: int) -> list[tuple[int, int]]:
+def _split_tasks(total: int, workers: int, restarts: int) -> list[tuple[int, int]]:
     """Near-equal contiguous [lo, hi) ranges of ``total`` functions for ``workers`` processes.
 
-    Each range holds at most ``_TASK_GAMES`` functions, and there are at
-    least ``workers`` ranges when there are that many functions.
+    Each range holds at most ``_TASK_ROWS`` start rows (``restarts`` a
+    function) or one function, and there are at least ``workers`` ranges
+    when there are that many functions.
     """
-    count = max(-(-total // _TASK_GAMES), min(workers, total))
+    games = max(1, _TASK_ROWS // restarts)
+    count = max(-(-total // games), min(workers, total))
     return [(total * i // count, total * (i + 1) // count) for i in range(count)]
 
 
@@ -408,7 +413,7 @@ def search_space(
     tables = list(functions)
     total = len(tables)
     workers = workers or os.cpu_count() or 1
-    tasks = [(lo, [t.bits for t in tables[lo:hi]]) for lo, hi in _split_tasks(total, workers)]
+    tasks = [(lo, [t.bits for t in tables[lo:hi]]) for lo, hi in _split_tasks(total, workers, cfg.restarts)]
     results: list[GameResult] = []
     t0 = time.perf_counter()
 

@@ -375,6 +375,21 @@ class TestConfigFile:
         assert run_cli("--config", str(path), "--output-dir", str(out / "runs"), "reduce") == 0
         assert read_stdout(capsys)["stage_counts"]["after_relevance_filter"] is None
 
+    def test_keys_are_checked_against_the_chosen_subcommand_only(self, out, capsys):
+        path = out / "config.json"
+        path.write_text(json.dumps({"mode": "sideways", "arity": 2}))
+        assert run_cli("--config", str(path), "--output-dir", str(out / "runs"), "reduce") == 0
+        assert read_stdout(capsys)["stage_counts"]
+        assert run_cli("--config", str(path), "--output-dir", str(out / "runs"),
+                       "eval", "--state", "epr", "--f", "xy", "--g", "a^b") == VALIDATION_ERROR
+
+    def test_every_value_flag_has_a_config_type(self):
+        for subcommand in cli._HANDLERS:
+            flags = cli._flags(subcommand)
+            assert {"seed", "workers", "output_dir"} <= set(flags)
+            for action in flags.values():
+                assert cli._flag_type(action) in cli._CONFIG_TYPES, (subcommand, action.dest)
+
     def test_a_sweep_spec_config_of_the_wrong_type_is_a_validation_error(self, out):
         spec = out / "spec.json"
         spec.write_text(json.dumps({

@@ -474,7 +474,7 @@ class TestSearchSpace:
                 raise FloatingPointError("overflow in the kernel")
             return optimize(states, eqs, seeds, cfg)
 
-        monkeypatch.setattr(search, "_TASK_GAMES", 1)
+        monkeypatch.setattr(search, "_TASK_ROWS", 1)
         monkeypatch.setattr(search, "_optimize_games", fail_on_second)
         with pytest.raises(RuntimeError) as err:
             search_space(g, psi, cfg, space, workers=1)
@@ -487,16 +487,34 @@ class TestSearchSpace:
 
 class TestSplitTasks:
     def test_ranges_cover_the_functions_in_order(self):
-        for total, workers in ((1, 1), (12, 1), (12, 2), (10, 3), (300, 1), (2191, 2), (5, 8)):
-            tasks = _split_tasks(total, workers)
+        for total, workers, restarts in ((1, 1, 20), (12, 1, 20), (12, 2, 20), (10, 3, 20),
+                                         (300, 1, 20), (2191, 2, 20), (5, 8, 20),
+                                         (300, 1, 7), (40, 1, 1000), (40, 3, 5000)):
+            tasks = _split_tasks(total, workers, restarts)
             assert tasks[0][0] == 0 and tasks[-1][1] == total
             assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
             sizes = [hi - lo for lo, hi in tasks]
-            assert max(sizes) <= search._TASK_GAMES and max(sizes) - min(sizes) <= 1
+            assert max(sizes) * restarts <= max(search._TASK_ROWS, restarts)
+            assert max(sizes) - min(sizes) <= 1
             assert len(tasks) >= min(workers, total)
-        assert _split_tasks(0, 2) == []
-        assert _split_tasks(12, 1) == [(0, 12)]
-        assert len(_split_tasks(300, 1)) == 5
+        assert _split_tasks(0, 2, 20) == []
+        assert _split_tasks(12, 1, 20) == [(0, 12)]
+        assert len(_split_tasks(300, 1, 20)) == 5
+        assert len(_split_tasks(40, 1, 1000)) == 40
+
+    def test_a_task_holds_at_most_its_rows_at_many_restarts(self, small_run, monkeypatch):
+        space, psi, g, cfg = small_run
+        cfg = OptimizerConfig(restarts=700, max_evals=8, seed=cfg.seed)
+        rows = []
+        optimize = search._optimize_games
+
+        def count_rows(states, eqs, seeds, cfg):
+            rows.append(len(seeds) * cfg.restarts)
+            return optimize(states, eqs, seeds, cfg)
+
+        monkeypatch.setattr(search, "_optimize_games", count_rows)
+        results = search_space(g, psi, cfg, space, workers=1)
+        assert len(results) == len(space) >= 2 and rows == [700] * len(space)
 
 
 @pytest.fixture(scope="module")
