@@ -176,13 +176,14 @@ def _best_response_gates(h: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GainKernel:
     """Vectorized win-probability evaluation and see-saw steps for batches of strategies.
 
-    One kernel holds one or more states and the win masks of one or more
-    games.  Each batch row may play its own game on its own state: ``game``
-    and ``state`` are the (B,) indices of each row's game and state in the
-    kernel, and None means that every row takes the first.  Every product
-    is stacked per row, never one 2-D product across rows, and no
-    arithmetic reuses a temporary in place, so a row's results do not
-    depend on the other rows of its batch, bit for bit, at any batch size.
+    One kernel holds the states and win masks of one or more games: one
+    state per game or one shared by every game, and likewise one equation
+    per game or one shared.  ``game`` is the (B,) index of each row's game,
+    which picks both its state and its win mask, and None means that every
+    row plays the first.  Every product is stacked per row, never one 2-D
+    product across rows, and no arithmetic reuses a temporary in place, so
+    a row's results do not depend on the other rows of its batch, bit for
+    bit, at any batch size.
 
     Amplitudes of all (question, answer) pairs are a (B, 4**n) array in a
     pair-major layout: its axes are each player's (question bit, answer
@@ -207,11 +208,13 @@ class GainKernel:
     ):
         states = [states] if isinstance(states, StateVector) else list(states)
         eqs = [eqs] if isinstance(eqs, GameEquation) else list(eqs)
+        if len(states) > 1 and len(eqs) > 1 and len(states) != len(eqs):
+            raise ValueError(f"{len(states)} states for {len(eqs)} games: give one or one per game")
         n = self.n = states[0].n
         for eq in eqs:
             if n != eq.arity:
                 raise ValueError(f"state has {n} qubits but the equation arity is {eq.arity}")
-        # (S, 2**n): one row per state; states of other sizes do not stack
+        # (G, 2**n): one row per game, or one shared; states of other sizes do not stack
         self.states = np.stack([psi.amplitudes for psi in states])
         # (G, 4, ..., 4): one win mask per game, in layout 0
         bits = np.stack([win_mask(eq) for eq in eqs]).reshape((-1,) + (2,) * (2 * n))
@@ -234,10 +237,10 @@ class GainKernel:
         """Each row's table out of (G, ...) tables; one table, or no index, broadcasts the first."""
         return tables[:1] if index is None or tables.shape[0] == 1 else tables[index]
 
-    def amplitudes(self, gates: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
+    def amplitudes(self, gates: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 4**n) amplitudes in layout 0."""
         batch = gates.shape[0]
-        t = self._per_row(self.states, state)
+        t = self._per_row(self.states, game)
         # the last player first: each step's qubit is the last axis, and its pair goes first
         for k in reversed(range(self.n)):
             t = gates[:, k].reshape(batch, 4, 2) @ t.reshape(t.shape[0], -1, 2).swapaxes(1, 2)
@@ -252,16 +255,13 @@ class GainKernel:
         # rounding can put a sure win a few ulps above 1
         return np.minimum(wins / (1 << self.n), 1.0)
 
-    def gains(
-        self, angle_batch: np.ndarray, game: np.ndarray | None = None,
-        state: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def gains(self, angle_batch: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, 6n) angle rows -> (B,) win probabilities."""
         batch = np.asarray(angle_batch, dtype=float)
         if batch.ndim != 2 or batch.shape[1] != 6 * self.n:
             raise ValueError(f"expected shape (B, {6 * self.n}), got {batch.shape}")
         gates = _build_gate_stack(batch.reshape(batch.shape[0], self.n, 2, 3))
-        return self.gains_of(self.amplitudes(gates, state), game)
+        return self.gains_of(self.amplitudes(gates, game), game)
 
     def best_response(
         self, amps: np.ndarray, gates: np.ndarray, player: int,
@@ -476,8 +476,10 @@ def parse_state_literal(text: str) -> StateVector:
     """
     literal = text.strip()
     if literal.startswith("["):
-        pairs = json.loads(literal)
-        amps = [complex(re_, im_) for re_, im_ in pairs]
+        try:
+            amps = [complex(re_, im_) for re_, im_ in json.loads(literal)]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"state literal {text!r} is not a list of [re, im] number pairs") from exc
         return StateVector(amps)
     head, _, tail = literal.partition(":")
     key = head.strip().lower()

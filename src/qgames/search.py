@@ -110,7 +110,7 @@ class GameResult:
     seed: int
     elapsed_ms: float | None = None
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         strategy = None
         if self.quantum_strategy is not None:
             strategy = {"angles": self.quantum_strategy.reduced_angles().tolist()}
@@ -123,7 +123,7 @@ class GameResult:
             "strategy": strategy,
             "state": self.state,
             "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms if include_timing else None,
+            "elapsed_ms": self.elapsed_ms,
         }
 
     @classmethod
@@ -194,15 +194,14 @@ _CHUNK_ROWS = 120
 
 def _see_saw(
     kernel: GainKernel, gates: np.ndarray, game: np.ndarray, max_updates: int, tol: float,
-    state: np.ndarray | None = None, capacity: int = _CHUNK_ROWS,
+    capacity: int = _CHUNK_ROWS,
 ) -> np.ndarray:
     """Batched see-saw ascent from (R, n, 2, 2, 2) start gates; returns the final gates.
 
-    Row r plays game ``game[r]`` of the kernel on state ``state[r]`` (the
-    first when ``state`` is None).  A sweep replaces both question bits'
-    gates of player 1 by their best response (``GainKernel.best_response``),
-    then of player 2, and so on: 2n updates, none of which can lower a
-    row's gain.  A row stops when a sweep raises its gain by less than
+    Row r plays game ``game[r]`` of the kernel, on that game's state.  A
+    sweep replaces both question bits' gates of player 1 by their best
+    response (``GainKernel.best_response``), then of player 2, and so on:
+    2n updates, none of which can lower a row's gain.  A row stops when a sweep raises its gain by less than
     ``tol`` or when it has made ``max_updates`` updates of its own.
 
     At most ``capacity`` rows run at once.  At each sweep boundary, where
@@ -215,7 +214,7 @@ def _see_saw(
     sweep = 2 * kernel.n
 
     def start(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        amps = kernel.amplitudes(gates[rows], None if state is None else state[rows])
+        amps = kernel.amplitudes(gates[rows], game[rows])
         return gates[rows], amps, kernel.gains_of(amps, game[rows])
 
     out = np.empty_like(gates)
@@ -277,14 +276,13 @@ def _optimize_games(
     game = np.repeat(np.arange(len(seeds)), counts)
     start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
     angles = _angles_from_gates(
-        _see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol, state=game)
+        _see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol)
     )
     # the gains of the returned angles, evaluated afresh: never the optimizer state;
     # a pool's rows at a time, so that memory stays bounded by the pool
     flat = angles.reshape(len(starts), dim)
     gains = np.concatenate([
-        kernel.gains(flat[lo:lo + _CHUNK_ROWS], game[lo:lo + _CHUNK_ROWS],
-                     state=game[lo:lo + _CHUNK_ROWS])
+        kernel.gains(flat[lo:lo + _CHUNK_ROWS], game[lo:lo + _CHUNK_ROWS])
         for lo in range(0, len(starts), _CHUNK_ROWS)
     ])
     results = []
@@ -336,29 +334,26 @@ def _run_task(
     cfg: OptimizerConfig,
     state_descriptor: str,
     start: int,
-    f_bits: Sequence[int],
+    functions: Sequence[TruthTable],
 ) -> list[GameResult]:
     """The games of functions ``start``, ``start + 1``, ... against g, in one see-saw pool.
 
-    Each game's ``elapsed_ms`` is its even share of the task's wall time.
     A failure is raised again as a RuntimeError that names the task's
     function indices and seeds.
     """
-    t0 = time.perf_counter()
-    seeds = [derive_task_seed(cfg.seed, start + j) for j in range(len(f_bits))]
+    seeds = [derive_task_seed(cfg.seed, start + j) for j in range(len(functions))]
     try:
-        eqs = [GameEquation(TruthTable(g.arity, bits), g) for bits in f_bits]
+        eqs = [GameEquation(f, g) for f in functions]
         classical = [classical_best(eq)[0] for eq in eqs]
         quantum = _optimize_games(psi, eqs, seeds, cfg)
     except Exception as exc:
         raise RuntimeError(
-            f"search task over functions {start}-{start + len(f_bits) - 1} failed "
+            f"search task over functions {start}-{start + len(functions) - 1} failed "
             f"(master seed {cfg.seed}, game seeds {seeds}): {exc!r}"
         ) from exc
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(eqs)
     return [
         GameResult(eq, classical_gain, quantum_gain, strategy, quantum_gain - classical_gain,
-                   state_descriptor, seed, elapsed_ms)
+                   state_descriptor, seed)
         for eq, seed, classical_gain, (quantum_gain, strategy)
         in zip(eqs, seeds, classical, quantum)
     ]
@@ -374,19 +369,6 @@ def _split_tasks(total: int, workers: int, restarts: int) -> list[tuple[int, int
     games = max(1, _TASK_ROWS // restarts)
     count = max(-(-total // games), min(workers, total))
     return [(total * i // count, total * (i + 1) // count) for i in range(count)]
-
-
-_WORKER_CONTEXT: dict = {}
-
-
-def _worker_init(g_text: str, amplitudes: np.ndarray, cfg: OptimizerConfig, descriptor: str):
-    _WORKER_CONTEXT["search"] = (
-        TruthTable.from_text(g_text), StateVector(amplitudes), cfg, descriptor
-    )
-
-
-def _worker_task(task: tuple[int, list[int]]) -> list[GameResult]:
-    return _run_task(*_WORKER_CONTEXT["search"], *task)
 
 
 def search_space(
@@ -413,7 +395,9 @@ def search_space(
     tables = list(functions)
     total = len(tables)
     workers = workers or os.cpu_count() or 1
-    tasks = [(lo, [t.bits for t in tables[lo:hi]]) for lo, hi in _split_tasks(total, workers, cfg.restarts)]
+    ranges = _split_tasks(total, workers, cfg.restarts)
+    starts = [lo for lo, _ in ranges]
+    parts = [tables[lo:hi] for lo, hi in ranges]
     results: list[GameResult] = []
     t0 = time.perf_counter()
 
@@ -430,16 +414,14 @@ def search_space(
                     done, total, rate, (total - done) / rate,
                 )
 
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            finish(_run_task(g, psi, cfg, state_descriptor, *task))
+    run = functools.partial(_run_task, g, psi, cfg, state_descriptor)
+    if workers <= 1 or len(ranges) <= 1:
+        for task_results in map(run, starts, parts):
+            finish(task_results)
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(g.to_text(), psi.amplitudes, cfg, state_descriptor),
-        ) as pool:
-            for task_results in pool.map(_worker_task, tasks):
+        # the workers get the caller's own objects, pickled, so no state is re-normalized
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for task_results in pool.map(run, starts, parts):
                 finish(task_results)
     return results
 

@@ -11,6 +11,7 @@ import pytest
 import qgames
 from qgames import cli
 from qgames.cli import USAGE_ERROR, VALIDATION_ERROR, load_results_jsonl, load_run_record, main
+from qgames.quantum import StateVector, parse_state_literal
 
 
 @pytest.fixture
@@ -145,6 +146,13 @@ class TestEval:
         captured = capsys.readouterr()
         assert "NaN" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("literal", ["[1,2]", '[["a",0],[0,0]]', "[[null,0],[1,0]]"])
+    def test_malformed_amplitude_literal_is_validation_error(self, out, literal):
+        code = run_cli("eval", "--state", literal, "--f", "xy", "--g", "a^b",
+                       "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+
     def test_nan_tol_is_validation_error(self, out):
         code = run_cli("eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--tol", "nan",
                        "--output-dir", str(out / "runs"))
@@ -185,6 +193,21 @@ class TestSearchAndScore:
                 "--workers", "2")
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_count_invariance_on_an_amplitude_literal(self, out, functions_file, capsys):
+        state = "[[0.3,0.1],[0.2,0],[0,0.5],[0.7,0.2]]"
+        # normalizing this state twice changes its last bits
+        psi = parse_state_literal(state)
+        assert StateVector(psi.amplitudes).amplitudes.tobytes() != psi.amplitudes.tobytes()
+        paths = [out / f"w{workers}.jsonl" for workers in (1, 2)]
+        for workers, path in zip((1, 2), paths):
+            code = run_cli("search", "--state", state, "--g", "a^b",
+                           "--functions", str(functions_file), "--restarts", "4",
+                           "--output", str(path), "--output-dir", str(out / "runs"),
+                           "--workers", str(workers))
+            assert code == 0
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_missing_functions_file(self, out):
         code = run_cli("search", "--state", "epr", "--g", "a^b",

@@ -333,7 +333,8 @@ class TestSeeSawPool:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("tol", [-np.inf, 1e-6])
     def test_refilled_pool_equals_one_batch(self, n, tol):
-        # rows on their own states and games; a tol of -inf stops rows on the cap alone
+        # rows on their own games, each game on its own state; a tol of -inf
+        # stops rows on the cap alone
         rng = np.random.default_rng(40 + n)
         rows = 12
         kernel = GainKernel(_random_states(rng, 3, n), [
@@ -342,10 +343,10 @@ class TestSeeSawPool:
             for _ in range(3)
         ])
         gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
-        game, state = rng.integers(0, 3, rows), rng.integers(0, 3, rows)
+        game = rng.integers(0, 3, rows)
         for cap in [*range(1, 3 * n + 1), 50, 5000]:
-            whole = _see_saw(kernel, gates, game, cap, tol, state=state, capacity=rows)
-            pooled = _see_saw(kernel, gates, game, cap, tol, state=state, capacity=5)
+            whole = _see_saw(kernel, gates, game, cap, tol, capacity=rows)
+            pooled = _see_saw(kernel, gates, game, cap, tol, capacity=5)
             assert np.array_equal(pooled, whole)
 
     def test_pool_stays_full_while_rows_wait(self):
@@ -437,6 +438,25 @@ class TestSearchSpace:
         a = [json.dumps(r.to_json_dict()) for r in serial]
         b = [json.dumps(r.to_json_dict()) for r in parallel]
         assert a == b
+
+    def test_worker_count_does_not_change_results_on_a_random_state(self, small_run):
+        space, _, g, cfg = small_run
+        rng = np.random.default_rng(3)
+        psi = StateVector(rng.normal(size=4) + 1j * rng.normal(size=4))
+        # re-normalizing this state changes its last bits, so a worker that
+        # rebuilt it from its amplitudes would play another state
+        assert StateVector(psi.amplitudes).amplitudes.tobytes() != psi.amplitudes.tobytes()
+        serial = search_space(g, psi, cfg, space, workers=1)
+        parallel = search_space(g, psi, cfg, space, workers=2)
+        assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
+        assert ([r.quantum_strategy.angles.tobytes() for r in serial]
+                == [r.quantum_strategy.angles.tobytes() for r in parallel])
+
+    def test_results_carry_no_timing(self, small_run):
+        # results files hold no timing, so that they are byte-deterministic
+        space, psi, g, cfg = small_run
+        results = search_space(g, psi, cfg, space, workers=1)
+        assert all(r.to_json_dict()["elapsed_ms"] is None for r in results)
 
     def test_chsh_appears_as_the_top_gap(self, small_run):
         space, psi, g, cfg = small_run
@@ -627,19 +647,23 @@ class TestRowIndependence:
     @pytest.mark.parametrize("rows", [1, 255, 256, 777])
     def test_kernel_rows_equal_single_row_runs(self, rows):
         rng = np.random.default_rng(rows)
+        # three games, each on its own state
         states = _random_states(rng, 3)
-        eqs = [ghz_game_equation(), w_game_equation()]
+        parity = GameEquation(parse_table("wxyz", QUESTION_VARS[4]), parse_table("a^b^c^d", ANSWER_VARS[4]))
+        eqs = [ghz_game_equation(), w_game_equation(), parity]
         kernel = GainKernel(states, eqs)
+        single = [GainKernel(psi, eq) for psi, eq in zip(states, eqs)]
         gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, 4, 2, 3)))
-        state, game = rng.integers(0, 3, rows), rng.integers(0, 2, rows)
-        amps = kernel.amplitudes(gates, state)
+        game = rng.integers(0, 3, rows)
+        amps = kernel.amplitudes(gates, game)
         gains = kernel.gains_of(amps, game)
         for r in range(rows):
             one = slice(r, r + 1)
-            # a state index into several states or a one-state kernel: the same bits
-            assert np.array_equal(kernel.amplitudes(gates[one], state[one])[0], amps[r])
-            assert np.array_equal(GainKernel(states[state[r]], eqs).amplitudes(gates[one])[0], amps[r])
+            # a game index into several games or a one-game kernel: the same bits
+            assert np.array_equal(kernel.amplitudes(gates[one], game[one])[0], amps[r])
+            assert np.array_equal(single[game[r]].amplitudes(gates[one])[0], amps[r])
             assert kernel.gains_of(amps[one], game[one])[0] == gains[r]
+            assert single[game[r]].gains_of(amps[one])[0] == gains[r]
         for player in range(4):
             stepped, new = kernel.best_response(amps, gates[:, player], player, game)
             for r in range(rows):
@@ -647,7 +671,18 @@ class TestRowIndependence:
                 alone, alone_new = kernel.best_response(amps[one], gates[one, player], player, game[one])
                 assert np.array_equal(alone[0], stepped[r])
                 assert np.array_equal(alone_new[0], new[r])
+                alone, alone_new = single[game[r]].best_response(amps[one], gates[one, player], player)
+                assert np.array_equal(alone[0], stepped[r])
+                assert np.array_equal(alone_new[0], new[r])
             amps, gates[:, player] = stepped, new
+
+    def test_kernel_takes_one_state_or_one_per_game(self):
+        rng = np.random.default_rng(5)
+        eqs = [ghz_game_equation(), w_game_equation(), ghz_game_equation()]
+        with pytest.raises(ValueError, match="2 states for 3 games"):
+            GainKernel(_random_states(rng, 2), eqs)
+        assert GainKernel(_random_states(rng, 1), eqs).states.shape == (1, 16)
+        assert GainKernel(_random_states(rng, 2), eqs[0]).masks.shape == (1, 256)
 
     @pytest.mark.parametrize("rows, games, restarts, warmed", [
         (1, 1, 1, 0), (255, 15, 17, 0), (256, 15, 17, 1), (777, 37, 20, 37),
@@ -725,8 +760,9 @@ class TestGameResultJson:
             state="epr", seed=9, elapsed_ms=12.0,
         )
         record = result.to_json_dict()
-        assert record["elapsed_ms"] is None  # timing excluded by default
+        assert record["elapsed_ms"] == 12.0
         rebuilt = GameResult.from_json_dict(record)
+        assert rebuilt.elapsed_ms == 12.0
         assert rebuilt.equation == eq
         assert rebuilt.quantum_gain == gain
         assert np.allclose(rebuilt.quantum_strategy.angles, strategy.reduced_angles())
