@@ -1,10 +1,16 @@
 """Command-line front end: reduce, eval, search, score, and sweep.
 
+``main`` resolves every setting once: the flag if given, else the key of
+the same name in the ``--config`` file, else its ``_DEFAULTS`` entry (None
+for settings with no default).  The handlers read only the resolved
+``args``; a sweep spec's ``config`` block alone comes ahead of all three,
+for the optimizer settings of that sweep.
+
 Every run writes a RunRecord (resolved configuration, seed, tool version,
-output paths, wall clock) under ``--output-dir`` so any artifact file can be
-traced back to the invocation that produced it.  Results files themselves
-contain no wall-clock fields: given the same seed they are byte-identical
-for any worker count.
+output paths, wall clock) to a new directory under ``--output-dir`` so any
+artifact file can be traced back to the invocation that produced it.
+Results files themselves contain no wall-clock fields: given the same seed
+they are byte-identical for any worker count.
 
 Exit codes: 0 success, 2 usage or expression parse error, 3 numeric or
 validation failure.
@@ -38,7 +44,6 @@ from .boolfn import (
 )
 from .quantum import FamilyId, StateVector, _parse_complex, parse_state_literal
 from .search import (
-    DEFAULT_SEED,
     GameResult,
     OptimizerConfig,
     average_gap,
@@ -69,29 +74,16 @@ class RunRecord:
     elapsed_s: float
 
 
-class RunStore:
-    """Per-invocation artifact directory; run ids are never overwritten."""
-
-    def __init__(self, output_dir: str | Path):
-        self.root = Path(output_dir)
-
-    def new_run(self, subcommand: str, config: dict) -> Path:
-        stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-        digest = hashlib.sha256(
-            json.dumps(config, sort_keys=True, default=str).encode()
-        ).hexdigest()[:8]
-        base = f"{stamp}-{subcommand}-{digest}"
-        run_dir = self.root / base
-        counter = 1
-        while run_dir.exists():
-            counter += 1
-            run_dir = self.root / f"{base}-{counter}"
-        run_dir.mkdir(parents=True)
-        return run_dir
-
-    @staticmethod
-    def write_record(run_dir: Path, record: RunRecord):
-        (run_dir / "record.json").write_text(_dumps(asdict(record), indent=2) + "\n")
+#: The value of each setting that neither its flag nor the config file gives: the
+#: optimizer's (restarts, max_evals, tol and seed, which is DEFAULT_SEED) and the CLI's own.
+_DEFAULTS = asdict(OptimizerConfig()) | {
+    "workers": os.cpu_count() or 1,
+    "output_dir": "runs",
+    "arity": 4,
+    "all_relevant": False,
+    "keep_complements": False,
+    "mode": "both",
+}
 
 
 def load_run_record(path: str | Path) -> RunRecord:
@@ -127,17 +119,6 @@ def _parse_side(text: str, arity: int, side: str) -> TruthTable:
     return parse_table(text, alphabet)
 
 
-def _parse_complex_json(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        return _parse_complex(value)
-    pair = isinstance(value, list) and len(value) == 2
-    if pair and all(isinstance(v, (int, float)) for v in value):
-        return complex(value[0], value[1])
-    raise ValueError(f"cannot read complex value from {value!r}")
-
-
 def _flat_object(value, what: str) -> dict:
     """``value`` if it is a JSON object of strings, numbers and booleans, else ValueError."""
     flat = isinstance(value, dict) and all(isinstance(v, (str, int, float)) for v in value.values())
@@ -146,33 +127,13 @@ def _flat_object(value, what: str) -> dict:
     return value
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _optimizer_config(args, config, seed: int, first: dict | None = None) -> OptimizerConfig:
-    """Optimizer settings: ``first`` (a sweep spec's config block), then flags, then the
-    config file, then the defaults."""
+def _optimizer_config(args, first: dict | None = None) -> OptimizerConfig:
+    """Optimizer settings: ``first`` (a sweep spec's config block), then the resolved ``args``."""
     first = _check_config_types(_flat_object(first or {}, "a sweep spec's config"),
                                 args.subcommand)
-    default = OptimizerConfig()
-
-    def value(key: str):
-        if key in first:
-            return first[key]
-        return _resolve(args, config, key, getattr(default, key))
-
-    return OptimizerConfig(
-        restarts=int(value("restarts")),
-        max_evals=int(value("max_evals")),
-        tol=float(value("tol")),
-        seed=seed,
-    )
+    settings = vars(args) | first
+    return OptimizerConfig(restarts=settings["restarts"], max_evals=settings["max_evals"],
+                           tol=float(settings["tol"]), seed=args.seed)
 
 
 def _dumps(record: dict, **kwargs) -> str:
@@ -187,42 +148,46 @@ def _json_line(record: dict) -> str:
 # --- Subcommand handlers ----------------------------------------------------------
 
 
-def _record_run(
-    store: RunStore, subcommand: str, run_config: dict, seed: int, workers: int, t0: float,
-    write: Callable[[Path], list[Path]],
-) -> int:
-    """A new run directory, the run's outputs (``write(run_dir)`` returns their paths), then its record."""
-    run_dir = store.new_run(subcommand, run_config)
+def _record_run(args, run_config: dict, t0: float, write: Callable[[Path], list[Path]]) -> int:
+    """A new run directory under ``--output-dir``, the run's outputs (``write(run_dir)``
+    returns their paths), then its record.  Run ids are never overwritten."""
+    stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    digest = hashlib.sha256(
+        json.dumps(run_config, sort_keys=True, default=str).encode()
+    ).hexdigest()[:8]
+    base = Path(args.output_dir) / f"{stamp}-{args.subcommand}-{digest}"
+    run_dir = base
+    counter = 1
+    while run_dir.exists():
+        counter += 1
+        run_dir = base.with_name(f"{base.name}-{counter}")
+    run_dir.mkdir(parents=True)
     outputs = [str(path) for path in write(run_dir)]
-    RunStore.write_record(run_dir, RunRecord(
-        run_id=run_dir.name, subcommand=subcommand, config=run_config | {"workers": workers},
-        seed=seed, version=__version__, outputs=outputs, elapsed_s=time.perf_counter() - t0,
-    ))
+    record = RunRecord(
+        run_id=run_dir.name, subcommand=args.subcommand,
+        config=run_config | {"workers": args.workers}, seed=args.seed, version=__version__,
+        outputs=outputs, elapsed_s=time.perf_counter() - t0,
+    )
+    (run_dir / "record.json").write_text(_dumps(asdict(record), indent=2) + "\n")
     return 0
 
 
-def _cmd_reduce(args, config, store: RunStore, seed: int, workers: int) -> int:
-    arity = int(_resolve(args, config, "arity", 4))
-    all_relevant = bool(_resolve(args, config, "all_relevant", False))
-    keep_complements = bool(_resolve(args, config, "keep_complements", False))
+def _cmd_reduce(args) -> int:
     t0 = time.perf_counter()
     space = reduce_function_space(
-        arity, require_all_relevant=all_relevant, include_output_flip=not keep_complements
+        args.arity, require_all_relevant=args.all_relevant,
+        include_output_flip=not args.keep_complements,
     )
-    run_config = {
-        "arity": arity,
-        "all_relevant": all_relevant,
-        "keep_complements": keep_complements,
-        "seed": seed,
-    }
+    run_config = {key: vars(args)[key]
+                  for key in ("arity", "all_relevant", "keep_complements", "seed")}
 
     def write(run_dir: Path) -> list[Path]:
-        out_path = Path(_resolve(args, config, "output", None) or run_dir / "functions.txt")
+        out_path = Path(args.output or run_dir / "functions.txt")
         out_path.write_text("".join(t.to_text() + "\n" for t in space))
         print(_dumps({"stage_counts": space.stage_counts(), "output": str(out_path)}, indent=2))
         return [out_path]
 
-    return _record_run(store, "reduce", run_config, seed, workers, t0, write)
+    return _record_run(args, run_config, t0, write)
 
 
 def _eval_record(psi: StateVector, state_text: str, eq: GameEquation, mode: str,
@@ -242,27 +207,23 @@ def _eval_record(psi: StateVector, state_text: str, eq: GameEquation, mode: str,
     ).to_json_dict()
 
 
-def _cmd_eval(args, config, store: RunStore, seed: int, workers: int) -> int:
-    state_text = _resolve(args, config, "state", None)
-    f_text = _resolve(args, config, "f", None)
-    g_text = _resolve(args, config, "g", None)
-    mode = _resolve(args, config, "mode", "both")
-    if not state_text or not f_text or not g_text:
+def _cmd_eval(args) -> int:
+    if not args.state or not args.f or not args.g:
         raise ValueError("eval needs --state, --f and --g")
-    psi = parse_state_literal(state_text)
-    eq = GameEquation(_parse_side(f_text, psi.n, "f"), _parse_side(g_text, psi.n, "g"))
-    cfg = _optimizer_config(args, config, seed)
+    psi = parse_state_literal(args.state)
+    eq = GameEquation(_parse_side(args.f, psi.n, "f"), _parse_side(args.g, psi.n, "g"))
+    cfg = _optimizer_config(args)
     t0 = time.perf_counter()
-    text = _dumps(_eval_record(psi, state_text, eq, mode, cfg), indent=2)
+    text = _dumps(_eval_record(psi, args.state, eq, args.mode, cfg), indent=2)
     print(text)
-    run_config = {"state": state_text, "f": f_text, "g": g_text, "mode": mode} | asdict(cfg)
+    run_config = {key: vars(args)[key] for key in ("state", "f", "g", "mode")} | asdict(cfg)
 
     def write(run_dir: Path) -> list[Path]:
         out_path = run_dir / "result.json"
         out_path.write_text(text + "\n")
         return [out_path]
 
-    return _record_run(store, "eval", run_config, seed, workers, t0, write)
+    return _record_run(args, run_config, t0, write)
 
 
 def _load_functions(path: str, arity: int) -> list[TruthTable]:
@@ -281,27 +242,22 @@ def _load_functions(path: str, arity: int) -> list[TruthTable]:
     return tables
 
 
-def _run_search(args, config, seed: int, workers: int):
-    """The search of ``search`` and ``score``: its g, state, config, results and run config."""
-    state_text = _resolve(args, config, "state", None)
-    g_text = _resolve(args, config, "g", None)
-    functions_path = _resolve(args, config, "functions", None)
-    if not state_text or not g_text or not functions_path:
+def _run_search(args):
+    """The search of ``search`` and ``score``: its g, config, results and run config."""
+    if not args.state or not args.g or not args.functions:
         raise ValueError("search needs --state, --g and --functions")
-    psi = parse_state_literal(state_text)
-    g = _parse_side(g_text, psi.n, "g")
-    tables = _load_functions(functions_path, psi.n)
-    sample = _resolve(args, config, "sample", None)
-    if sample is not None:
-        tables = stratified_subsample(tables, int(sample), seed)
-    cfg = _optimizer_config(args, config, seed)
+    psi = parse_state_literal(args.state)
+    g = _parse_side(args.g, psi.n, "g")
+    tables = _load_functions(args.functions, psi.n)
+    if args.sample is not None:
+        tables = stratified_subsample(tables, args.sample, args.seed)
+    cfg = _optimizer_config(args)
     results = search_space(
-        g, psi, cfg, tables, workers=workers, state_descriptor=state_text
+        g, psi, cfg, tables, workers=args.workers, state_descriptor=args.state
     )
-    run_config = {
-        "state": state_text, "g": g_text, "functions": functions_path, "sample": sample,
-    } | asdict(cfg)
-    return g, state_text, cfg, results, run_config
+    run_config = {key: vars(args)[key]
+                  for key in ("state", "g", "functions", "sample")} | asdict(cfg)
+    return g, cfg, results, run_config
 
 
 def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfig, top: int = 10) -> dict:
@@ -329,28 +285,28 @@ def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfi
     }
 
 
-def _cmd_search(args, config, store: RunStore, seed: int, workers: int) -> int:
+def _cmd_search(args) -> int:
     t0 = time.perf_counter()
-    g, state_text, cfg, results, run_config = _run_search(args, config, seed, workers)
-    summary = _summary_record(results, g, state_text, cfg)
+    g, cfg, results, run_config = _run_search(args)
+    summary = _summary_record(results, g, args.state, cfg)
     lines = [_json_line(r.to_json_dict()) for r in results]
     lines.append(_json_line(summary))
 
     def write(run_dir: Path) -> list[Path]:
-        out_path = Path(_resolve(args, config, "output", None) or run_dir / "results.jsonl")
+        out_path = Path(args.output or run_dir / "results.jsonl")
         out_path.write_text("".join(line + "\n" for line in lines))
         print(_dumps(summary, indent=2))
         return [out_path]
 
-    return _record_run(store, "search", run_config, seed, workers, t0, write)
+    return _record_run(args, run_config, t0, write)
 
 
-def _cmd_score(args, config, store: RunStore, seed: int, workers: int) -> int:
+def _cmd_score(args) -> int:
     t0 = time.perf_counter()
-    g, state_text, cfg, results, run_config = _run_search(args, config, seed, workers)
-    summary = _summary_record(results, g, state_text, cfg, top=3)
+    g, cfg, results, run_config = _run_search(args)
+    summary = _summary_record(results, g, args.state, cfg, top=3)
     text = _dumps({
-        "state": state_text,
+        "state": args.state,
         "g": g.to_text(),
         "count": summary["count"],
         "game_score": summary["game_score"],
@@ -364,15 +320,15 @@ def _cmd_score(args, config, store: RunStore, seed: int, workers: int) -> int:
         print(text)
         return [out_path]
 
-    return _record_run(store, "score", run_config, seed, workers, t0, write)
+    return _record_run(args, run_config, t0, write)
 
 
-def _sweep_spec_from_file(path: str, seed: int, args, config) -> SweepSpec:
-    raw = json.loads(Path(path).read_text())
+def _sweep_spec_from_file(args) -> SweepSpec:
+    raw = json.loads(Path(args.spec).read_text())
     if not (isinstance(raw, dict) and isinstance(raw.get("axes", []), list)
             and isinstance(raw.get("fixed", {}), dict)
             and isinstance(raw.get("output") or "", str)):
-        raise ValueError(f"sweep spec {path!r} must be a JSON object with an axes list, "
+        raise ValueError(f"sweep spec {args.spec!r} must be a JSON object with an axes list, "
                          "a fixed object and a string output")
     family = next((f for f in FamilyId if f.value == str(raw.get("family", "")).lower()), None)
     if family is None:
@@ -382,13 +338,13 @@ def _sweep_spec_from_file(path: str, seed: int, args, config) -> SweepSpec:
     axes = tuple(
         SweepAxis(
             param=str(a["param"]).lower(),
-            start=float(a.get("start", -9.0)),
-            stop=float(a.get("stop", 9.0)),
-            steps=int(a.get("steps", 37)),
+            start=float(_typed(a.get("start", -9.0), float, "a sweep axis's start")),
+            stop=float(_typed(a.get("stop", 9.0), float, "a sweep axis's stop")),
+            steps=_typed(a.get("steps", 37), int, "a sweep axis's steps"),
         )
         for a in raw_axes
     )
-    fixed = {k.lower(): _parse_complex_json(v) for k, v in raw.get("fixed", {}).items()}
+    fixed = {k.lower(): _parse_complex(v) for k, v in raw.get("fixed", {}).items()}
     f_table = _parse_side(str(raw["f"]), 4, "f")
     g_table = _parse_side(str(raw["g"]), 4, "g")
     return SweepSpec(
@@ -396,17 +352,16 @@ def _sweep_spec_from_file(path: str, seed: int, args, config) -> SweepSpec:
         axes=axes,
         equation=GameEquation(f_table, g_table),
         fixed=fixed,
-        config=_optimizer_config(args, config, seed, raw.get("config")),
+        config=_optimizer_config(args, raw.get("config")),
         output_path=raw.get("output"),
     )
 
 
-def _cmd_sweep(args, config, store: RunStore, seed: int, workers: int) -> int:
-    spec_path = _resolve(args, config, "spec", None)
-    if not spec_path:
+def _cmd_sweep(args) -> int:
+    if not args.spec:
         raise ValueError("sweep needs --spec")
     t0 = time.perf_counter()
-    spec = _sweep_spec_from_file(spec_path, seed, args, config)
+    spec = _sweep_spec_from_file(args)
     result = run_sweep(spec)
 
     def write(run_dir: Path) -> list[Path]:
@@ -420,7 +375,7 @@ def _cmd_sweep(args, config, store: RunStore, seed: int, workers: int) -> int:
         }, indent=2))
         return [csv_path, sidecar_path]
 
-    return _record_run(store, "sweep", {"spec": spec_path, "seed": seed}, seed, workers, t0, write)
+    return _record_run(args, {"spec": args.spec, "seed": args.seed}, t0, write)
 
 
 # --- Parser ------------------------------------------------------------------------
@@ -429,17 +384,22 @@ def _cmd_sweep(args, config, store: RunStore, seed: int, workers: int) -> int:
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--seed", type=int, default=default,
-                        help=f"master seed (default {DEFAULT_SEED})")
+                        help=f"master seed (default {_DEFAULTS['seed']})")
     parser.add_argument("--workers", type=int, default=default,
                         help="worker processes for batch searches (default: cpu count)")
-    parser.add_argument("--output-dir", dest="output_dir", default=default,
-                        help="run-record directory (default ./runs)")
+    parser.add_argument("--output-dir", default=default,
+                        help=f"run-record directory (default ./{_DEFAULTS['output_dir']})")
     parser.add_argument("--config", default=default,
                         help="JSON config file mirroring the flags")
 
 
-_MAX_EVALS_HELP = ("cap on best-response updates per restart; one sweep over every "
-                   "(player, question bit) is 2n updates (default 5000)")
+def _add_optimizer_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--restarts", type=int)
+    parser.add_argument("--max-evals", type=int,
+                        help="cap on best-response updates per restart; one sweep over every "
+                             "(player, question bit) is 2n updates "
+                             f"(default {_DEFAULTS['max_evals']})")
+    parser.add_argument("--tol", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,45 +412,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="canonically reduce the Boolean function space")
     _add_global_flags(p, suppress=True)
-    p.add_argument("--arity", type=int, choices=(2, 3, 4), default=None)
-    p.add_argument("--all-relevant", action="store_const", const=True, default=None,
-                   dest="all_relevant",
+    p.add_argument("--arity", type=int, choices=(2, 3, 4))
+    p.add_argument("--all-relevant", action="store_const", const=True,
                    help="keep only functions using every variable (the paper's 2,191 at "
                         "arity 4; without it, 2,288, of which 97 ignore a variable)")
-    p.add_argument("--keep-complements", action="store_const", const=True, default=None,
-                   dest="keep_complements",
+    p.add_argument("--keep-complements", action="store_const", const=True,
                    help="do not identify a function with its output complement")
-    p.add_argument("--output", default=None, help="functions file path")
+    p.add_argument("--output", help="functions file path")
 
     for name, extra in (("eval", "evaluate one game"),
                         ("search", "optimize every function in a file"),
                         ("score", "search plus game-score report")):
         p = sub.add_parser(name, help=extra)
         _add_global_flags(p, suppress=True)
-        p.add_argument("--state", default=None,
+        p.add_argument("--state",
                        help="state literal: named (ghz4), family (g_abcd:a=1,...) or JSON amplitudes")
         if name == "eval":
-            p.add_argument("--f", default=None, help="question-side expression or n:HEX table")
-            p.add_argument("--mode", choices=("classical", "quantum", "both"), default=None)
+            p.add_argument("--f", help="question-side expression or n:HEX table")
+            p.add_argument("--mode", choices=("classical", "quantum", "both"))
         else:
-            p.add_argument("--functions", default=None, help="file of n:HEX tables, one per line")
-            p.add_argument("--sample", type=int, default=None,
-                           help="stratified subsample size before searching")
+            p.add_argument("--functions", help="file of n:HEX tables, one per line")
+            p.add_argument("--sample", type=int, help="stratified subsample size before searching")
             if name == "search":
-                p.add_argument("--output", default=None, help="JSON-lines results path")
-        p.add_argument("--g", default=None, help="answer-side expression or n:HEX table")
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--max-evals", type=int, default=None, dest="max_evals",
-                       help=_MAX_EVALS_HELP)
-        p.add_argument("--tol", type=float, default=None)
+                p.add_argument("--output", help="JSON-lines results path")
+        p.add_argument("--g", help="answer-side expression or n:HEX table")
+        _add_optimizer_flags(p)
 
     p = sub.add_parser("sweep", help="gain landscape over a family parameter grid")
     _add_global_flags(p, suppress=True)
-    p.add_argument("--spec", default=None, help="sweep specification JSON file")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-evals", type=int, default=None, dest="max_evals",
-                   help=_MAX_EVALS_HELP)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--spec", help="sweep specification JSON file")
+    _add_optimizer_flags(p)
     return parser
 
 
@@ -518,6 +469,13 @@ def _flags(subcommand: str) -> dict[str, argparse.Action]:
             if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))}
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if its JSON type suits a flag of type ``kind``, else ValueError."""
+    if type(value) not in _CONFIG_TYPES[kind]:
+        raise ValueError(f"{what} takes {kind.__name__} values, got {value!r}")
+    return value
+
+
 def _check_config_types(config: dict, subcommand: str) -> dict:
     """``config`` if each key that names a flag of ``subcommand`` holds a value the
     flag takes, else ValueError.
@@ -532,9 +490,7 @@ def _check_config_types(config: dict, subcommand: str) -> dict:
         if key not in flags:
             continue
         action = flags[key]
-        kind = _flag_type(action)
-        if type(value) not in _CONFIG_TYPES[kind]:
-            raise ValueError(f"config key {key!r} takes {kind.__name__} values, got {value!r}")
+        _typed(value, _flag_type(action), f"config key {key!r}")
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r} takes one of {list(action.choices)}, "
                              f"got {value!r}")
@@ -569,15 +525,13 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return VALIDATION_ERROR
-    store = RunStore(_resolve(args, config, "output_dir", "runs"))
-    handler = _HANDLERS[args.subcommand]
+    for key in _flags(args.subcommand):
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, _DEFAULTS.get(key)))
     try:
-        seed = int(_resolve(args, config, "seed", DEFAULT_SEED))
-        workers = _resolve(args, config, "workers", None)
-        workers = int(workers) if workers is not None else os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        return handler(args, config, store, seed, workers)
+        if args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
+        return _HANDLERS[args.subcommand](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -58,10 +58,19 @@ def build_unitary(p: UnitaryParams) -> np.ndarray:
     return _build_gate_stack(np.array(p.as_tuple()))
 
 
+def _setstate_read_only(self, state: tuple[None, dict]):
+    """Unpickle a slotted holder of arrays as pickled (not re-normalized), its arrays read-only."""
+    for name, value in state[1].items():
+        setattr(self, name, value)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 class StateVector:
     """Normalized n-qubit pure state with big-endian amplitude order."""
 
     __slots__ = ("n", "amplitudes")
+    __setstate__ = _setstate_read_only
 
     def __init__(self, amplitudes: Sequence[complex] | np.ndarray):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -89,6 +98,7 @@ class QuantumStrategy:
     """Per-player, per-question gate angles: an (n, 2, 3) array."""
 
     __slots__ = ("n", "angles")
+    __setstate__ = _setstate_read_only
 
     def __init__(self, angles: np.ndarray | Sequence):
         arr = np.asarray(angles, dtype=float)
@@ -459,12 +469,18 @@ def random_family_params(
 
 # --- State literals -------------------------------------------------------------
 
-def _parse_complex(text: str) -> complex:
-    t = text.strip().replace(" ", "").replace("i", "j")
-    try:
-        return complex(t)
-    except ValueError as exc:
-        raise ValueError(f"bad complex literal {text!r}") from exc
+def _parse_complex(value) -> complex:
+    """A complex number from a literal such as ``"1-0.5i"``, a JSON number or a JSON
+    ``[re, im]`` pair of numbers; a JSON boolean is never a number."""
+    if isinstance(value, str):
+        try:
+            return complex(value.strip().replace(" ", "").replace("i", "j"))
+        except ValueError as exc:
+            raise ValueError(f"bad complex literal {value!r}") from exc
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if not all(type(part) in (int, float) for part in parts):
+        raise ValueError(f"cannot read a complex number from {value!r}")
+    return complex(*parts)
 
 
 def parse_state_literal(text: str) -> StateVector:
@@ -477,8 +493,11 @@ def parse_state_literal(text: str) -> StateVector:
     literal = text.strip()
     if literal.startswith("["):
         try:
-            amps = [complex(re_, im_) for re_, im_ in json.loads(literal)]
-        except (TypeError, ValueError) as exc:
+            pairs = json.loads(literal)
+            if not all(isinstance(pair, list) for pair in pairs):
+                raise ValueError("an amplitude is not a pair")
+            amps = [_parse_complex(pair) for pair in pairs]
+        except ValueError as exc:
             raise ValueError(f"state literal {text!r} is not a list of [re, im] number pairs") from exc
         return StateVector(amps)
     head, _, tail = literal.partition(":")

@@ -420,7 +420,7 @@ def search_space(
             finish(task_results)
     else:
         # the workers get the caller's own objects, pickled, so no state is re-normalized
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
             for task_results in pool.map(run, starts, parts):
                 finish(task_results)
     return results

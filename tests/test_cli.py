@@ -12,6 +12,7 @@ import qgames
 from qgames import cli
 from qgames.cli import USAGE_ERROR, VALIDATION_ERROR, load_results_jsonl, load_run_record, main
 from qgames.quantum import StateVector, parse_state_literal
+from qgames.search import DEFAULT_SEED, OptimizerConfig
 
 
 @pytest.fixture
@@ -146,7 +147,8 @@ class TestEval:
         captured = capsys.readouterr()
         assert "NaN" not in captured.out + captured.err
 
-    @pytest.mark.parametrize("literal", ["[1,2]", '[["a",0],[0,0]]', "[[null,0],[1,0]]"])
+    @pytest.mark.parametrize("literal", ["[1,2]", '[["a",0],[0,0]]', "[[null,0],[1,0]]",
+                                         "[[true,0],[0,0],[0,0],[0,false]]"])
     def test_malformed_amplitude_literal_is_validation_error(self, out, literal):
         code = run_cli("eval", "--state", literal, "--f", "xy", "--g", "a^b",
                        "--output-dir", str(out / "runs"))
@@ -286,6 +288,12 @@ class TestSweepCommand:
          "f": "xy", "g": "ab"},
         {"family": "l_a2b2", "axes": [{"param": "a"}], "config": {"restarts": [4]},
          "f": "xy", "g": "ab"},
+        {"family": "l_a2b2", "axes": [{"param": "a", "steps": 2.9}], "fixed": {"b": 0.3},
+         "f": "xy", "g": "ab"},
+        {"family": "l_a2b2", "axes": [{"param": "a", "start": "0", "steps": 2}],
+         "fixed": {"b": 0.3}, "f": "xy", "g": "ab"},
+        {"family": "l_a2b2", "axes": [{"param": "a", "steps": 2}], "fixed": {"b": True},
+         "f": "xy", "g": "ab"},
     ))
     def test_wrong_json_types_are_validation_errors(self, out, spec):
         spec_path = out / "spec.json"
@@ -422,6 +430,76 @@ class TestConfigFile:
         code = run_cli("sweep", "--spec", str(spec), "--output-dir", str(out / "runs"))
         assert code == VALIDATION_ERROR
         assert not (out / "runs").exists()
+
+
+# per case: a subcommand, its other arguments, and a setting it reads with that
+# setting's flag value, config-file value and default
+SETTING_CASES = (
+    ("reduce", [], "arity", 2, 3, 4),
+    ("eval", ["--state", "epr", "--f", "xy", "--g", "a^b"], "mode", "quantum", "classical", "both"),
+    ("eval", ["--state", "epr", "--f", "xy", "--g", "a^b"], "restarts", 2, 3, 20),
+    ("search", ["--state", "epr", "--g", "a^b", "--functions", "{functions}"], "restarts", 2, 3, 20),
+    ("score", ["--state", "epr", "--g", "a^b", "--functions", "{functions}"], "restarts", 2, 3, 20),
+    ("sweep", ["--spec", "{spec}"], "restarts", 2, 3, 20),
+)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("layer", ("flag", "config", "default"))
+    @pytest.mark.parametrize("subcommand, argv, key, flag_value, config_value, default",
+                             SETTING_CASES)
+    def test_a_flag_comes_before_the_config_file_and_that_before_the_default(
+        self, tmp_path, monkeypatch, pool_sizes, capsys,
+        layer, subcommand, argv, key, flag_value, config_value, default,
+    ):
+        monkeypatch.chdir(tmp_path)
+        functions = tmp_path / "fns.txt"
+        functions.write_text("2:1\n2:6\n2:8\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "family": "l_a2b2", "axes": [{"param": "a", "start": 0.4, "stop": 1.2, "steps": 2}],
+            "fixed": {"b": 0.3}, "f": "xy", "g": "a^b^c^d", "config": {"max_evals": 400},
+        }))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 8, "workers": 3,
+                                      "output_dir": str(tmp_path / "config-runs"),
+                                      key: config_value}))
+        flags = {
+            "flag": ["--seed", "7", "--workers", "1", "--output-dir", str(tmp_path / "flag-runs"),
+                     f"--{key}", str(flag_value), "--config", str(config)],
+            "config": ["--config", str(config)],
+            "default": [],
+        }[layer]
+        argv = [arg.format(functions=functions, spec=spec) for arg in argv]
+        assert run_cli(subcommand, *argv, *flags) == 0
+        capsys.readouterr()
+        seed, workers, output_dir, value = {
+            "flag": (7, 1, tmp_path / "flag-runs", flag_value),
+            "config": (8, 3, tmp_path / "config-runs", config_value),
+            "default": (DEFAULT_SEED, os.cpu_count() or 1, tmp_path / "runs", default),
+        }[layer]
+        (run_dir,) = output_dir.iterdir()
+        record = load_run_record(run_dir / "record.json")
+        assert (record.seed, record.config["workers"]) == (seed, workers)
+        if subcommand == "sweep":
+            assert json.loads((run_dir / "sweep.json").read_text())["config"][key] == value
+        else:
+            assert record.config[key] == value
+
+    def test_the_defaults_are_the_optimizer_defaults(self):
+        optimizer = OptimizerConfig()
+        assert cli._DEFAULTS["seed"] == DEFAULT_SEED == optimizer.seed
+        for key in ("restarts", "max_evals", "tol"):
+            assert cli._DEFAULTS[key] == getattr(optimizer, key)
+        assert set(cli._DEFAULTS) <= {key for subcommand in cli._HANDLERS
+                                      for key in cli._flags(subcommand)}
+
+    @pytest.mark.parametrize("argv", ([], *([name] for name in cli._HANDLERS)))
+    def test_help_renders(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--help")
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: qgames {' '.join(argv)}".rstrip())
 
 
 def _eval_result(run_dir):

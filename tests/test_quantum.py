@@ -7,6 +7,7 @@ winning outcome probabilities question by question.
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ class TestStateVector:
         psi = make_named_state("ghz4")
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
+
+    def test_pickling_keeps_the_bytes_and_the_read_only_flag(self):
+        rng = np.random.default_rng(3)
+        psi = StateVector(rng.normal(size=4) + 1j * rng.normal(size=4))
+        # re-normalizing this state changes its last bits, so unpickling must not
+        assert StateVector(psi.amplitudes).amplitudes.tobytes() != psi.amplitudes.tobytes()
+        strategy = QuantumStrategy(rng.normal(size=(2, 2, 3)))
+        for original, field in ((psi, "amplitudes"), (strategy, "angles")):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy.n == original.n
+            assert getattr(copy, field).tobytes() == getattr(original, field).tobytes()
+            assert not getattr(copy, field).flags.writeable
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
     def test_rejects_non_finite_amplitudes(self, bad):

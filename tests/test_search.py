@@ -452,6 +452,20 @@ class TestSearchSpace:
         assert ([r.quantum_strategy.angles.tobytes() for r in serial]
                 == [r.quantum_strategy.angles.tobytes() for r in parallel])
 
+    def test_the_pool_has_no_more_processes_than_tasks(self, small_run, pool_sizes):
+        space, psi, g, cfg = small_run
+        serial = search_space(g, psi, cfg, space, workers=1)
+        assert pool_sizes == []
+        results = search_space(g, psi, cfg, space, workers=8)
+        assert pool_sizes == [len(_split_tasks(len(space), 8, cfg.restarts))] == [len(space)]
+        assert [r.to_json_dict() for r in results] == [r.to_json_dict() for r in serial]
+
+    def test_strategies_from_worker_processes_are_read_only(self, small_run):
+        space, psi, g, cfg = small_run
+        for workers in (1, 2):
+            results = search_space(g, psi, cfg, space, workers=workers)
+            assert not any(r.quantum_strategy.angles.flags.writeable for r in results), workers
+
     def test_results_carry_no_timing(self, small_run):
         # results files hold no timing, so that they are byte-deterministic
         space, psi, g, cfg = small_run
