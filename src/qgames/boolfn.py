@@ -8,6 +8,8 @@ Conventions
   n = 4 the index is i = 8w + 4x + 2y + z.
 - The textual encoding is ``n:HEX`` with 2**n table bits written as
   2**n / 4 hex digits, e.g. the 4-variable parity function is ``4:6996``.
+- Expressions are read straight into tables: the parser evaluates as it
+  reads, with no expression tree, so ``parse_table`` is the only reader.
 - Two functions are variants of one another if they differ only by
   negating a subset of inputs (and, optionally, by complementing the
   output).  The canonical representative of a variant class is the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -124,46 +126,9 @@ class GameEquation:
         return self.f.arity
 
 
-# --- Expression AST ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # 'and' | 'or' | 'xor'
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-BoolExpr = Union[Var, Const, Not, BinOp]
-
-
-def expression_variables(expr: BoolExpr) -> frozenset[int]:
-    """Indices of all variables appearing in the expression."""
-    if isinstance(expr, Var):
-        return frozenset((expr.index,))
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Not):
-        return expression_variables(expr.child)
-    return expression_variables(expr.left) | expression_variables(expr.right)
-
-
 class _Parser:
-    """Recursive-descent parser for the game-equation expression grammar.
+    """Recursive-descent parser that evaluates as it reads: every grammar rule
+    returns its table (an int) over the whole alphabet.
 
     Grammar (loosest to tightest binding):
         expr   := term ('+' term)*          -- OR
@@ -175,18 +140,23 @@ class _Parser:
     def __init__(self, text: str, alphabet: Sequence[str]):
         self.text = text
         self.pos = 0
+        self.arity = len(alphabet)
+        self.full = (1 << (1 << self.arity)) - 1
         # longest names first so multi-character variables tokenize greedily
         self.names = sorted(
             ((name, i) for i, name in enumerate(alphabet)),
             key=lambda kv: -len(kv[0]),
         )
 
-    def parse(self) -> BoolExpr:
-        expr = self._expr()
+    def parse(self) -> int:
+        try:
+            table = self._expr()
+        except RecursionError:
+            raise ParseError("expression nests too deeply", self.pos) from None
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected input {self.text[self.pos]!r}", self.pos)
-        return expr
+        return table
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -196,67 +166,58 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _expr(self) -> BoolExpr:
-        node = self._term()
+    def _expr(self) -> int:
+        table = self._term()
         while self._peek() == "+":
             self.pos += 1
-            node = BinOp("or", node, self._term())
-        return node
+            table |= self._term()
+        return table
 
-    def _term(self) -> BoolExpr:
-        node = self._factor()
+    def _term(self) -> int:
+        table = self._factor()
         while self._peek() == "^":
             self.pos += 1
-            node = BinOp("xor", node, self._factor())
-        return node
+            table ^= self._factor()
+        return table
 
-    def _factor(self) -> BoolExpr:
-        node = self._atom()
+    def _factor(self) -> int:
+        table = self._atom()
         while True:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
-                node = BinOp("and", node, self._atom())
+                table &= self._atom()
             elif ch == "!" or ch == "(" or ch == "0" or ch == "1" or self._at_variable():
-                node = BinOp("and", node, self._atom())
+                table &= self._atom()
             else:
-                return node
+                return table
 
     def _at_variable(self) -> bool:
         self._skip_ws()
         return any(self.text.startswith(name, self.pos) for name, _ in self.names)
 
-    def _atom(self) -> BoolExpr:
+    def _atom(self) -> int:
         ch = self._peek()
         if ch == "!":
             self.pos += 1
-            return Not(self._atom())
+            return self.full ^ self._atom()
         if ch == "(":
             self.pos += 1
-            node = self._expr()
+            table = self._expr()
             if self._peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
-            return node
+            return table
         if ch == "0" or ch == "1":
             self.pos += 1
-            return Const(int(ch))
+            return self.full if ch == "1" else 0
         for name, index in self.names:
             if self.text.startswith(name, self.pos):
                 self.pos += len(name)
-                return Var(index)
+                return _variable_mask(self.arity, index)
         if ch and (ch.isalpha() or ch == "_"):
             raise ParseError(f"unknown variable {ch!r}", self.pos)
         raise ParseError("expected a variable, constant, '!' or '('", self.pos)
-
-
-def parse_expression(text: str, alphabet: Sequence[str]) -> BoolExpr:
-    """Parse a Boolean expression over an ordered variable alphabet.
-
-    ``+`` is OR, ``^`` is XOR (binds tighter), ``*`` or juxtaposition is AND
-    (binds tightest), ``!`` negates the following atom.
-    """
-    return _Parser(text, alphabet).parse()
 
 
 @functools.cache
@@ -269,33 +230,25 @@ def _variable_mask(arity: int, index: int) -> int:
     return bits
 
 
-def to_truth_table(expr: BoolExpr, arity: int) -> TruthTable:
-    """Tabulate an expression on all 2**arity big-endian input tuples."""
-    used = expression_variables(expr)
-    if used and max(used) >= arity:
-        raise ValueError(f"expression uses variable index {max(used)}, arity is {arity}")
-    full = (1 << (1 << arity)) - 1
-
-    def build(e: BoolExpr) -> int:
-        if isinstance(e, Const):
-            return full if e.value else 0
-        if isinstance(e, Var):
-            return _variable_mask(arity, e.index)
-        if isinstance(e, Not):
-            return full & ~build(e.child)
-        left, right = build(e.left), build(e.right)
-        if e.op == "and":
-            return left & right
-        if e.op == "or":
-            return left | right
-        return left ^ right
-
-    return TruthTable(arity, build(expr))
-
-
 def parse_table(text: str, alphabet: Sequence[str]) -> TruthTable:
-    """Parse an expression straight to its truth table over the full alphabet."""
-    return to_truth_table(parse_expression(text, alphabet), len(alphabet))
+    """Parse a Boolean expression straight to its truth table over an ordered alphabet.
+
+    ``+`` is OR, ``^`` is XOR (binds tighter), ``*`` or juxtaposition is AND
+    (binds tightest), ``!`` negates the following atom.
+    """
+    return TruthTable(len(alphabet), _Parser(text, alphabet).parse())
+
+
+def parse_expression(text: str, alphabet: Sequence[str]) -> TruthTable:
+    """The truth table of an expression; the same as ``parse_table``."""
+    return parse_table(text, alphabet)
+
+
+def to_truth_table(t: TruthTable, arity: int) -> TruthTable:
+    """``t`` itself, checked to have ``arity`` inputs (a parsed expression is its table)."""
+    if t.arity != arity:
+        raise ValueError(f"table has arity {t.arity}, expected {arity}")
+    return t
 
 
 def format_minterms(t: TruthTable, alphabet: Sequence[str] | None = None) -> str:

@@ -260,7 +260,7 @@ def _run_search(args):
     return g, cfg, results, run_config
 
 
-def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfig, top: int = 10) -> dict:
+def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfig) -> dict:
     ranked = sorted(results, key=lambda r: -r.gap)
     try:
         avg = average_gap(results)
@@ -277,7 +277,7 @@ def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfi
                 "quantum": r.quantum_gain,
                 "classical": r.classical_gain,
             }
-            for r in ranked[:top]
+            for r in ranked[:10]
         ],
         "g": g.to_text(),
         "state": state_text,
@@ -304,7 +304,7 @@ def _cmd_search(args) -> int:
 def _cmd_score(args) -> int:
     t0 = time.perf_counter()
     g, cfg, results, run_config = _run_search(args)
-    summary = _summary_record(results, g, args.state, cfg, top=3)
+    summary = _summary_record(results, g, args.state, cfg)
     text = _dumps({
         "state": args.state,
         "g": g.to_text(),
@@ -324,7 +324,10 @@ def _cmd_score(args) -> int:
 
 
 def _sweep_spec_from_file(args) -> SweepSpec:
-    raw = json.loads(Path(args.spec).read_text())
+    try:
+        raw = json.loads(Path(args.spec).read_text())
+    except RecursionError:
+        raise ValueError(f"sweep spec {args.spec!r} nests too deeply") from None
     if not (isinstance(raw, dict) and isinstance(raw.get("axes", []), list)
             and isinstance(raw.get("fixed", {}), dict)
             and isinstance(raw.get("output") or "", str)):
@@ -522,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             print(f"error: {exc}", file=sys.stderr)
             return VALIDATION_ERROR
     for key in _flags(args.subcommand):

@@ -30,7 +30,6 @@ import numpy as np
 
 from .boolfn import GameEquation
 
-NORM_ATOL = 1e-12
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
@@ -274,8 +273,7 @@ class GainKernel:
         return self.gains_of(self.amplitudes(gates, game), game)
 
     def best_response(
-        self, amps: np.ndarray, gates: np.ndarray, player: int,
-        game: np.ndarray | None = None, questions: int | np.ndarray = 2,
+        self, amps: np.ndarray, gates: np.ndarray, player: int, game: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One see-saw step: the player's best gates and the amplitudes they give.
 
@@ -286,11 +284,11 @@ class GainKernel:
         top eigenvector of D = [[c + h, b], [b*, c - h]] (Werner & Wolf 2001;
         Liang & Doherty 2007).  For the undone state (p0, p1), h is the sign
         table times |p0|^2 - |p1|^2 over two and b the sign table times
-        p0 conj(p1).  ``questions``, one count or one per row, is how many
-        question bits get new gates: 1 replaces only the question-0 gate,
-        and 0 keeps both, so that the step only moves the row to the next
-        layout.  Returns the amplitudes in the next player's layout and the
-        new (B, 2, 2, 2) gates.
+        p0 conj(p1).  Both question bits' gates are always replaced, each
+        from the same undone state, so a caller whose budget ends after the
+        question-0 gate may put the old question-1 gate back (as
+        ``search._see_saw`` does).  Returns the amplitudes in the next
+        player's layout and the new (B, 2, 2, 2) gates.
         """
         batch = amps.shape[0]
         # (B, 2, M): the player's qubit and the other players' pairs, question 0's gate undone
@@ -304,9 +302,6 @@ class GainKernel:
         conj1 = undone[:, 1].conj()
         b = (signs @ (undone[:, 0] * conj1)[..., None])[..., 0]
         new = _best_response_gates(h, b)
-        if np.ndim(questions) or questions < 2:
-            kept = np.arange(2) >= np.reshape(questions, (-1, 1))
-            new = np.where(kept[:, :, None, None], gates, new)
         amps = undone.swapaxes(1, 2) @ new.reshape(batch, 4, 2).swapaxes(1, 2)
         return amps.reshape(batch, -1), new
 
@@ -497,7 +492,7 @@ def parse_state_literal(text: str) -> StateVector:
             if not all(isinstance(pair, list) for pair in pairs):
                 raise ValueError("an amplitude is not a pair")
             amps = [_parse_complex(pair) for pair in pairs]
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"state literal {text!r} is not a list of [re, im] number pairs") from exc
         return StateVector(amps)
     head, _, tail = literal.partition(":")

@@ -130,6 +130,21 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expression("x + y)", ("x", "y"))
 
+    @pytest.mark.parametrize("text", ["!" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000],
+                             ids=["negations", "parentheses"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_table(text, ("x", "y"))
+
+    def test_a_long_flat_expression_parses(self):
+        alphabet = ("x", "y")
+        assert parse_table(" + ".join(["xy"] * 3000), alphabet) == parse_table("xy", alphabet)
+        assert parse_table("^".join(["x"] * 3001), alphabet) == parse_table("x", alphabet)
+
+    @pytest.mark.parametrize("text", ["x^y", "!w(x + 1)", "wxyz + !w!x!y!z", "0"])
+    def test_parse_expression_is_parse_table(self, text):
+        assert parse_expression(text, QUESTION_VARS[4]) == parse_table(text, QUESTION_VARS[4])
+
 
 class TestToTruthTable:
     def test_constant_zero(self):
@@ -144,6 +159,13 @@ class TestToTruthTable:
         expr = parse_expression("x^y", ("w", "x", "y", "z"))
         with pytest.raises(ValueError):
             to_truth_table(expr, 2)
+
+    def test_same_arity_returns_the_table(self):
+        t = parse_table("x^y", ("w", "x", "y", "z"))
+        assert to_truth_table(t, 4) is t
+        for arity in (2, 3):
+            with pytest.raises(ValueError):
+                to_truth_table(t, arity)
 
 
 class TestRelevance:

@@ -155,6 +155,24 @@ class TestEval:
         assert code == VALIDATION_ERROR
         assert not (out / "runs").exists()
 
+    @pytest.mark.parametrize("f", ["!" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000],
+                             ids=["negations", "parentheses"])
+    def test_deeply_nested_expression_is_usage_error(self, out, f):
+        code = run_cli("eval", "--state", "epr", "--f", f, "--g", "a^b",
+                       "--output-dir", str(out / "runs"))
+        assert code == USAGE_ERROR
+
+    def test_deeply_nested_amplitude_literal_is_validation_error(self, out):
+        code = run_cli("eval", "--state", "[" * 50000 + "]" * 50000, "--f", "xy",
+                       "--g", "a^b", "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+
+    def test_a_long_flat_expression_is_evaluated(self, out, capsys):
+        code = run_cli("eval", "--state", "epr", "--f", " + ".join(["xy"] * 3000),
+                       "--g", "a^b", "--mode", "classical", "--output-dir", str(out / "runs"))
+        assert code == 0
+        assert read_stdout(capsys)["f"] == "2:8"
+
     def test_nan_tol_is_validation_error(self, out):
         code = run_cli("eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--tol", "nan",
                        "--output-dir", str(out / "runs"))
@@ -275,6 +293,12 @@ class TestSweepCommand:
         assert code == VALIDATION_ERROR
         assert not (out / "bad.csv").exists()
 
+    def test_deeply_nested_spec_is_validation_error(self, out):
+        spec_path = out / "deep.json"
+        spec_path.write_text("[" * 50000 + "]" * 50000)
+        code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+
     def test_unknown_family_rejected(self, out):
         spec_path = self.write_spec(out / "fam.json", family="g_xyzw")
         code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
@@ -350,6 +374,13 @@ class TestConfigFile:
         code = run_cli("eval", "--config", str(config), "--seed", "9")
         assert code == 0
         assert read_stdout(capsys)["seed"] == 9
+
+    def test_deeply_nested_config_file_is_validation_error(self, out):
+        path = out / "config.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code = run_cli("--config", str(path), "--output-dir", str(out / "runs"),
+                       "eval", "--state", "epr", "--f", "xy", "--g", "a^b")
+        assert code == VALIDATION_ERROR
 
     def test_missing_config_file(self, out):
         code = run_cli("eval", "--config", str(out / "none.json"))

@@ -281,16 +281,13 @@ class TestBestResponseStep:
             assert np.abs(got - expect).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("questions", [1, 2])
-    def test_step_amplitudes_equal_fresh_amplitudes(self, n, questions):
+    def test_step_amplitudes_equal_fresh_amplitudes(self, n):
         kernel, gates, game, _ = _step_setup(n, n)
         for player in range(n):
             amps = _to_layout(kernel.amplitudes(gates), n, player)
-            stepped, new = kernel.best_response(amps, gates[:, player], player, game, questions)
+            stepped, new = kernel.best_response(amps, gates[:, player], player, game)
             updated = gates.copy()
             updated[:, player] = new
-            if questions == 1:
-                assert np.array_equal(new[:, 1], gates[:, player, 1])
             fresh = _to_layout(kernel.amplitudes(updated), n, (player + 1) % n)
             assert np.abs(stepped - fresh).max() < 1e-12
 
@@ -316,15 +313,22 @@ class TestBestResponseStep:
     def test_see_saw_cap_mid_sweep_matches_steps_on_fresh_amplitudes(self, n):
         kernel, gates, game, _ = _step_setup(n, 20 + n)
         # a tol of -inf never stops a row early, so the cap alone ends the ascent
+        sweep = 2 * n
         for cap in range(1, 3 * n + 1):
             expect = gates.copy()
             for update in range(0, cap, 2):
                 player = (update // 2) % n
                 amps = _to_layout(kernel.amplitudes(expect), n, player)
-                _, expect[:, player] = kernel.best_response(
-                    amps, expect[:, player], player, game, min(2, cap - update))
+                _, new = kernel.best_response(amps, expect[:, player], player, game)
+                # with one update left, only the question-0 gate is replaced
+                expect[:, player, :cap - update] = new[:, :cap - update]
             got = _see_saw(kernel, gates, game, cap, -np.inf)
             assert np.abs(got - expect).max() < 1e-9
+            # the gates past the cap are the start-of-sweep gates, bit for bit
+            start = gates if cap < sweep else _see_saw(kernel, gates, game, sweep, -np.inf)
+            past = cap % sweep
+            assert np.array_equal(got.reshape(-1, sweep, 2, 2)[:, past:],
+                                  start.reshape(-1, sweep, 2, 2)[:, past:])
 
 
 class TestSeeSawPool:
