@@ -8,8 +8,9 @@ Conventions
   n = 4 the index is i = 8w + 4x + 2y + z.
 - The textual encoding is ``n:HEX`` with 2**n table bits written as
   2**n / 4 hex digits, e.g. the 4-variable parity function is ``4:6996``.
-- Expressions are read straight into tables: the parser evaluates as it
-  reads, with no expression tree, so ``parse_table`` is the only reader.
+- Expressions are read straight into tables: ``parse_table`` evaluates as
+  it reads, in one loop over an explicit operator stack with no expression
+  tree and no recursion, so nesting depth has no limit but memory.
 - Two functions are variants of one another if they differ only by
   negating a subset of inputs (and, optionally, by complementing the
   output).  The canonical representative of a variant class is the
@@ -23,6 +24,8 @@ Conventions
 from __future__ import annotations
 
 import functools
+import operator
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -126,98 +129,87 @@ class GameEquation:
         return self.f.arity
 
 
-class _Parser:
-    """Recursive-descent parser that evaluates as it reads: every grammar rule
-    returns its table (an int) over the whole alphabet.
+#: The binary operators, loosest first: binding strength and table operation.
+_OPERATORS = {"+": (0, operator.or_), "^": (1, operator.xor), "*": (2, operator.and_)}
+
+
+def _evaluate(text: str, alphabet: Sequence[str]) -> int:
+    """The table (an int over the whole alphabet) of an expression, read in one loop.
 
     Grammar (loosest to tightest binding):
         expr   := term ('+' term)*          -- OR
         term   := factor ('^' factor)*      -- XOR
         factor := atom ('*'? atom)*         -- AND, also by juxtaposition
         atom   := '!' atom | '(' expr ')' | variable | '0' | '1'
+
+    Operand tables wait on a value stack; pending ``!``s, open ``(``s and binary
+    operators on an operator stack.  An operator is applied once one binding no
+    tighter, a ``)`` or the end follows its right operand, and ``!``s once the
+    operand after them completes: nothing recurses, so nesting has no limit.
     """
+    arity = len(alphabet)
+    full = (1 << (1 << arity)) - 1
+    names = _name_pattern(tuple(alphabet))
+    values, ops = [], []
+    pos, operand = 0, True  # operand: an atom, '!' or '(' comes next
 
-    def __init__(self, text: str, alphabet: Sequence[str]):
-        self.text = text
-        self.pos = 0
-        self.arity = len(alphabet)
-        self.full = (1 << (1 << self.arity)) - 1
-        # longest names first so multi-character variables tokenize greedily
-        self.names = sorted(
-            ((name, i) for i, name in enumerate(alphabet)),
-            key=lambda kv: -len(kv[0]),
-        )
+    def reduce(strength: int):
+        while ops and ops[-1] in _OPERATORS and _OPERATORS[ops[-1]][0] >= strength:
+            right = values.pop()
+            values.append(_OPERATORS[ops.pop()][1](values.pop(), right))
 
-    def parse(self) -> int:
-        try:
-            table = self._expr()
-        except RecursionError:
-            raise ParseError("expression nests too deeply", self.pos) from None
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected input {self.text[self.pos]!r}", self.pos)
-        return table
+    def complete(table: int):
+        while ops and ops[-1] == "!":
+            ops.pop()
+            table ^= full
+        values.append(table)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expr(self) -> int:
-        table = self._term()
-        while self._peek() == "+":
-            self.pos += 1
-            table |= self._term()
-        return table
-
-    def _term(self) -> int:
-        table = self._factor()
-        while self._peek() == "^":
-            self.pos += 1
-            table ^= self._factor()
-        return table
-
-    def _factor(self) -> int:
-        table = self._atom()
-        while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                table &= self._atom()
-            elif ch == "!" or ch == "(" or ch == "0" or ch == "1" or self._at_variable():
-                table &= self._atom()
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        ch = text[pos] if pos < len(text) else ""
+        if operand:
+            if ch == "!" or ch == "(":
+                ops.append(ch)
+                pos += 1
+                continue
+            if ch == "0" or ch == "1":
+                complete(full if ch == "1" else 0)
+                pos += 1
+            elif variable := names.match(text, pos):
+                complete(_variable_mask(arity, alphabet.index(variable[0])))
+                pos = variable.end()
+            elif ch and (ch.isalpha() or ch == "_"):
+                raise ParseError(f"unknown variable {ch!r}", pos)
             else:
-                return table
+                raise ParseError("expected a variable, constant, '!' or '('", pos)
+            operand = False
+            continue
+        juxtaposed = ch != "*" and (ch in ("!", "(", "0", "1") or names.match(text, pos))
+        op = "*" if juxtaposed else ch
+        if op in _OPERATORS:
+            reduce(_OPERATORS[op][0])
+            ops.append(op)
+            pos += 0 if juxtaposed else 1
+            operand = True
+        elif ch == ")" and "(" in ops:
+            reduce(0)
+            ops.pop()
+            complete(values.pop())
+            pos += 1
+        else:
+            reduce(0)
+            if ops:
+                raise ParseError("expected ')'", pos)
+            if pos != len(text):
+                raise ParseError(f"unexpected input {ch!r}", pos)
+            return values[0]
 
-    def _at_variable(self) -> bool:
-        self._skip_ws()
-        return any(self.text.startswith(name, self.pos) for name, _ in self.names)
 
-    def _atom(self) -> int:
-        ch = self._peek()
-        if ch == "!":
-            self.pos += 1
-            return self.full ^ self._atom()
-        if ch == "(":
-            self.pos += 1
-            table = self._expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return table
-        if ch == "0" or ch == "1":
-            self.pos += 1
-            return self.full if ch == "1" else 0
-        for name, index in self.names:
-            if self.text.startswith(name, self.pos):
-                self.pos += len(name)
-                return _variable_mask(self.arity, index)
-        if ch and (ch.isalpha() or ch == "_"):
-            raise ParseError(f"unknown variable {ch!r}", self.pos)
-        raise ParseError("expected a variable, constant, '!' or '('", self.pos)
+@functools.cache
+def _name_pattern(alphabet: tuple[str, ...]) -> re.Pattern:
+    """Matches the longest name of ``alphabet`` at a position (if it has any names)."""
+    return re.compile("|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)")
 
 
 @functools.cache
@@ -236,7 +228,7 @@ def parse_table(text: str, alphabet: Sequence[str]) -> TruthTable:
     ``+`` is OR, ``^`` is XOR (binds tighter), ``*`` or juxtaposition is AND
     (binds tightest), ``!`` negates the following atom.
     """
-    return TruthTable(len(alphabet), _Parser(text, alphabet).parse())
+    return TruthTable(len(alphabet), _evaluate(text, alphabet))
 
 
 def parse_expression(text: str, alphabet: Sequence[str]) -> TruthTable:

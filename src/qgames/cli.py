@@ -1,10 +1,11 @@
 """Command-line front end: reduce, eval, search, score, and sweep.
 
-``main`` resolves every setting once: the flag if given, else the key of
-the same name in the ``--config`` file, else its ``_DEFAULTS`` entry (None
-for settings with no default).  The handlers read only the resolved
-``args``; a sweep spec's ``config`` block alone comes ahead of all three,
-for the optimizer settings of that sweep.
+One table, ``_SETTINGS``, declares every setting once; it builds the parser,
+fills the defaults and checks config files.  ``main`` resolves every setting
+once: the flag if given, else the key of the same name in the ``--config``
+file, else its default (None for settings with no default).  The handlers
+read only the resolved ``args``; a sweep spec's ``config`` block alone comes
+ahead of all three, for the optimizer settings of that sweep.
 
 Every run writes a RunRecord (resolved configuration, seed, tool version,
 output paths, wall clock) to a new directory under ``--output-dir`` so any
@@ -30,7 +31,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .boolfn import (
@@ -74,16 +75,69 @@ class RunRecord:
     elapsed_s: float
 
 
-#: The value of each setting that neither its flag nor the config file gives: the
-#: optimizer's (restarts, max_evals, tol and seed, which is DEFAULT_SEED) and the CLI's own.
-_DEFAULTS = asdict(OptimizerConfig()) | {
-    "workers": os.cpu_count() or 1,
-    "output_dir": "runs",
-    "arity": 4,
-    "all_relevant": False,
-    "keep_complements": False,
-    "mode": "both",
+class _Setting(NamedTuple):
+    """One setting: its value type (bool for an on/off flag), its default (the value
+    when neither its flag nor the config file gives one), the subcommands that take
+    it (None for a global setting) and its flag's help text and choices."""
+
+    kind: type
+    default: object = None
+    commands: tuple[str, ...] | None = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+_OPTIMIZER = OptimizerConfig()
+_GAMES = ("eval", "search", "score")
+_SEARCHES = ("search", "score")
+_OPTIMIZED = (*_GAMES, "sweep")
+
+#: Every setting, by config key; its flag is the key with ``-`` for ``_``.
+_SETTINGS = {
+    "seed": _Setting(int, _OPTIMIZER.seed, help=f"master seed (default {_OPTIMIZER.seed})"),
+    "workers": _Setting(int, os.cpu_count() or 1,
+                        help="worker processes for batch searches (default: cpu count)"),
+    "output_dir": _Setting(str, "runs", help="run-record directory (default ./runs)"),
+    "config": _Setting(str, help="JSON config file mirroring the flags"),
+    "arity": _Setting(int, 4, ("reduce",), choices=(2, 3, 4)),
+    "all_relevant": _Setting(bool, False, ("reduce",),
+                             help="keep only functions using every variable (the paper's 2,191 "
+                                  "at arity 4; without it, 2,288, of which 97 ignore a variable)"),
+    "keep_complements": _Setting(bool, False, ("reduce",),
+                                 help="do not identify a function with its output complement"),
+    "state": _Setting(str, None, _GAMES,
+                      help="state literal: named (ghz4), family (g_abcd:a=1,...) or JSON amplitudes"),
+    "f": _Setting(str, None, ("eval",), help="question-side expression or n:HEX table"),
+    "mode": _Setting(str, "both", ("eval",), choices=("classical", "quantum", "both")),
+    "functions": _Setting(str, None, _SEARCHES, help="file of n:HEX tables, one per line"),
+    "sample": _Setting(int, None, _SEARCHES, help="stratified subsample size before searching"),
+    "output": _Setting(str, None, ("reduce", "search"),
+                       help="reduce: functions file path; search: JSON-lines results path"),
+    "g": _Setting(str, None, _GAMES, help="answer-side expression or n:HEX table"),
+    "spec": _Setting(str, None, ("sweep",), help="sweep specification JSON file"),
+    "restarts": _Setting(int, _OPTIMIZER.restarts, _OPTIMIZED),
+    "max_evals": _Setting(int, _OPTIMIZER.max_evals, _OPTIMIZED,
+                          help="cap on best-response updates per restart; one sweep over "
+                               "every (player, question bit) is 2n updates "
+                               f"(default {_OPTIMIZER.max_evals})"),
+    "tol": _Setting(float, _OPTIMIZER.tol, _OPTIMIZED),
 }
+
+
+def _settings(subcommand: str) -> dict[str, _Setting]:
+    """The settings ``subcommand`` takes: the global ones and its own."""
+    return {key: setting for key, setting in _SETTINGS.items()
+            if setting.commands is None or subcommand in setting.commands}
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``; ValueError if it is malformed or too deep."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{what} {path!r} nests too deeply") from None
 
 
 def load_run_record(path: str | Path) -> RunRecord:
@@ -324,23 +378,21 @@ def _cmd_score(args) -> int:
 
 
 def _sweep_spec_from_file(args) -> SweepSpec:
-    try:
-        raw = json.loads(Path(args.spec).read_text())
-    except RecursionError:
-        raise ValueError(f"sweep spec {args.spec!r} nests too deeply") from None
+    raw = _read_json(args.spec, "sweep spec")
     if not (isinstance(raw, dict) and isinstance(raw.get("axes", []), list)
             and isinstance(raw.get("fixed", {}), dict)
             and isinstance(raw.get("output") or "", str)):
         raise ValueError(f"sweep spec {args.spec!r} must be a JSON object with an axes list, "
                          "a fixed object and a string output")
-    family = next((f for f in FamilyId if f.value == str(raw.get("family", "")).lower()), None)
+    name = _typed(raw.get("family"), str, "a sweep spec's family").lower()
+    family = next((f for f in FamilyId if f.value == name), None)
     if family is None:
         raise ValueError(f"unknown family {raw.get('family')!r}")
     raw_axes = [_flat_object(a, "each sweep axis") for a in raw.get("axes", [])]
     # axes default to the standard landscape grid: [-9, 9] at 37 steps
     axes = tuple(
         SweepAxis(
-            param=str(a["param"]).lower(),
+            param=_typed(a.get("param"), str, "a sweep axis's param").lower(),
             start=float(_typed(a.get("start", -9.0), float, "a sweep axis's start")),
             stop=float(_typed(a.get("stop", 9.0), float, "a sweep axis's stop")),
             steps=_typed(a.get("steps", 37), int, "a sweep axis's steps"),
@@ -348,16 +400,11 @@ def _sweep_spec_from_file(args) -> SweepSpec:
         for a in raw_axes
     )
     fixed = {k.lower(): _parse_complex(v) for k, v in raw.get("fixed", {}).items()}
-    f_table = _parse_side(str(raw["f"]), 4, "f")
-    g_table = _parse_side(str(raw["g"]), 4, "g")
-    return SweepSpec(
-        family=family,
-        axes=axes,
-        equation=GameEquation(f_table, g_table),
-        fixed=fixed,
-        config=_optimizer_config(args, raw.get("config")),
-        output_path=raw.get("output"),
-    )
+    f_table = _parse_side(_typed(raw.get("f"), str, "a sweep spec's f"), 4, "f")
+    g_table = _parse_side(_typed(raw.get("g"), str, "a sweep spec's g"), 4, "g")
+    return SweepSpec(family=family, axes=axes, equation=GameEquation(f_table, g_table),
+                     fixed=fixed, config=_optimizer_config(args, raw.get("config")),
+                     output_path=raw.get("output"))
 
 
 def _cmd_sweep(args) -> int:
@@ -384,67 +431,25 @@ def _cmd_sweep(args) -> int:
 # --- Parser ------------------------------------------------------------------------
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int, default=default,
-                        help=f"master seed (default {_DEFAULTS['seed']})")
-    parser.add_argument("--workers", type=int, default=default,
-                        help="worker processes for batch searches (default: cpu count)")
-    parser.add_argument("--output-dir", default=default,
-                        help=f"run-record directory (default ./{_DEFAULTS['output_dir']})")
-    parser.add_argument("--config", default=default,
-                        help="JSON config file mirroring the flags")
-
-
-def _add_optimizer_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--restarts", type=int)
-    parser.add_argument("--max-evals", type=int,
-                        help="cap on best-response updates per restart; one sweep over every "
-                             "(player, question bit) is 2n updates "
-                             f"(default {_DEFAULTS['max_evals']})")
-    parser.add_argument("--tol", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgames",
         description="Classical vs quantum winning probabilities for n-player CHSH-style games.",
     )
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("reduce", help="canonically reduce the Boolean function space")
-    _add_global_flags(p, suppress=True)
-    p.add_argument("--arity", type=int, choices=(2, 3, 4))
-    p.add_argument("--all-relevant", action="store_const", const=True,
-                   help="keep only functions using every variable (the paper's 2,191 at "
-                        "arity 4; without it, 2,288, of which 97 ignore a variable)")
-    p.add_argument("--keep-complements", action="store_const", const=True,
-                   help="do not identify a function with its output complement")
-    p.add_argument("--output", help="functions file path")
-
-    for name, extra in (("eval", "evaluate one game"),
-                        ("search", "optimize every function in a file"),
-                        ("score", "search plus game-score report")):
-        p = sub.add_parser(name, help=extra)
-        _add_global_flags(p, suppress=True)
-        p.add_argument("--state",
-                       help="state literal: named (ghz4), family (g_abcd:a=1,...) or JSON amplitudes")
-        if name == "eval":
-            p.add_argument("--f", help="question-side expression or n:HEX table")
-            p.add_argument("--mode", choices=("classical", "quantum", "both"))
-        else:
-            p.add_argument("--functions", help="file of n:HEX tables, one per line")
-            p.add_argument("--sample", type=int, help="stratified subsample size before searching")
-            if name == "search":
-                p.add_argument("--output", help="JSON-lines results path")
-        p.add_argument("--g", help="answer-side expression or n:HEX table")
-        _add_optimizer_flags(p)
-
-    p = sub.add_parser("sweep", help="gain landscape over a family parameter grid")
-    _add_global_flags(p, suppress=True)
-    p.add_argument("--spec", help="sweep specification JSON file")
-    _add_optimizer_flags(p)
+    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in _HANDLERS.items()}
+    for key, setting in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        options = ({"action": "store_const", "const": True} if setting.kind is bool
+                   else {"type": setting.kind, "choices": setting.choices})
+        options["help"] = setting.help
+        if setting.commands is None:
+            # a global flag goes before the subcommand or after it, where its
+            # copy sets nothing unless given, so it leaves the first one alone
+            parser.add_argument(flag, **options)
+            options["default"] = argparse.SUPPRESS
+        for name in setting.commands or commands:
+            commands[name].add_argument(flag, **options)
     return parser
 
 
@@ -454,22 +459,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: The JSON value types a config key takes, by the type of the flag it names.
+#: The JSON value types a config key takes, by its setting's type (a boolean is no number).
 _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
-
-
-def _flag_type(action: argparse.Action) -> type:
-    """The value type of a store flag: its ``type``, bool for on/off flags, else str."""
-    return bool if action.const is True else action.type or str
-
-
-def _flags(subcommand: str) -> dict[str, argparse.Action]:
-    """The value flags of the top-level parser and of ``subcommand``'s, by config key."""
-    top = _parser()
-    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest: action
-            for parser in (top, commands.choices[subcommand]) for action in parser._actions
-            if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))}
 
 
 def _typed(value, kind: type, what: str):
@@ -480,68 +471,47 @@ def _typed(value, kind: type, what: str):
 
 
 def _check_config_types(config: dict, subcommand: str) -> dict:
-    """``config`` if each key that names a flag of ``subcommand`` holds a value the
-    flag takes, else ValueError.
-
-    Integer flags take integers, ``--tol`` a number, text flags strings and
-    on/off flags booleans (a JSON boolean is not a number here); a flag
-    with choices, such as ``--mode``, takes one of them.  Keys of other
-    subcommands' flags are left alone, as ``subcommand`` never reads them.
-    """
-    flags = _flags(subcommand)
+    """``config`` if each key naming a setting of ``subcommand`` holds a value of its type
+    and, if it has choices, one of them, else ValueError.  Keys of other subcommands'
+    settings are left alone, as ``subcommand`` never reads them."""
+    settings = _settings(subcommand)
     for key, value in config.items():
-        if key not in flags:
-            continue
-        action = flags[key]
-        _typed(value, _flag_type(action), f"config key {key!r}")
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r} takes one of {list(action.choices)}, "
-                             f"got {value!r}")
+        if key in settings:
+            _typed(value, settings[key].kind, f"config key {key!r}")
+            choices = settings[key].choices
+            if choices is not None and value not in choices:
+                raise ValueError(f"config key {key!r} takes one of {list(choices)}, got {value!r}")
     return config
 
 
+#: Each subcommand's handler and help text.
 _HANDLERS = {
-    "reduce": _cmd_reduce,
-    "eval": _cmd_eval,
-    "search": _cmd_search,
-    "score": _cmd_score,
-    "sweep": _cmd_sweep,
+    "reduce": (_cmd_reduce, "canonically reduce the Boolean function space"),
+    "eval": (_cmd_eval, "evaluate one game"),
+    "search": (_cmd_search, "optimize every function in a file"),
+    "score": (_cmd_score, "search plus game-score report"),
+    "sweep": (_cmd_sweep, "gain landscape over a family parameter grid"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _parser().parse_args(argv)
-    config: dict = {}
-    if args.config:
-        try:
-            config = _check_config_types(
-                _flat_object(json.loads(Path(args.config).read_text()), "a config file"),
-                args.subcommand,
-            )
-        except FileNotFoundError:
-            print(f"error: config file {args.config!r} not found", file=sys.stderr)
-            return VALIDATION_ERROR
-        except json.JSONDecodeError as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-            print(f"error: {exc}", file=sys.stderr)
-            return VALIDATION_ERROR
-    for key in _flags(args.subcommand):
-        if getattr(args, key) is None:
-            setattr(args, key, config.get(key, _DEFAULTS.get(key)))
     try:
+        config = _check_config_types(
+            _flat_object(_read_json(args.config, "config file"), "a config file"),
+            args.subcommand,
+        ) if args.config else {}
+        for key, setting in _settings(args.subcommand).items():
+            if getattr(args, key) is None:
+                setattr(args, key, config.get(key, setting.default))
         if args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
-        return _HANDLERS[args.subcommand](args)
+        return _HANDLERS[args.subcommand][0](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

@@ -130,11 +130,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expression("x + y)", ("x", "y"))
 
-    @pytest.mark.parametrize("text", ["!" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000],
+    @pytest.mark.parametrize("text, same", [("!" * 5001 + "x", "!x"),
+                                            ("(" * 3000 + "x" + ")" * 3000, "x")],
                              ids=["negations", "parentheses"])
-    def test_deep_nesting_is_a_parse_error(self, text):
-        with pytest.raises(ParseError, match="nests too deeply"):
-            parse_table(text, ("x", "y"))
+    def test_deep_nesting_parses(self, text, same):
+        assert parse_table(text, ("x", "y")) == parse_table(same, ("x", "y"))
 
     def test_a_long_flat_expression_parses(self):
         alphabet = ("x", "y")

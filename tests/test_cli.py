@@ -155,12 +155,14 @@ class TestEval:
         assert code == VALIDATION_ERROR
         assert not (out / "runs").exists()
 
-    @pytest.mark.parametrize("f", ["!" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000],
+    @pytest.mark.parametrize("f, table", [("!" * 5001 + "x", "2:3"),
+                                          ("(" * 3000 + "x" + ")" * 3000, "2:C")],
                              ids=["negations", "parentheses"])
-    def test_deeply_nested_expression_is_usage_error(self, out, f):
-        code = run_cli("eval", "--state", "epr", "--f", f, "--g", "a^b",
+    def test_a_deeply_nested_expression_is_evaluated(self, out, capsys, f, table):
+        code = run_cli("eval", "--state", "epr", "--f", f, "--g", "a^b", "--mode", "classical",
                        "--output-dir", str(out / "runs"))
-        assert code == USAGE_ERROR
+        assert code == 0
+        assert read_stdout(capsys)["f"] == table
 
     def test_deeply_nested_amplitude_literal_is_validation_error(self, out):
         code = run_cli("eval", "--state", "[" * 50000 + "]" * 50000, "--f", "xy",
@@ -299,6 +301,36 @@ class TestSweepCommand:
         code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
         assert code == VALIDATION_ERROR
 
+    def test_malformed_spec_json_is_validation_error(self, out, capsys):
+        spec_path = out / "spec.json"
+        spec_path.write_text('{"family": "l_a2b2", "axes": [')
+        code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop, overrides, named", (
+        ("f", {}, "f"),
+        (None, {"f": 1}, "f"),
+        ("g", {}, "g"),
+        (None, {"g": ["a^b^c^d"]}, "g"),
+        (None, {"axes": [{"start": 0.4, "stop": 1.2, "steps": 2}]}, "param"),
+        (None, {"axes": [{"param": 1, "steps": 2}]}, "param"),
+        ("family", {}, "family"),
+        (None, {"family": 3}, "family"),
+    ), ids=["no-f", "numeric-f", "no-g", "list-g", "no-param", "numeric-param", "no-family",
+            "numeric-family"])
+    def test_text_fields_must_be_strings(self, out, capsys, drop, overrides, named):
+        spec_path = self.write_spec(out / "spec.json", output=str(out / "sweep.csv"), **overrides)
+        spec = json.loads(spec_path.read_text())
+        spec.pop(drop, None)
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+        assert not (out / "sweep.csv").exists()
+        assert f"{named} takes str values" in capsys.readouterr().err
+
     def test_unknown_family_rejected(self, out):
         spec_path = self.write_spec(out / "fam.json", family="g_xyzw")
         code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
@@ -382,6 +414,15 @@ class TestConfigFile:
                        "eval", "--state", "epr", "--f", "xy", "--g", "a^b")
         assert code == VALIDATION_ERROR
 
+    def test_malformed_config_json_is_validation_error(self, out, capsys):
+        path = out / "config.json"
+        path.write_text('{"seed": 5,')
+        code = run_cli("--config", str(path), "--output-dir", str(out / "runs"),
+                       "eval", "--state", "epr", "--f", "xy", "--g", "a^b")
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+        assert "is not valid JSON" in capsys.readouterr().err
+
     def test_missing_config_file(self, out):
         code = run_cli("eval", "--config", str(out / "none.json"))
         assert code == VALIDATION_ERROR
@@ -447,10 +488,13 @@ class TestConfigFile:
 
     def test_every_value_flag_has_a_config_type(self):
         for subcommand in cli._HANDLERS:
-            flags = cli._flags(subcommand)
-            assert {"seed", "workers", "output_dir"} <= set(flags)
-            for action in flags.values():
-                assert cli._flag_type(action) in cli._CONFIG_TYPES, (subcommand, action.dest)
+            keys = set(vars(cli._parser().parse_args([subcommand]))) - {"subcommand"}
+            settings = {key for key, setting in cli._SETTINGS.items()
+                        if setting.commands is None or subcommand in setting.commands}
+            assert keys == settings, subcommand
+            assert {"seed", "workers", "output_dir", "config"} <= keys
+        for key, setting in cli._SETTINGS.items():
+            assert setting.kind in cli._CONFIG_TYPES, key
 
     def test_a_sweep_spec_config_of_the_wrong_type_is_a_validation_error(self, out):
         spec = out / "spec.json"
@@ -519,11 +563,9 @@ class TestSettings:
 
     def test_the_defaults_are_the_optimizer_defaults(self):
         optimizer = OptimizerConfig()
-        assert cli._DEFAULTS["seed"] == DEFAULT_SEED == optimizer.seed
+        assert cli._SETTINGS["seed"].default == DEFAULT_SEED == optimizer.seed
         for key in ("restarts", "max_evals", "tol"):
-            assert cli._DEFAULTS[key] == getattr(optimizer, key)
-        assert set(cli._DEFAULTS) <= {key for subcommand in cli._HANDLERS
-                                      for key in cli._flags(subcommand)}
+            assert cli._SETTINGS[key].default == getattr(optimizer, key)
 
     @pytest.mark.parametrize("argv", ([], *([name] for name in cli._HANDLERS)))
     def test_help_renders(self, argv, capsys):
