@@ -37,13 +37,14 @@ from . import __version__
 from .boolfn import (
     ANSWER_VARS,
     QUESTION_VARS,
+    SUPPORTED_ARITIES,
     GameEquation,
     ParseError,
     TruthTable,
     parse_table,
     reduce_function_space,
 )
-from .quantum import FamilyId, StateVector, _parse_complex, parse_state_literal
+from .quantum import FamilyId, StateVector, _parse_complex, check_family_params, parse_state_literal
 from .search import (
     GameResult,
     OptimizerConfig,
@@ -99,7 +100,7 @@ _SETTINGS = {
                         help="worker processes for batch searches (default: cpu count)"),
     "output_dir": _Setting(str, "runs", help="run-record directory (default ./runs)"),
     "config": _Setting(str, help="JSON config file mirroring the flags"),
-    "arity": _Setting(int, 4, ("reduce",), choices=(2, 3, 4)),
+    "arity": _Setting(int, 4, ("reduce",), choices=SUPPORTED_ARITIES),
     "all_relevant": _Setting(bool, False, ("reduce",),
                              help="keep only functions using every variable (the paper's 2,191 "
                                   "at arity 4; without it, 2,288, of which 97 ignore a variable)"),
@@ -303,9 +304,9 @@ def _run_search(args):
     psi = parse_state_literal(args.state)
     g = _parse_side(args.g, psi.n, "g")
     tables = _load_functions(args.functions, psi.n)
-    if args.sample is not None:
-        tables = stratified_subsample(tables, args.sample, args.seed)
     cfg = _optimizer_config(args)
+    if args.sample is not None:
+        tables = stratified_subsample(tables, args.sample, cfg.seed)
     results = search_space(
         g, psi, cfg, tables, workers=args.workers, state_descriptor=args.state
     )
@@ -399,7 +400,10 @@ def _sweep_spec_from_file(args) -> SweepSpec:
         )
         for a in raw_axes
     )
-    fixed = {k.lower(): _parse_complex(v) for k, v in raw.get("fixed", {}).items()}
+    raw_fixed = raw.get("fixed", {})
+    # keys that differ only in case would collapse into one entry of ``fixed``
+    check_family_params(family, [ax.param for ax in axes] + [k.lower() for k in raw_fixed])
+    fixed = {k.lower(): _parse_complex(v) for k, v in raw_fixed.items()}
     f_table = _parse_side(_typed(raw.get("f"), str, "a sweep spec's f"), 4, "f")
     g_table = _parse_side(_typed(raw.get("g"), str, "a sweep spec's g"), 4, "g")
     return SweepSpec(family=family, axes=axes, equation=GameEquation(f_table, g_table),

@@ -14,6 +14,8 @@ Conventions
   the gate, and so every answer-1 amplitude of that player on that question,
   by one phase, which no outcome probability sees.  The optimizer therefore
   returns phi = 0.
+- The state library is data: ``_NAMED`` and ``_FAMILIES`` list each state's
+  (basis indices, amplitude) terms; one builder, ``_amplitudes``, reads them.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ import cmath
 import enum
 import json
 import math
-import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import GameEquation
+from .boolfn import SUPPORTED_ARITIES, GameEquation
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -314,42 +315,44 @@ def win_probability(psi: StateVector, strategy: QuantumStrategy, eq: GameEquatio
     return float(kernel.gains(strategy.angles.reshape(1, -1))[0])
 
 
-# --- Named states -------------------------------------------------------------
+# --- The state library --------------------------------------------------------
 
-_NAMED_RE = re.compile(r"^(ghz|w)([234])$")
+Terms = Sequence[tuple[Sequence[int], complex]]
+FamilyParams = Mapping[str, complex]
+
+
+def _amplitudes(n: int, terms: Terms) -> np.ndarray:
+    """The (2**n,) amplitudes that ``terms`` name, zero elsewhere; not normalized."""
+    amps = np.zeros(1 << n, dtype=complex)
+    for indices, amplitude in terms:
+        for index in indices:
+            amps[index] = amplitude
+    return amps
+
+
+_OMEGA = cmath.exp(2j * math.pi / 3.0)
+_ISQ2 = 1j / math.sqrt(2.0)
+
+#: Each named state: its qubit count and terms.
+_NAMED: dict[str, tuple[int, Terms]] = {
+    **{f"ghz{n}": (n, [((0, (1 << n) - 1), 1.0 / math.sqrt(2.0))]) for n in SUPPORTED_ARITIES},
+    **{f"w{n}": (n, [([1 << k for k in range(n)], 1.0 / math.sqrt(n))]) for n in SUPPORTED_ARITIES},
+    "mp": (4, [((0b0000, 0b0011, 0b1100, 0b1111), 0.5)]),
+    "c1": (4, [((0b0000, 0b0011, 0b1100), 0.5), ((0b1111,), -0.5)]),
+    "l": (4, [
+        ((0b0000, 0b1111), (1.0 + _OMEGA) / 4.0), ((0b0011, 0b1100), (1.0 - _OMEGA) / 4.0),
+        ((0b0110, 0b1001, 0b1010, 0b0101), _OMEGA**2 / 4.0),
+    ]),
+}
+_NAMED["epr"] = _NAMED["ghz2"]
 
 
 def make_named_state(name: str) -> StateVector:
     """Library states: epr, ghz{2,3,4}, w{2,3,4}, mp, c1, l."""
     key = name.strip().lower()
-    if key == "epr":
-        key = "ghz2"
-    m = _NAMED_RE.match(key)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        amps = np.zeros(1 << n, dtype=complex)
-        if kind == "ghz":
-            amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-        else:
-            for k in range(n):
-                amps[1 << k] = 1.0 / math.sqrt(n)
-        return StateVector(amps)
-    if key in ("mp", "c1"):
-        amps = np.zeros(16, dtype=complex)
-        amps[0b0000] = amps[0b0011] = amps[0b1100] = 0.5
-        amps[0b1111] = 0.5 if key == "mp" else -0.5
-        return StateVector(amps)
-    if key == "l":
-        omega = cmath.exp(2j * math.pi / 3.0)
-        amps = np.zeros(16, dtype=complex)
-        for i in (0b0000, 0b1111):
-            amps[i] = (1.0 + omega) / 4.0
-        for i in (0b0011, 0b1100):
-            amps[i] = (1.0 - omega) / 4.0
-        for i in (0b0110, 0b1001, 0b1010, 0b0101):
-            amps[i] = omega**2 / 4.0
-        return StateVector(amps)
-    raise ValueError(f"unknown state name {name!r}")
+    if key not in _NAMED:
+        raise ValueError(f"unknown state name {name!r}")
+    return StateVector(_amplitudes(*_NAMED[key]))
 
 
 # --- The nine four-qubit families ----------------------------------------------
@@ -366,81 +369,51 @@ class FamilyId(enum.Enum):
     L_0_3P1_0_3P1 = "l_0_3p1_0_3p1"
 
 
-FAMILY_PARAM_NAMES: dict[FamilyId, tuple[str, ...]] = {
-    FamilyId.G_ABCD: ("a", "b", "c", "d"),
-    FamilyId.L_ABC2: ("a", "b", "c"),
-    FamilyId.L_A2B2: ("a", "b"),
-    FamilyId.L_AB3: ("a", "b"),
-    FamilyId.L_A4: ("a",),
-    FamilyId.L_A2_0_3P1: ("a",),
-    FamilyId.L_0_7P1: (),
-    FamilyId.L_0_5P3: (),
-    FamilyId.L_0_3P1_0_3P1: (),
+#: Each family's parameter names and its terms as a function of those parameters.
+_FAMILIES: dict[FamilyId, tuple[tuple[str, ...], Callable[..., Terms]]] = {
+    FamilyId.G_ABCD: (("a", "b", "c", "d"), lambda a, b, c, d: [
+        ((0b0000, 0b1111), (a + d) / 2.0), ((0b0011, 0b1100), (a - d) / 2.0),
+        ((0b0101, 0b1010), (b + c) / 2.0), ((0b0110, 0b1001), (b - c) / 2.0),
+    ]),
+    FamilyId.L_ABC2: (("a", "b", "c"), lambda a, b, c: [
+        ((0b0000, 0b1111), (a + b) / 2.0), ((0b0011, 0b1100), (a - b) / 2.0),
+        ((0b1010, 0b0101), c), ((0b0110,), 1.0),
+    ]),
+    FamilyId.L_A2B2: (("a", "b"), lambda a, b: [
+        ((0b0000, 0b1111), a), ((0b0101, 0b1010), b), ((0b0110, 0b0011), 1.0),
+    ]),
+    FamilyId.L_AB3: (("a", "b"), lambda a, b: [
+        ((0b0000, 0b1111), a), ((0b0101, 0b1010), (a + b) / 2.0), ((0b0110, 0b1001), (a - b) / 2.0),
+        ((0b0001, 0b0010), _ISQ2), ((0b1110, 0b1101), -_ISQ2),
+    ]),
+    FamilyId.L_A4: (("a",), lambda a: [
+        ((0b0000, 0b0101, 0b1010, 0b1111), a), ((0b0001,), 1j), ((0b0110,), 1.0), ((0b1011,), -1j),
+    ]),
+    FamilyId.L_A2_0_3P1: (("a",), lambda a: [
+        ((0b0000, 0b1111), a), ((0b0011, 0b0101, 0b0110), 1.0),
+    ]),
+    FamilyId.L_0_7P1: ((), lambda: [((0b0000, 0b1011, 0b1101, 0b1110), 1.0)]),
+    FamilyId.L_0_5P3: ((), lambda: [((0b0000, 0b0101, 0b1000, 0b1110), 1.0)]),
+    FamilyId.L_0_3P1_0_3P1: ((), lambda: [((0b0000, 0b0111), 1.0)]),
 }
 
-FamilyParams = Mapping[str, complex]
+#: Each family's parameter names, in the order of its normal form.
+FAMILY_PARAM_NAMES = {family: names for family, (names, _) in _FAMILIES.items()}
 
 
-def _family_amplitudes(family: FamilyId, p: Mapping[str, complex]) -> np.ndarray:
-    amps = np.zeros(16, dtype=complex)
-    isq2 = 1j / math.sqrt(2.0)
-    if family is FamilyId.G_ABCD:
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        amps[0b0000] = amps[0b1111] = (a + d) / 2.0
-        amps[0b0011] = amps[0b1100] = (a - d) / 2.0
-        amps[0b0101] = amps[0b1010] = (b + c) / 2.0
-        amps[0b0110] = amps[0b1001] = (b - c) / 2.0
-    elif family is FamilyId.L_ABC2:
-        a, b, c = p["a"], p["b"], p["c"]
-        amps[0b0000] = amps[0b1111] = (a + b) / 2.0
-        amps[0b0011] = amps[0b1100] = (a - b) / 2.0
-        amps[0b1010] = amps[0b0101] = c
-        amps[0b0110] = 1.0
-    elif family is FamilyId.L_A2B2:
-        a, b = p["a"], p["b"]
-        amps[0b0000] = amps[0b1111] = a
-        amps[0b0101] = amps[0b1010] = b
-        amps[0b0110] = amps[0b0011] = 1.0
-    elif family is FamilyId.L_AB3:
-        a, b = p["a"], p["b"]
-        amps[0b0000] = amps[0b1111] = a
-        amps[0b0101] = amps[0b1010] = (a + b) / 2.0
-        amps[0b0110] = amps[0b1001] = (a - b) / 2.0
-        amps[0b0001] = amps[0b0010] = isq2
-        amps[0b1110] = amps[0b1101] = -isq2
-    elif family is FamilyId.L_A4:
-        a = p["a"]
-        amps[0b0000] = amps[0b0101] = amps[0b1010] = amps[0b1111] = a
-        amps[0b0001] = 1j
-        amps[0b0110] = 1.0
-        amps[0b1011] = -1j
-    elif family is FamilyId.L_A2_0_3P1:
-        a = p["a"]
-        amps[0b0000] = amps[0b1111] = a
-        amps[0b0011] = amps[0b0101] = amps[0b0110] = 1.0
-    elif family is FamilyId.L_0_7P1:
-        amps[0b0000] = amps[0b1011] = amps[0b1101] = amps[0b1110] = 1.0
-    elif family is FamilyId.L_0_5P3:
-        amps[0b0000] = amps[0b0101] = amps[0b1000] = amps[0b1110] = 1.0
-    elif family is FamilyId.L_0_3P1_0_3P1:
-        amps[0b0000] = amps[0b0111] = 1.0
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unhandled family {family}")
-    return amps
+def check_family_params(family: FamilyId, names: Sequence[str]) -> None:
+    """ValueError unless ``names`` gives each of the family's parameters exactly once."""
+    expected = FAMILY_PARAM_NAMES[family]
+    if sorted(names) != sorted(expected):
+        raise ValueError(f"family {family.value} takes parameters {expected}, each once; "
+                         f"got {list(names)}")
 
 
 def make_family_state(family: FamilyId, params: FamilyParams | None = None) -> StateVector:
     """Normalized state from a family normal form; rejects the zero vector."""
-    names = FAMILY_PARAM_NAMES[family]
     given = dict(params or {})
-    missing = [k for k in names if k not in given]
-    extra = [k for k in given if k not in names]
-    if missing or extra:
-        raise ValueError(
-            f"family {family.value} takes parameters {names}; "
-            f"missing {missing}, unexpected {extra}"
-        )
-    amps = _family_amplitudes(family, {k: complex(v) for k, v in given.items()})
+    check_family_params(family, list(given))
+    amps = _amplitudes(4, _FAMILIES[family][1](**{k: complex(v) for k, v in given.items()}))
     if np.linalg.norm(amps) < 1e-9:
         raise ValueError(f"family {family.value} parameters give the zero vector")
     return StateVector(amps)
@@ -494,19 +467,22 @@ def parse_state_literal(text: str) -> StateVector:
             amps = [_parse_complex(pair) for pair in pairs]
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"state literal {text!r} is not a list of [re, im] number pairs") from exc
-        return StateVector(amps)
+        psi = StateVector(amps)
+        if psi.n not in SUPPORTED_ARITIES:
+            raise ValueError(f"state has {psi.n} qubits, not one of {SUPPORTED_ARITIES}")
+        return psi
     head, _, tail = literal.partition(":")
     key = head.strip().lower()
     family = next((f for f in FamilyId if f.value == key), None)
     if family is not None:
-        params: dict[str, complex] = {}
-        if tail.strip():
-            for item in tail.split(","):
-                name, eq_, value = item.partition("=")
-                if not eq_:
-                    raise ValueError(f"bad family parameter {item!r}")
-                params[name.strip().lower()] = _parse_complex(value)
-        return make_family_state(family, params)
+        params: list[tuple[str, complex]] = []
+        for item in tail.split(",") if tail.strip() else []:
+            name, eq_, value = item.partition("=")
+            if not eq_:
+                raise ValueError(f"bad family parameter {item!r}")
+            params.append((name.strip().lower(), _parse_complex(value)))
+        check_family_params(family, [name for name, _ in params])
+        return make_family_state(family, dict(params))
     if tail:
         raise ValueError(f"unknown family {head!r}")
     return make_named_state(literal)

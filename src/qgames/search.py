@@ -95,6 +95,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts <= 0 or self.max_evals <= 0 or not 0 < self.tol < math.inf:
             raise ValueError("restarts, max_evals and tol must all be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import GameEquation
-from .quantum import FAMILY_PARAM_NAMES, FamilyId, QuantumStrategy, make_family_state, random_family_params
+from .quantum import (
+    FAMILY_PARAM_NAMES,
+    FamilyId,
+    QuantumStrategy,
+    check_family_params,
+    make_family_state,
+    random_family_params,
+)
 from .search import OptimizerConfig, _optimize_games, derive_task_seed
 
 
@@ -55,24 +62,11 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep uses one or two axes")
-        names = FAMILY_PARAM_NAMES[self.family]
-        swept = [ax.param for ax in self.axes]
-        if len(set(swept)) != len(swept):
-            raise ValueError("swept parameters must be distinct")
         fixed = self.fixed or {}
-        for p in swept:
-            if p not in names:
-                raise ValueError(f"family {self.family.value} has no parameter {p!r}")
-            if p in fixed:
-                raise ValueError(f"parameter {p!r} is both swept and fixed")
-        for p, value in fixed.items():
-            if p not in names:
-                raise ValueError(f"family {self.family.value} has no parameter {p!r}")
-            if not cmath.isfinite(value):
-                raise ValueError(f"fixed parameter {p!r} must be finite")
-        remaining = [p for p in names if p not in swept and p not in fixed]
-        if remaining:
-            raise ValueError(f"parameters {remaining} are neither swept nor fixed")
+        # a parameter swept twice, or both swept and fixed, is a repeat
+        check_family_params(self.family, [ax.param for ax in self.axes] + list(fixed))
+        if not all(cmath.isfinite(value) for value in fixed.values()):
+            raise ValueError(f"fixed parameters must be finite, got {fixed}")
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,55 @@ def functions_file(tmp_path):
     return path
 
 
+class TestInputRefusals:
+    """Inputs refused by name with exit 3, before any run directory or output file.
+
+    ``functions_file`` writes its own run under ``runs``, so these runs go to ``refused``.
+    """
+
+    @pytest.mark.parametrize("state", [
+        "g_abcd:a=1,a=0,b=0,c=0,d=1",
+        "g_abcd:a=1,A=0,b=0,c=0,d=1",
+    ])
+    def test_repeated_family_parameter(self, out, capsys, state):
+        code = run_cli("eval", "--state", state, "--f", "wxyz", "--g", "a^b^c^d",
+                       "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "refused").exists()
+        assert "each once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", [[[1, 0], [0, 0]], [[1, 0]] * 32], ids=["1-qubit", "5-qubit"])
+    @pytest.mark.parametrize("command", ["eval", "search"])
+    def test_qubit_count_outside_the_games(self, out, capsys, functions_file, pairs, command):
+        rest = (["--f", "x"] if command == "eval" else ["--functions", str(functions_file)])
+        code = run_cli(command, "--state", json.dumps(pairs), "--g", "a", *rest,
+                       "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "refused").exists()
+        qubits = len(pairs).bit_length() - 1
+        assert f"state has {qubits} qubits, not one of (2, 3, 4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--state", "epr", "--f", "xy", "--g", "a^b"],
+        ["search", "--state", "epr", "--g", "a^b", "--functions", "FUNCTIONS"],
+        ["search", "--state", "epr", "--g", "a^b", "--functions", "FUNCTIONS", "--sample", "2"],
+        ["score", "--state", "epr", "--g", "a^b", "--functions", "FUNCTIONS", "--sample", "2"],
+        ["sweep", "--spec", "SPEC"],
+    ], ids=["eval", "search", "search-sample", "score-sample", "sweep"])
+    def test_negative_seed(self, out, capsys, functions_file, argv):
+        spec = out / "spec.json"
+        spec.write_text(json.dumps({
+            "family": "l_a2b2", "axes": [{"param": "a", "steps": 2}], "fixed": {"b": 0.3},
+            "f": "wxyz", "g": "a^b^c^d", "output": str(out / "sweep.csv"),
+        }))
+        argv = [{"FUNCTIONS": str(functions_file), "SPEC": str(spec)}.get(a, a) for a in argv]
+        code = run_cli("--seed", "-1", *argv, "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "refused").exists()
+        assert not (out / "sweep.csv").exists()
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 class TestSearchAndScore:
     def test_search_results_and_summary(self, out, functions_file, capsys):
         results_path = out / "results.jsonl"
@@ -330,6 +379,19 @@ class TestSweepCommand:
         assert not (out / "runs").exists()
         assert not (out / "sweep.csv").exists()
         assert f"{named} takes str values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fixed, axis", [
+        ({"b": 0.3, "B": 5}, "a"),  # b fixed twice, once in upper case
+        ({"b": 0.3}, "B"),  # b swept in upper case and fixed
+    ])
+    def test_repeated_parameter_is_validation_error(self, out, capsys, fixed, axis):
+        spec_path = self.write_spec(out / "spec.json", output=str(out / "sweep.csv"), fixed=fixed,
+                                    axes=[{"param": axis, "start": 0.4, "stop": 1.2, "steps": 2}])
+        code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+        assert not (out / "sweep.csv").exists()
+        assert "l_a2b2 takes parameters ('a', 'b'), each once" in capsys.readouterr().err
 
     def test_unknown_family_rejected(self, out):
         spec_path = self.write_spec(out / "fam.json", family="g_xyzw")

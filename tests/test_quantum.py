@@ -5,6 +5,7 @@ it materializes the full tensor-product operator with np.kron and sums the
 winning outcome probabilities question by question.
 """
 
+import cmath
 import itertools
 import math
 import pickle
@@ -21,6 +22,7 @@ from qgames.quantum import (
     UnitaryParams,
     apply_strategy,
     build_unitary,
+    check_family_params,
     make_family_state,
     make_named_state,
     outcome_distribution,
@@ -362,6 +364,118 @@ class TestFamilies:
             assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+def _named_expected(name):
+    """Each named state's amplitudes, written out index by index."""
+    n = {"epr": 2, "mp": 4, "c1": 4, "l": 4}.get(name) or int(name[-1])
+    amps = np.zeros(1 << n, dtype=complex)
+    if name == "epr" or name.startswith("ghz"):
+        amps[0] = amps[(1 << n) - 1] = 1 / math.sqrt(2.0)
+    elif name.startswith("w"):
+        for k in range(n):
+            amps[1 << k] = 1 / math.sqrt(n)
+    elif name in ("mp", "c1"):
+        amps[0b0000] = amps[0b0011] = amps[0b1100] = 0.5
+        amps[0b1111] = 0.5 if name == "mp" else -0.5
+    else:
+        omega = cmath.exp(2j * math.pi / 3.0)
+        amps[0b0000] = amps[0b1111] = (1.0 + omega) / 4.0
+        amps[0b0011] = amps[0b1100] = (1.0 - omega) / 4.0
+        amps[0b0101] = amps[0b0110] = amps[0b1001] = amps[0b1010] = omega**2 / 4.0
+    return amps / np.linalg.norm(amps)
+
+
+# one generic complex point: no parameter is real, and no two share a modulus or phase
+A, B, C, D = 0.3 + 0.7j, -1.1 + 0.2j, 0.5 - 0.9j, 1.3 + 0.4j
+I2 = 1j / math.sqrt(2.0)
+
+# each family's amplitudes at (A, B, C, D), indices 0b0000 ... 0b1111, four to a line
+FAMILY_VECTORS = {
+    FamilyId.G_ABCD: [(A + D) / 2, 0, 0, (A - D) / 2,
+                      0, (B + C) / 2, (B - C) / 2, 0,
+                      0, (B - C) / 2, (B + C) / 2, 0,
+                      (A - D) / 2, 0, 0, (A + D) / 2],
+    FamilyId.L_ABC2: [(A + B) / 2, 0, 0, (A - B) / 2,
+                      0, C, 1, 0,
+                      0, 0, C, 0,
+                      (A - B) / 2, 0, 0, (A + B) / 2],
+    FamilyId.L_A2B2: [A, 0, 0, 1,
+                      0, B, 1, 0,
+                      0, 0, B, 0,
+                      0, 0, 0, A],
+    FamilyId.L_AB3: [A, I2, I2, 0,
+                     0, (A + B) / 2, (A - B) / 2, 0,
+                     0, (A - B) / 2, (A + B) / 2, 0,
+                     0, -I2, -I2, A],
+    FamilyId.L_A4: [A, 1j, 0, 0,
+                    0, A, 1, 0,
+                    0, 0, A, -1j,
+                    0, 0, 0, A],
+    FamilyId.L_A2_0_3P1: [A, 0, 0, 1,
+                          0, 1, 1, 0,
+                          0, 0, 0, 0,
+                          0, 0, 0, A],
+    FamilyId.L_0_7P1: [1, 0, 0, 0,
+                       0, 0, 0, 0,
+                       0, 0, 0, 1,
+                       0, 1, 1, 0],
+    FamilyId.L_0_5P3: [1, 0, 0, 0,
+                       0, 1, 0, 0,
+                       1, 0, 0, 0,
+                       0, 0, 1, 0],
+    FamilyId.L_0_3P1_0_3P1: [1, 0, 0, 0,
+                             0, 0, 0, 1,
+                             0, 0, 0, 0,
+                             0, 0, 0, 0],
+}
+
+
+class TestLibraryAmplitudes:
+    @pytest.mark.parametrize("name", ["epr", "ghz2", "ghz3", "ghz4", "w2", "w3", "w4",
+                                      "mp", "c1", "l"])
+    def test_named_states_exactly(self, name):
+        expected = _named_expected(name)
+        for text in (name, f" {name.upper()} "):
+            assert make_named_state(text).amplitudes.tolist() == expected.tolist()
+            assert parse_state_literal(text).amplitudes.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+    def test_family_at_a_generic_complex_point(self, family):
+        params = dict(zip("abcd", (A, B, C, D)))
+        names = FAMILY_PARAM_NAMES[family]
+        expected = np.array(FAMILY_VECTORS[family], dtype=complex)
+        psi = make_family_state(family, {k: params[k] for k in names})
+        assert np.allclose(psi.amplitudes, expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
+        literal = ",".join(f"{k}={params[k]}".replace("j", "i") for k in names)
+        assert parse_state_literal(f"{family.value}:{literal}").amplitudes.tolist() == \
+            psi.amplitudes.tolist()
+
+
+class TestFamilyParameterCheck:
+    @pytest.mark.parametrize("names", [
+        ["a", "b", "c"],  # missing
+        ["a", "b", "c", "d", "e"],  # unknown
+        ["a", "a", "b", "c", "d"],  # repeated
+        ["a", "a", "b", "c"],  # repeated, standing in for the missing d
+        ["A", "b", "c", "d"],  # names are lower case
+    ])
+    def test_refused(self, names):
+        with pytest.raises(ValueError, match="g_abcd takes parameters"):
+            check_family_params(FamilyId.G_ABCD, names)
+
+    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+    def test_each_name_once_in_any_order(self, family):
+        check_family_params(family, list(reversed(FAMILY_PARAM_NAMES[family])))
+
+    @pytest.mark.parametrize("literal", [
+        "g_abcd:a=1,a=0,b=0,c=0,d=1",
+        "g_abcd:a=1,A=0,b=0,c=0,d=1",
+        "l_a4:a=1,a=1",
+    ])
+    def test_repeated_literal_parameter_is_refused(self, literal):
+        with pytest.raises(ValueError, match="each once"):
+            parse_state_literal(literal)
+
+
 class TestRandomFamilyParams:
     def test_deterministic(self):
         a = random_family_params(FamilyId.G_ABCD, 99)
@@ -407,3 +521,10 @@ class TestStateLiterals:
     def test_bad_complex_literal(self):
         with pytest.raises(ValueError):
             parse_state_literal("g_abcd:a=xyz,b=0,c=0,d=0")
+
+    @pytest.mark.parametrize("pairs", [[[1, 0], [0, 0]], [[1, 0]] * 32])
+    def test_qubit_count_outside_the_games_is_refused(self, pairs):
+        text = str(pairs)
+        qubits = len(pairs).bit_length() - 1
+        with pytest.raises(ValueError, match=f"state has {qubits} qubits"):
+            parse_state_literal(text)

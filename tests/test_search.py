@@ -181,6 +181,11 @@ class TestOptimizeQuantum:
         with pytest.raises(ValueError):
             OptimizerConfig(tol=-1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            OptimizerConfig(seed=-1)
+        assert OptimizerConfig(seed=0).seed == 0
+
     def test_non_finite_tol_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(tol=float("nan"))

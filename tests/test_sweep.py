@@ -62,6 +62,15 @@ class TestSpecValidation:
                 equation=ghz_game_equation(),
             )
 
+    def test_parameter_swept_twice(self):
+        with pytest.raises(ValueError, match="each once"):
+            SweepSpec(
+                family=FamilyId.L_A2B2,
+                axes=(SweepAxis("a", 0.0, 1.0, 3), SweepAxis("a", 0.0, 1.0, 3)),
+                fixed={"b": 0.5},
+                equation=ghz_game_equation(),
+            )
+
     def test_unassigned_parameter(self):
         with pytest.raises(ValueError):
             SweepSpec(
