@@ -7,14 +7,15 @@ file, else its default (None for settings with no default).  The handlers
 read only the resolved ``args``; a sweep spec's ``config`` block alone comes
 ahead of all three, for the optimizer settings of that sweep.
 
-Every run writes a RunRecord (resolved configuration, seed, tool version,
-output paths, wall clock) to a new directory under ``--output-dir`` so any
-artifact file can be traced back to the invocation that produced it.
-Results files themselves contain no wall-clock fields: given the same seed
-they are byte-identical for any worker count.
+Each run is one ``_Run``: its handler writes files through it, then ``main``
+writes its RunRecord (every setting that decides the results, plus workers;
+seed, tool version, output paths, wall clock) into a new directory under
+``--output-dir``, made at the first write, so any artifact file can be traced
+back to the invocation that produced it.  Results files themselves contain no
+wall-clock fields: given the same seed they are byte-identical for any worker count.
 
 Exit codes: 0 success, 2 usage or expression parse error, 3 numeric or
-validation failure.
+validation failure, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from .boolfn import (
@@ -44,7 +45,7 @@ from .boolfn import (
     parse_table,
     reduce_function_space,
 )
-from .quantum import FamilyId, StateVector, _parse_complex, check_family_params, parse_state_literal
+from .quantum import FamilyId, _parse_complex, check_family_params, parse_state_literal
 from .search import (
     GameResult,
     OptimizerConfig,
@@ -56,8 +57,6 @@ from .search import (
     stratified_subsample,
 )
 from .sweep import SweepAxis, SweepSpec, run_sweep
-
-logger = logging.getLogger(__name__)
 
 _TABLE_LITERAL = re.compile(r"^\s*\d+\s*:")
 
@@ -124,6 +123,13 @@ _SETTINGS = {
     "tol": _Setting(float, _OPTIMIZER.tol, _OPTIMIZED),
 }
 
+#: Settings that say where a run's settings and files are or how many processes it
+#: uses, not what it computes: a run's recorded config is every other setting it takes.
+_UNRECORDED = ("workers", "output_dir", "config", "output")
+
+#: The keys a sweep spec's ``config`` block takes.
+_SPEC_CONFIG = ("restarts", "max_evals", "tol")
+
 
 def _settings(subcommand: str) -> dict[str, _Setting]:
     """The settings ``subcommand`` takes: the global ones and its own."""
@@ -148,19 +154,12 @@ def load_run_record(path: str | Path) -> RunRecord:
 
 def load_results_jsonl(path: str | Path) -> tuple[list[GameResult], dict | None]:
     """Read a search output file back into results plus the summary record."""
-    results: list[GameResult] = []
-    summary = None
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "game_score" in record:
-                summary = record
-            else:
-                results.append(GameResult.from_json_dict(record))
-    return results, summary
+        records = [json.loads(line) for line in fh if line.strip()]
+    summaries = [record for record in records if "game_score" in record]
+    results = [GameResult.from_json_dict(record) for record in records
+               if "game_score" not in record]
+    return results, summaries[-1] if summaries else None
 
 
 def _parse_side(text: str, arity: int, side: str) -> TruthTable:
@@ -182,13 +181,8 @@ def _flat_object(value, what: str) -> dict:
     return value
 
 
-def _optimizer_config(args, first: dict | None = None) -> OptimizerConfig:
-    """Optimizer settings: ``first`` (a sweep spec's config block), then the resolved ``args``."""
-    first = _check_config_types(_flat_object(first or {}, "a sweep spec's config"),
-                                args.subcommand)
-    settings = vars(args) | first
-    return OptimizerConfig(restarts=settings["restarts"], max_evals=settings["max_evals"],
-                           tol=float(settings["tol"]), seed=args.seed)
+def _optimizer_config(args) -> OptimizerConfig:
+    return OptimizerConfig(**{key: getattr(args, key) for key in (*_SPEC_CONFIG, "seed")})
 
 
 def _dumps(record: dict, **kwargs) -> str:
@@ -196,89 +190,88 @@ def _dumps(record: dict, **kwargs) -> str:
     return json.dumps(record, allow_nan=False, **kwargs)
 
 
-def _json_line(record: dict) -> str:
-    return _dumps(record, separators=(",", ":"))
-
-
 # --- Subcommand handlers ----------------------------------------------------------
 
 
-def _record_run(args, run_config: dict, t0: float, write: Callable[[Path], list[Path]]) -> int:
-    """A new run directory under ``--output-dir``, the run's outputs (``write(run_dir)``
-    returns their paths), then its record.  Run ids are never overwritten."""
-    stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    digest = hashlib.sha256(
-        json.dumps(run_config, sort_keys=True, default=str).encode()
-    ).hexdigest()[:8]
-    base = Path(args.output_dir) / f"{stamp}-{args.subcommand}-{digest}"
-    run_dir = base
-    counter = 1
-    while run_dir.exists():
-        counter += 1
-        run_dir = base.with_name(f"{base.name}-{counter}")
-    run_dir.mkdir(parents=True)
-    outputs = [str(path) for path in write(run_dir)]
-    record = RunRecord(
-        run_id=run_dir.name, subcommand=args.subcommand,
-        config=run_config | {"workers": args.workers}, seed=args.seed, version=__version__,
-        outputs=outputs, elapsed_s=time.perf_counter() - t0,
-    )
-    (run_dir / "record.json").write_text(_dumps(asdict(record), indent=2) + "\n")
-    return 0
+class _Run:
+    """One invocation of a subcommand: its resolved settings, the files it has written
+    and, from the first write into it, its directory under ``--output-dir``."""
+
+    def __init__(self, args):
+        self.args = args
+        self.outputs: list[Path] = []
+        self._t0 = time.perf_counter()
+
+    def config(self) -> dict:
+        """The settings that decide the run's results: all it takes but ``_UNRECORDED``."""
+        return {key: getattr(self.args, key) for key in _settings(self.args.subcommand)
+                if key not in _UNRECORDED}
+
+    @functools.cached_property
+    def directory(self) -> Path:
+        """The run's directory, made on first use.  Run ids are never reused."""
+        stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+        digest = hashlib.sha256(
+            json.dumps(self.config(), sort_keys=True, default=str).encode()
+        ).hexdigest()[:8]
+        base = Path(self.args.output_dir) / f"{stamp}-{self.args.subcommand}-{digest}"
+        run_dir = base
+        counter = 1
+        while run_dir.exists():
+            counter += 1
+            run_dir = base.with_name(f"{base.name}-{counter}")
+        run_dir.mkdir(parents=True)
+        return run_dir
+
+    def write(self, name: str, text: str, path: str | Path | None = None) -> Path:
+        """Write ``text`` to ``path`` if given, else to ``name`` in the run directory."""
+        Path(self.args.output_dir).mkdir(parents=True, exist_ok=True)  # ``path`` may lie in it
+        out_path = Path(path or self.directory / name)
+        out_path.write_text(text)
+        self.outputs.append(out_path)
+        return out_path
+
+    def record(self) -> None:
+        """Write the run's RunRecord into its directory."""
+        record = RunRecord(
+            run_id=self.directory.name, subcommand=self.args.subcommand,
+            config=self.config() | {"workers": self.args.workers}, seed=self.args.seed,
+            version=__version__, outputs=[str(path) for path in self.outputs],
+            elapsed_s=time.perf_counter() - self._t0,
+        )
+        (self.directory / "record.json").write_text(_dumps(asdict(record), indent=2) + "\n")
 
 
-def _cmd_reduce(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_reduce(args, run: _Run) -> None:
     space = reduce_function_space(
         args.arity, require_all_relevant=args.all_relevant,
         include_output_flip=not args.keep_complements,
     )
-    run_config = {key: vars(args)[key]
-                  for key in ("arity", "all_relevant", "keep_complements", "seed")}
-
-    def write(run_dir: Path) -> list[Path]:
-        out_path = Path(args.output or run_dir / "functions.txt")
-        out_path.write_text("".join(t.to_text() + "\n" for t in space))
-        print(_dumps({"stage_counts": space.stage_counts(), "output": str(out_path)}, indent=2))
-        return [out_path]
-
-    return _record_run(args, run_config, t0, write)
+    out_path = run.write("functions.txt", "".join(t.to_text() + "\n" for t in space),
+                         args.output)
+    print(_dumps({"stage_counts": space.stage_counts(), "output": str(out_path)}, indent=2))
 
 
-def _eval_record(psi: StateVector, state_text: str, eq: GameEquation, mode: str,
-                 cfg: OptimizerConfig) -> dict:
-    """The game's record as ``search`` writes it; ``mode`` may leave one half unset."""
-    t0 = time.perf_counter()
-    classical = quantum = gap = strategy = None
-    if mode in ("classical", "both"):
-        classical, _ = classical_best(eq)
-    if mode in ("quantum", "both"):
-        quantum, strategy = optimize_quantum(psi, eq, cfg)
-    if mode == "both":
-        gap = quantum - classical
-    return GameResult(
-        eq, classical, quantum, strategy, gap, state_text, cfg.seed,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    ).to_json_dict()
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, run: _Run) -> None:
+    """Play one game and write ``search``'s record of it; ``--mode`` may leave one half unset."""
     if not args.state or not args.f or not args.g:
         raise ValueError("eval needs --state, --f and --g")
     psi = parse_state_literal(args.state)
     eq = GameEquation(_parse_side(args.f, psi.n, "f"), _parse_side(args.g, psi.n, "g"))
     cfg = _optimizer_config(args)
-    t0 = time.perf_counter()
-    text = _dumps(_eval_record(psi, args.state, eq, args.mode, cfg), indent=2)
+    t0 = time.perf_counter()  # the game's own time, for the result's elapsed_ms
+    classical = quantum = gap = strategy = None
+    if args.mode in ("classical", "both"):
+        classical, _ = classical_best(eq)
+    if args.mode in ("quantum", "both"):
+        quantum, strategy = optimize_quantum(psi, eq, cfg)
+    if args.mode == "both":
+        gap = quantum - classical
+    result = GameResult(eq, classical, quantum, strategy, gap, args.state, cfg.seed,
+                        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    text = _dumps(result.to_json_dict(), indent=2)
+    run.write("result.json", text + "\n")
     print(text)
-    run_config = {key: vars(args)[key] for key in ("state", "f", "g", "mode")} | asdict(cfg)
-
-    def write(run_dir: Path) -> list[Path]:
-        out_path = run_dir / "result.json"
-        out_path.write_text(text + "\n")
-        return [out_path]
-
-    return _record_run(args, run_config, t0, write)
 
 
 def _load_functions(path: str, arity: int) -> list[TruthTable]:
@@ -297,8 +290,8 @@ def _load_functions(path: str, arity: int) -> list[TruthTable]:
     return tables
 
 
-def _run_search(args):
-    """The search of ``search`` and ``score``: its g, config, results and run config."""
+def _run_search(args) -> tuple[list[GameResult], dict]:
+    """The search of ``search`` and ``score``: its results and its summary record."""
     if not args.state or not args.g or not args.functions:
         raise ValueError("search needs --state, --g and --functions")
     psi = parse_state_literal(args.state)
@@ -310,18 +303,12 @@ def _run_search(args):
     results = search_space(
         g, psi, cfg, tables, workers=args.workers, state_descriptor=args.state
     )
-    run_config = {key: vars(args)[key]
-                  for key in ("state", "g", "functions", "sample")} | asdict(cfg)
-    return g, cfg, results, run_config
-
-
-def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfig) -> dict:
     ranked = sorted(results, key=lambda r: -r.gap)
     try:
         avg = average_gap(results)
     except ValueError:
         avg = None
-    return {
+    return results, {
         "count": len(results),
         "game_score": game_score(results),
         "average_gap": avg,
@@ -335,47 +322,26 @@ def _summary_record(results, g: TruthTable, state_text: str, cfg: OptimizerConfi
             for r in ranked[:10]
         ],
         "g": g.to_text(),
-        "state": state_text,
+        "state": args.state,
         "config": asdict(cfg),
     }
 
 
-def _cmd_search(args) -> int:
-    t0 = time.perf_counter()
-    g, cfg, results, run_config = _run_search(args)
-    summary = _summary_record(results, g, args.state, cfg)
-    lines = [_json_line(r.to_json_dict()) for r in results]
-    lines.append(_json_line(summary))
-
-    def write(run_dir: Path) -> list[Path]:
-        out_path = Path(args.output or run_dir / "results.jsonl")
-        out_path.write_text("".join(line + "\n" for line in lines))
-        print(_dumps(summary, indent=2))
-        return [out_path]
-
-    return _record_run(args, run_config, t0, write)
+def _cmd_search(args, run: _Run) -> None:
+    results, summary = _run_search(args)
+    records = [r.to_json_dict() for r in results] + [summary]
+    text = "".join(_dumps(record, separators=(",", ":")) + "\n" for record in records)
+    run.write("results.jsonl", text, args.output)
+    print(_dumps(summary, indent=2))
 
 
-def _cmd_score(args) -> int:
-    t0 = time.perf_counter()
-    g, cfg, results, run_config = _run_search(args)
-    summary = _summary_record(results, g, args.state, cfg)
-    text = _dumps({
-        "state": args.state,
-        "g": g.to_text(),
-        "count": summary["count"],
-        "game_score": summary["game_score"],
-        "average_gap": summary["average_gap"],
-        "max_gap": summary["top_gaps"][0] if summary["top_gaps"] else None,
-    }, indent=2)
-
-    def write(run_dir: Path) -> list[Path]:
-        out_path = run_dir / "score.json"
-        out_path.write_text(text + "\n")
-        print(text)
-        return [out_path]
-
-    return _record_run(args, run_config, t0, write)
+def _cmd_score(args, run: _Run) -> None:
+    _, summary = _run_search(args)
+    report = {key: summary[key] for key in ("state", "g", "count", "game_score", "average_gap")}
+    report["max_gap"] = summary["top_gaps"][0] if summary["top_gaps"] else None
+    text = _dumps(report, indent=2)
+    run.write("score.json", text + "\n")
+    print(text)
 
 
 def _sweep_spec_from_file(args) -> SweepSpec:
@@ -406,30 +372,25 @@ def _sweep_spec_from_file(args) -> SweepSpec:
     fixed = {k.lower(): _parse_complex(v) for k, v in raw_fixed.items()}
     f_table = _parse_side(_typed(raw.get("f"), str, "a sweep spec's f"), 4, "f")
     g_table = _parse_side(_typed(raw.get("g"), str, "a sweep spec's g"), 4, "g")
+    # the spec's config block comes ahead of the flags, so it overrides them in ``args``
+    block = _flat_object(raw.get("config") or {}, "a sweep spec's config")
+    vars(args).update(_config_values(block, "sweep", _SPEC_CONFIG, "sweep spec config key"))
     return SweepSpec(family=family, axes=axes, equation=GameEquation(f_table, g_table),
-                     fixed=fixed, config=_optimizer_config(args, raw.get("config")),
-                     output_path=raw.get("output"))
+                     fixed=fixed, config=_optimizer_config(args), output_path=raw.get("output"))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, run: _Run) -> None:
     if not args.spec:
         raise ValueError("sweep needs --spec")
-    t0 = time.perf_counter()
     spec = _sweep_spec_from_file(args)
     result = run_sweep(spec)
-
-    def write(run_dir: Path) -> list[Path]:
-        csv_path = Path(spec.output_path or run_dir / "sweep.csv")
-        csv_path.write_text(result.to_csv())
-        sidecar_path = csv_path.with_suffix(".json")
-        sidecar_path.write_text(_dumps(result.sidecar_dict(), indent=2) + "\n")
-        print(_dumps({
-            "points": len(result.points), "valid": sum(1 for p in result.points if p.valid),
-            "csv": str(csv_path), "sidecar": str(sidecar_path),
-        }, indent=2))
-        return [csv_path, sidecar_path]
-
-    return _record_run(args, {"spec": args.spec, "seed": args.seed}, t0, write)
+    csv_path = run.write("sweep.csv", result.to_csv(), spec.output_path)
+    sidecar_path = run.write("sweep.json", _dumps(result.sidecar_dict(), indent=2) + "\n",
+                             csv_path.with_suffix(".json"))
+    print(_dumps({
+        "points": len(result.points), "valid": sum(1 for p in result.points if p.valid),
+        "csv": str(csv_path), "sidecar": str(sidecar_path),
+    }, indent=2))
 
 
 # --- Parser ------------------------------------------------------------------------
@@ -474,18 +435,22 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _check_config_types(config: dict, subcommand: str) -> dict:
-    """``config`` if each key naming a setting of ``subcommand`` holds a value of its type
-    and, if it has choices, one of them, else ValueError.  Keys of other subcommands'
-    settings are left alone, as ``subcommand`` never reads them."""
+def _config_values(config: dict, subcommand: str, keys=_SETTINGS,
+                   what: str = "config key") -> dict:
+    """``config``'s values for the settings of ``subcommand``, each as its setting's type.
+    ValueError for a key not in ``keys``, or for a value of the wrong type or, if its
+    setting has choices, not one of them.  Keys of other subcommands' settings are left
+    out, as ``subcommand`` never reads them."""
     settings = _settings(subcommand)
     for key, value in config.items():
+        if key not in keys:
+            raise ValueError(f"unknown {what} {key!r}; the keys are {', '.join(keys)}")
         if key in settings:
-            _typed(value, settings[key].kind, f"config key {key!r}")
+            _typed(value, settings[key].kind, f"{what} {key!r}")
             choices = settings[key].choices
             if choices is not None and value not in choices:
-                raise ValueError(f"config key {key!r} takes one of {list(choices)}, got {value!r}")
-    return config
+                raise ValueError(f"{what} {key!r} takes one of {list(choices)}, got {value!r}")
+    return {key: settings[key].kind(value) for key, value in config.items() if key in settings}
 
 
 #: Each subcommand's handler and help text.
@@ -502,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _parser().parse_args(argv)
     try:
-        config = _check_config_types(
+        config = _config_values(
             _flat_object(_read_json(args.config, "config file"), "a config file"),
             args.subcommand,
         ) if args.config else {}
@@ -511,11 +476,14 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, key, config.get(key, setting.default))
         if args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
-        return _HANDLERS[args.subcommand][0](args)
+        run = _Run(args)
+        _HANDLERS[args.subcommand][0](args, run)
+        run.record()
+        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

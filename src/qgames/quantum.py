@@ -79,7 +79,12 @@ class StateVector:
             raise ValueError(f"amplitude count {amps.size} is not a power of two >= 2")
         if not np.isfinite(amps).all():
             raise ValueError("state amplitudes must be finite numbers")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if norm == math.inf:
+            # the squares overflow: scale by the largest real or imaginary part first
+            amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+            norm = np.linalg.norm(amps)
         if norm < 1e-9:
             raise ValueError("state amplitudes are (numerically) the zero vector")
         amps = amps / norm
@@ -414,8 +419,6 @@ def make_family_state(family: FamilyId, params: FamilyParams | None = None) -> S
     given = dict(params or {})
     check_family_params(family, list(given))
     amps = _amplitudes(4, _FAMILIES[family][1](**{k: complex(v) for k, v in given.items()}))
-    if np.linalg.norm(amps) < 1e-9:
-        raise ValueError(f"family {family.value} parameters give the zero vector")
     return StateVector(amps)
 
 

@@ -698,3 +698,154 @@ class TestRunStore:
         run_dirs = list((out / "runs").iterdir())
         assert len(run_dirs) == 2
         assert len({d.name for d in run_dirs}) == 2
+
+
+def _records(runs):
+    """The record of each run under ``runs``, with the digest of its run id."""
+    records = [load_run_record(path) for path in sorted(runs.glob("*/record.json"))]
+    return [(record, record.run_id.split("-")[2]) for record in records]
+
+
+class TestRunRecords:
+    SPEC = {"family": "l_a2b2", "axes": [{"param": "a", "start": 0.4, "stop": 1.2, "steps": 2}],
+            "fixed": {"b": 0.3}, "f": "xy", "g": "a^b^c^d"}
+
+    def write_spec(self, path, **overrides):
+        path.write_text(json.dumps(self.SPEC | overrides))
+        return str(path)
+
+    def test_the_config_holds_every_setting_that_decides_the_results(self, out, capsys):
+        functions = out / "fns.txt"
+        functions.write_text("2:1\n2:6\n")
+        spec = self.write_spec(out / "spec.json", output=str(out / "sweep.csv"))
+        optimizer = {"restarts", "max_evals", "tol"}
+        cases = (
+            (["reduce", "--arity", "2", "--output", str(out / "f.txt")],
+             {"arity", "all_relevant", "keep_complements"}),
+            (["eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--restarts", "2"],
+             {"state", "f", "g", "mode"} | optimizer),
+            (["search", "--state", "epr", "--g", "a^b", "--functions", str(functions),
+              "--restarts", "2", "--output", str(out / "r.jsonl")],
+             {"state", "g", "functions", "sample"} | optimizer),
+            (["score", "--state", "epr", "--g", "a^b", "--functions", str(functions),
+              "--restarts", "2"], {"state", "g", "functions", "sample"} | optimizer),
+            (["sweep", "--spec", spec, "--restarts", "2", "--max-evals", "400"],
+             {"spec"} | optimizer),
+        )
+        for argv, keys in cases:
+            runs = out / argv[0]
+            assert run_cli(*argv, "--workers", "1", "--output-dir", str(runs)) == 0
+            ((record, _),) = _records(runs)
+            assert set(record.config) == keys | {"seed", "workers"}, argv[0]
+            assert list(record.config)[-1] == "workers"
+        capsys.readouterr()
+
+    def test_sweeps_of_other_optimizer_settings_get_other_records(self, out, capsys):
+        spec = self.write_spec(out / "spec.json", output=str(out / "sweep.csv"))
+        for restarts in ("2", "3"):
+            assert run_cli("sweep", "--spec", spec, "--restarts", restarts, "--max-evals", "400",
+                           "--output-dir", str(out / "runs")) == 0
+        capsys.readouterr()
+        (first, first_digest), (second, second_digest) = sorted(
+            _records(out / "runs"), key=lambda pair: pair[0].config["restarts"])
+        assert (first.config["restarts"], second.config["restarts"]) == (2, 3)
+        assert first.config["max_evals"] == second.config["max_evals"] == 400
+        assert first_digest != second_digest
+
+    def test_a_spec_config_block_is_recorded_as_the_effective_setting(self, out, capsys):
+        spec = self.write_spec(out / "spec.json", output=str(out / "sweep.csv"),
+                               config={"restarts": 2, "tol": 1})
+        assert run_cli("sweep", "--spec", spec, "--restarts", "5", "--max-evals", "400",
+                       "--output-dir", str(out / "runs")) == 0
+        capsys.readouterr()
+        ((record, _),) = _records(out / "runs")
+        assert {key: record.config[key] for key in ("restarts", "max_evals", "tol")} == {
+            "restarts": 2, "max_evals": 400, "tol": 1.0}
+        assert type(record.config["tol"]) is float
+        sidecar = json.loads((out / "sweep.json").read_text())
+        assert sidecar["config"] == {"restarts": 2, "max_evals": 400, "tol": 1.0}
+
+    @pytest.mark.parametrize("argv", (
+        ["eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--restarts", "2"],
+        ["sweep", "--spec", "SPEC", "--max-evals", "400"],
+    ), ids=["eval", "sweep"])
+    def test_a_tol_flag_and_config_key_give_one_record(self, out, capsys, argv):
+        spec = self.write_spec(out / "spec.json", config={"restarts": 2})
+        argv = [spec if arg == "SPEC" else arg for arg in argv]
+        config = out / "config.json"
+        config.write_text(json.dumps({"tol": 1}))
+        assert run_cli(*argv, "--tol", "1", "--output-dir", str(out / "flag")) == 0
+        assert run_cli(*argv, "--config", str(config), "--output-dir", str(out / "file")) == 0
+        capsys.readouterr()
+        ((flag, flag_digest),) = _records(out / "flag")
+        ((file, file_digest),) = _records(out / "file")
+        assert flag.config == file.config
+        assert json.dumps(flag.config) == json.dumps(file.config)
+        assert flag.config["tol"] == 1.0
+        assert flag_digest == file_digest
+
+    def test_the_outputs_are_listed_in_the_order_written(self, out, capsys):
+        spec = self.write_spec(out / "spec.json", config={"restarts": 2, "max_evals": 400})
+        assert run_cli("sweep", "--spec", spec, "--output-dir", str(out / "runs")) == 0
+        capsys.readouterr()
+        ((record, _),) = _records(out / "runs")
+        run_dir = out / "runs" / record.run_id
+        assert record.outputs == [str(run_dir / "sweep.csv"), str(run_dir / "sweep.json")]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["record.json", "sweep.csv",
+                                                             "sweep.json"]
+
+    def test_an_output_path_inside_an_output_dir_not_yet_made(self, out, capsys):
+        runs = out / "runs"
+        assert run_cli("reduce", "--arity", "2", "--all-relevant",
+                       "--output", str(runs / "functions.txt"), "--output-dir", str(runs)) == 0
+        capsys.readouterr()
+        ((record, _),) = _records(runs)
+        assert record.outputs == [str(runs / "functions.txt")]
+        assert (runs / "functions.txt").read_text() == "2:1\n2:6\n"
+
+
+class TestUnknownKeysAndFileErrors:
+    """Refused with exit 3 and no run directory."""
+
+    def test_a_config_key_that_names_no_setting(self, out, capsys):
+        config = out / "config.json"
+        config.write_text(json.dumps({"restart": 2, "sed": 4}))
+        code = run_cli("eval", "--state", "epr", "--f", "xy", "--g", "a^b",
+                       "--config", str(config), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+        assert "unknown config key 'restart'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key", [({"restart": 2}, "restart"), ({"seed": 3}, "seed"),
+                                            ({"restarts": 2, "state": "ghz4"}, "state")])
+    def test_a_spec_config_key_that_names_no_optimizer_setting(self, out, capsys, block, key):
+        spec = out / "spec.json"
+        spec.write_text(json.dumps(TestRunRecords.SPEC | {"config": block,
+                                                          "output": str(out / "sweep.csv")}))
+        code = run_cli("sweep", "--spec", str(spec), "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+        assert not (out / "sweep.csv").exists()
+        assert f"unknown sweep spec config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--arity", "2", "--output", "DIR"],
+        ["search", "--state", "epr", "--g", "a^b", "--functions", "DIR"],
+        ["eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--config", "DIR"],
+        ["eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--mode", "classical",
+         "--output-dir", "FILE"],
+        ["reduce", "--arity", "2", "--output-dir", "FILE"],
+    ], ids=["reduce-output-is-a-directory", "search-functions-is-a-directory",
+            "config-is-a-directory", "eval-output-dir-is-a-file", "reduce-output-dir-is-a-file"])
+    def test_a_path_of_the_wrong_kind(self, out, capsys, argv):
+        (out / "a-directory").mkdir()
+        (out / "a-file").write_text("")
+        argv = [{"DIR": str(out / "a-directory"), "FILE": str(out / "a-file")}.get(a, a)
+                for a in argv]
+        if "--output-dir" not in argv:
+            argv += ["--output-dir", str(out / "runs")]
+        assert run_cli(*argv) == VALIDATION_ERROR
+        assert list((out / "runs").glob("*")) == []
+        assert list((out / "a-directory").iterdir()) == []
+        assert (out / "a-file").read_text() == ""
+        assert capsys.readouterr().err.startswith("error: ")

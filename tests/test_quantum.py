@@ -156,6 +156,26 @@ class TestStateVector:
         with pytest.raises(ValueError):
             parse_state_literal("g_abcd:a=nan,b=0,c=0,d=1")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("literal, limit", [
+        ("[[1e200,0],[0,0],[0,0],[1e200,0]]", "epr"),
+        ("[[1.7e308,-1.7e308],[0,0],[0,0],[0,1.7e308]]", "[[1,-1],[0,0],[0,0],[0,1]]"),
+        ("l_a4:a=1e200", "l_a4:a=1e100"),
+        ("g_abcd:a=1e200,b=1e200j,c=0,d=-1e200", "g_abcd:a=1,b=1j,c=0,d=-1"),
+    ], ids=["json-1e200", "json-largest", "l_a4-1e200", "g_abcd-1e200"])
+    def test_a_norm_that_overflows_gives_a_unit_vector(self, literal, limit):
+        # the squares of these amplitudes overflow a float, so a plain norm is inf
+        psi = parse_state_literal(literal)
+        assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+        assert np.allclose(psi.amplitudes, parse_state_literal(limit).amplitudes, atol=1e-12)
+
+    def test_a_finite_norm_keeps_the_plain_division(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 1e150):
+            amps = scale * (rng.normal(size=16) + 1j * rng.normal(size=16))
+            expected = amps / np.linalg.norm(amps)
+            assert StateVector(amps).amplitudes.tobytes() == expected.tobytes()
+
 
 class TestApplyStrategy:
     def test_identity_strategy_is_noop(self):
