@@ -73,7 +73,7 @@ class StateVector:
     __setstate__ = _setstate_read_only
 
     def __init__(self, amplitudes: Sequence[complex] | np.ndarray):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1)
         n = int(round(math.log2(amps.size))) if amps.size else 0
         if amps.size < 2 or (1 << n) != amps.size:
             raise ValueError(f"amplitude count {amps.size} is not a power of two >= 2")
@@ -81,12 +81,15 @@ class StateVector:
             raise ValueError("state amplitudes must be finite numbers")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(amps)
-        if norm == math.inf:
-            # the squares overflow: scale by the largest real or imaginary part first
-            amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+        if norm == math.inf or norm < 1e-9:
+            # the squares overflow or underflow: scale by the largest real or imaginary
+            # part first, dividing the parts as reals (a complex division takes 1 / scale)
+            parts = amps.view(float)
+            scale = np.abs(parts).max()
+            if scale == 0:
+                raise ValueError("state amplitudes are the zero vector")
+            amps = (parts / scale).view(complex)
             norm = np.linalg.norm(amps)
-        if norm < 1e-9:
-            raise ValueError("state amplitudes are (numerically) the zero vector")
         amps = amps / norm
         amps.setflags(write=False)
         self.n = n

@@ -140,9 +140,10 @@ class GameResult:
 
 # --- Classical search -----------------------------------------------------------
 
-@functools.cache
-def _answer_index_table(n: int) -> np.ndarray:
-    """(2**2n, 2**n) matrix: answer index produced by strategy s on question q (read-only)."""
+@functools.lru_cache(maxsize=64)
+def _answer_words(g: TruthTable) -> np.ndarray:
+    """(2**2n,) uint16 words: bit q of word s is g(strategy s's answers to q) (read-only)."""
+    n = g.arity
     strategies = np.arange(1 << (2 * n))[:, None]
     questions = np.arange(1 << n)[None, :]
     answers = np.zeros((1 << (2 * n), 1 << n), dtype=np.int64)
@@ -150,8 +151,25 @@ def _answer_index_table(n: int) -> np.ndarray:
         qbit = (questions >> (n - 1 - i)) & 1
         hbit = (strategies >> (2 * (n - 1 - i) + (1 - qbit))) & 1
         answers |= hbit << (n - 1 - i)
-    answers.flags.writeable = False
-    return answers
+    words = (g.values()[answers] << questions).sum(axis=1).astype(np.uint16)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _popcounts() -> np.ndarray:
+    """Set bits of every 16-bit word, built by doubling in uint8 (read-only)."""
+    counts = np.zeros(1 << 16, dtype=np.uint8)
+    for k in range(16):
+        np.add(counts[:1 << k], 1, out=counts[1 << k:2 << k])
+    counts.flags.writeable = False
+    return counts
+
+
+@functools.cache
+def _strategies(n: int) -> tuple[ClassicalStrategy, ...]:
+    """Every deterministic strategy of n players, indexed by encoding (frozen, so shared)."""
+    return tuple(ClassicalStrategy(n, s) for s in range(1 << (2 * n)))
 
 
 def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
@@ -159,13 +177,22 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
 
     Returns the best gain (an integer multiple of 2**-n) and every
     maximizing strategy in increasing encoding order.
+
+    Strategy s wins question q when g(its answers to q) equals f(q).  Bit q
+    of ``g``'s cached answer word s is g(answers of s to q), and bit q of
+    ``f.bits`` is f(q), so s loses exactly on the set bits of
+    ``word ^ f.bits``: one xor and a popcount table lookup score all
+    2**(2n) strategies, and the fewest mismatches give the maximizers.
+    The strategies returned are shared, frozen objects.
     """
     n = eq.arity
     size = 1 << n
-    wins = (eq.g.values()[_answer_index_table(n)] == eq.f.values()[None, :]).sum(axis=1)
-    best = int(wins.max())
-    maximizers = np.flatnonzero(wins == best)
-    return best / size, [ClassicalStrategy(n, int(s)) for s in maximizers]
+    mismatches = _popcounts().take(_answer_words(eq.g) ^ eq.f.bits)
+    fewest = mismatches[mismatches.argmin()]
+    strategies = _strategies(n)
+    return (size - int(fewest)) / size, [
+        strategies[s] for s in np.flatnonzero(mismatches == fewest).tolist()
+    ]
 
 
 # --- Quantum search -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: subcommands, exit codes, run records."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -146,6 +147,18 @@ class TestEval:
         assert code == VALIDATION_ERROR
         captured = capsys.readouterr()
         assert "NaN" not in captured.out + captured.err
+
+    def test_small_amplitudes_are_a_state(self, out, capsys):
+        code = run_cli("eval", "--state", "[[1e-10,0],[0,0],[0,0],[1e-10,0]]", "--f", "xy",
+                       "--g", "a^b", "--restarts", "4", "--output-dir", str(out / "runs"))
+        assert code == 0
+        assert read_stdout(capsys)["quantum"] == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-6)
+
+    def test_zero_amplitudes_are_a_validation_error(self, out, capsys):
+        code = run_cli("eval", "--state", "[[0,0],[0,0]]", "--f", "x", "--g", "a",
+                       "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert "zero vector" in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal", ["[1,2]", '[["a",0],[0,0]]', "[[null,0],[1,0]]",
                                          "[[true,0],[0,0],[0,0],[0,false]]"])

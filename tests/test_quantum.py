@@ -169,6 +169,19 @@ class TestStateVector:
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
         assert np.allclose(psi.amplitudes, parse_state_literal(limit).amplitudes, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("literal, limit", [
+        ("[[1e-10,0],[0,0],[0,0],[1e-10,0]]", "epr"),
+        ("[[1e-200,0],[0,0],[0,0],[0,-1e-200]]", "[[1,0],[0,0],[0,0],[0,-1]]"),
+        ("[[5e-324,0],[0,0],[0,0],[0,5e-324]]", "[[1,0],[0,0],[0,0],[0,1]]"),
+        ("g_abcd:a=1e-300,b=0,c=0,d=1e-300j", "g_abcd:a=1,b=0,c=0,d=1j"),
+    ], ids=["json-1e-10", "json-1e-200", "json-subnormal", "g_abcd-1e-300"])
+    def test_a_norm_below_the_threshold_gives_a_unit_vector(self, literal, limit):
+        # a literal is normalized, so its scale must not decide whether it is accepted
+        psi = parse_state_literal(literal)
+        assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+        assert np.allclose(psi.amplitudes, parse_state_literal(limit).amplitudes, atol=1e-12)
+
     def test_a_finite_norm_keeps_the_plain_division(self):
         rng = np.random.default_rng(5)
         for scale in (1e-3, 1.0, 1e150):

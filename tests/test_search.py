@@ -4,10 +4,12 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgames.boolfn import (
     ANSWER_VARS,
@@ -132,6 +134,92 @@ class TestClassicalBest:
             # maximizers correspond 1:1 (swap each negated player's answer pair)
             assert len(maximizers) == len(base_max)
 
+
+def _enumerated_best(f: TruthTable, g: TruthTable) -> tuple[float, list[int]]:
+    """Value and maximizer encodings of f = g, by playing every answer table on every question.
+
+    Strategies come in ``itertools.product`` order of the players' (h0, h1)
+    answer pairs, player 1 first, which is increasing encoding order.
+    """
+    n = f.arity
+    questions = list(itertools.product((0, 1), repeat=n))
+    wins = []
+    for pairs in itertools.product(itertools.product((0, 1), repeat=2), repeat=n):
+        count = 0
+        for question in questions:
+            answers = [pair[q] for pair, q in zip(pairs, question)]
+            f_index = int("".join(map(str, question)), 2)
+            g_index = int("".join(map(str, answers)), 2)
+            count += f.value(f_index) == g.value(g_index)
+        wins.append(count)
+    best = max(wins)
+    return best / len(questions), [s for s, w in enumerate(wins) if w == best]
+
+
+@st.composite
+def _games(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    f, g = (draw(st.integers(0, (1 << (1 << n)) - 1)) for _ in range(2))
+    return GameEquation(TruthTable(n, f), TruthTable(n, g))
+
+
+class TestClassicalBestOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(eq=_games())
+    def test_matches_plain_enumeration(self, eq):
+        gain, maximizers = classical_best(eq)
+        value, encodings = _enumerated_best(eq.f, eq.g)
+        assert gain == value
+        assert [s.encoding for s in maximizers] == encodings
+        assert all(s.n == eq.arity for s in maximizers)
+
+    def test_parity_games_have_the_walsh_closed_form(self):
+        # with g = parity a deterministic strategy answers c_k ^ s_k q_k, so it wins
+        # where f(q) = c ^ S.q: on 8 + |W_f(S)| / 2 questions at best
+        g = parse_table("a^b^c^d", ANSWER_VARS[4])
+        space = reduce_function_space(4)
+        assert len(space) == 2191
+        bits = np.arange(16)
+        signs = 1 - 2 * ((np.array([t.bits for t in space])[:, None] >> bits) & 1)
+        hadamard = np.array([[(-1) ** bin(q & s).count("1") for s in range(16)] for q in range(16)])
+        walsh = signs @ hadamard
+        for f, coefficients in zip(space, walsh):
+            gain, _ = classical_best(GameEquation(f, g))
+            assert gain == 0.5 + 0.5 * int(np.abs(coefficients).max()) / 16
+
+    def test_caches_do_not_leak_between_calls(self):
+        rng = np.random.default_rng(16)
+        gs = [parse_table("a^b^c^d", ANSWER_VARS[4]), w_game_equation().g,
+              TruthTable(4, int(rng.integers(0, 1 << 16))), parse_table("a^b", ANSWER_VARS[2]),
+              TruthTable(3, 0x96)]
+        fs = {n: [TruthTable(n, int(b)) for b in rng.integers(0, 1 << (1 << n), 12)]
+              for n in (2, 3, 4)}
+        games = [GameEquation(fs[g.arity][i], g) for i in range(12) for g in gs]
+
+        def encodings(eq):
+            gain, maximizers = classical_best(eq)
+            return gain, [s.encoding for s in maximizers]
+
+        warm = []
+        for eq in games:
+            warm.append(encodings(eq))
+            classical_best(eq)[1].clear()  # the caller owns the returned list
+        cold = []
+        for eq in games:
+            search._answer_words.cache_clear()
+            cold.append(encodings(eq))
+        assert warm == cold
+
+    def test_cached_tables_are_read_only(self):
+        _, maximizers = classical_best(ghz_game_equation())
+        with pytest.raises(FrozenInstanceError):
+            maximizers[0].encoding = 1
+        words = search._answer_words(ghz_game_equation().g)
+        with pytest.raises(ValueError):
+            words[0] = 0
+        counts = search._popcounts()
+        assert counts.dtype == np.uint8 and not counts.flags.writeable
+        assert counts.tolist() == [bin(i).count("1") for i in range(1 << 16)]
 
 class TestOptimizeQuantum:
     def test_two_player_chsh_reaches_tsirelson(self):
