@@ -37,6 +37,9 @@ SUPPORTED_ARITIES = (2, 3, 4)
 QUESTION_VARS = {2: ("x", "y"), 3: ("x", "y", "z"), 4: ("w", "x", "y", "z")}
 ANSWER_VARS = {2: ("a", "b"), 3: ("a", "b", "c"), 4: ("a", "b", "c", "d")}
 
+#: ``n:HEX`` in ASCII: decimal arity, colon, hex digits (``int`` would also read 0x, _, +, -).
+_TABLE_TEXT = re.compile(r"([0-9]+):([0-9A-Fa-f]+)")
+
 
 class ParseError(ValueError):
     """Raised for malformed expressions; carries the offending position."""
@@ -98,13 +101,10 @@ class TruthTable:
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
-        try:
-            arity_s, hex_s = text.strip().split(":")
-            arity = int(arity_s)
-            bits = int(hex_s, 16)
-        except ValueError as exc:
-            raise ValueError(f"malformed truth-table literal {text!r}") from exc
-        return cls(arity, bits)
+        literal = _TABLE_TEXT.fullmatch(text.strip())
+        if literal is None:
+            raise ValueError(f"malformed truth-table literal {text!r}")
+        return cls(int(literal[1]), int(literal[2], 16))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -324,19 +324,14 @@ def _canonical_all(arity: int, include_output_flip: bool) -> np.ndarray:
 class ReducedSpace:
     """Ordered canonical function list plus the reduction stage counts.
 
-    Behaves as a sequence of TruthTable.  Stage counts follow the pipeline:
-    full space, output-flip pairing (full space when the flip is disabled),
-    variant dedup, relevance filter (``None`` when the filter is off).
+    Behaves as a sequence of TruthTable.  ``stages`` holds one (name, count)
+    pair per stage of the pipeline, in order: full space, output-flip pairing
+    (full space when the flip is disabled), variant dedup, relevance filter
+    (``None`` when the filter is off).
     """
 
-    arity: int
-    include_output_flip: bool
-    require_all_relevant: bool
-    full_count: int
-    after_output_flip: int
-    after_variant_dedup: int
-    after_relevance: int | None
     tables: tuple[TruthTable, ...] = field(repr=False)
+    stages: tuple[tuple[str, int | None], ...]
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -348,12 +343,7 @@ class ReducedSpace:
         return self.tables[i]
 
     def stage_counts(self) -> dict[str, int | None]:
-        return {
-            "full_space": self.full_count,
-            "after_output_flip": self.after_output_flip,
-            "after_variant_dedup": self.after_variant_dedup,
-            "after_relevance_filter": self.after_relevance,
-        }
+        return dict(self.stages)
 
 
 def reduce_function_space(
@@ -369,23 +359,12 @@ def reduce_function_space(
     """
     if arity not in SUPPORTED_ARITIES:
         raise ValueError(f"arity must be one of {SUPPORTED_ARITIES}, got {arity}")
-    size = 1 << arity
-    full_count = 1 << size
-    canon = _canonical_all(arity, include_output_flip)
-    reps = np.unique(canon)
-    after_dedup = int(reps.size)
-    after_relevance = None
+    full_count = 1 << (1 << arity)
+    stages = [("full_space", full_count),
+              ("after_output_flip", full_count // 2 if include_output_flip else full_count)]
+    reps = np.unique(_canonical_all(arity, include_output_flip))
+    stages.append(("after_variant_dedup", int(reps.size)))
     if require_all_relevant:
         reps = reps[np.logical_and.reduce([_relevant(reps, arity, k) for k in range(arity)])]
-        after_relevance = int(reps.size)
-    tables = tuple(TruthTable(arity, int(v)) for v in reps)
-    return ReducedSpace(
-        arity=arity,
-        include_output_flip=include_output_flip,
-        require_all_relevant=require_all_relevant,
-        full_count=full_count,
-        after_output_flip=full_count // 2 if include_output_flip else full_count,
-        after_variant_dedup=after_dedup,
-        after_relevance=after_relevance,
-        tables=tables,
-    )
+    stages.append(("after_relevance_filter", int(reps.size) if require_all_relevant else None))
+    return ReducedSpace(tuple(TruthTable(arity, int(v)) for v in reps), tuple(stages))

@@ -45,7 +45,7 @@ from .boolfn import (
     parse_table,
     reduce_function_space,
 )
-from .quantum import FamilyId, _parse_complex, check_family_params, parse_state_literal
+from .quantum import FAMILY_BY_NAME, _parse_complex, check_family_params, parse_state_literal
 from .search import (
     GameResult,
     OptimizerConfig,
@@ -348,11 +348,11 @@ def _sweep_spec_from_file(args) -> SweepSpec:
     raw = _read_json(args.spec, "sweep spec")
     if not (isinstance(raw, dict) and isinstance(raw.get("axes", []), list)
             and isinstance(raw.get("fixed", {}), dict)
-            and isinstance(raw.get("output") or "", str)):
+            and isinstance(raw.get("output", ""), str)):
         raise ValueError(f"sweep spec {args.spec!r} must be a JSON object with an axes list, "
                          "a fixed object and a string output")
     name = _typed(raw.get("family"), str, "a sweep spec's family").lower()
-    family = next((f for f in FamilyId if f.value == name), None)
+    family = FAMILY_BY_NAME.get(name)
     if family is None:
         raise ValueError(f"unknown family {raw.get('family')!r}")
     raw_axes = [_flat_object(a, "each sweep axis") for a in raw.get("axes", [])]
@@ -373,7 +373,7 @@ def _sweep_spec_from_file(args) -> SweepSpec:
     f_table = _parse_side(_typed(raw.get("f"), str, "a sweep spec's f"), 4, "f")
     g_table = _parse_side(_typed(raw.get("g"), str, "a sweep spec's g"), 4, "g")
     # the spec's config block comes ahead of the flags, so it overrides them in ``args``
-    block = _flat_object(raw.get("config") or {}, "a sweep spec's config")
+    block = _flat_object(raw.get("config", {}), "a sweep spec's config")
     vars(args).update(_config_values(block, "sweep", _SPEC_CONFIG, "sweep spec config key"))
     return SweepSpec(family=family, axes=axes, equation=GameEquation(f_table, g_table),
                      fixed=fixed, config=_optimizer_config(args), output_path=raw.get("output"))

@@ -408,6 +408,9 @@ _FAMILIES: dict[FamilyId, tuple[tuple[str, ...], Callable[..., Terms]]] = {
 #: Each family's parameter names, in the order of its normal form.
 FAMILY_PARAM_NAMES = {family: names for family, (names, _) in _FAMILIES.items()}
 
+#: Each family by its name, the value of its ``FamilyId``.
+FAMILY_BY_NAME = {family.value: family for family in FamilyId}
+
 
 def check_family_params(family: FamilyId, names: Sequence[str]) -> None:
     """ValueError unless ``names`` gives each of the family's parameters exactly once."""
@@ -479,7 +482,7 @@ def parse_state_literal(text: str) -> StateVector:
         return psi
     head, _, tail = literal.partition(":")
     key = head.strip().lower()
-    family = next((f for f in FamilyId if f.value == key), None)
+    family = FAMILY_BY_NAME.get(key)
     if family is not None:
         params: list[tuple[str, complex]] = []
         for item in tail.split(",") if tail.strip() else []:

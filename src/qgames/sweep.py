@@ -15,7 +15,7 @@ import cmath
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,18 +55,17 @@ class SweepSpec:
     family: FamilyId
     axes: tuple[SweepAxis, ...]
     equation: GameEquation
-    fixed: dict[str, complex] | None = None
-    config: OptimizerConfig | None = None
+    fixed: dict[str, complex] = field(default_factory=dict)
+    config: OptimizerConfig = OptimizerConfig()
     output_path: str | None = None
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep uses one or two axes")
-        fixed = self.fixed or {}
         # a parameter swept twice, or both swept and fixed, is a repeat
-        check_family_params(self.family, [ax.param for ax in self.axes] + list(fixed))
-        if not all(cmath.isfinite(value) for value in fixed.values()):
-            raise ValueError(f"fixed parameters must be finite, got {fixed}")
+        check_family_params(self.family, [ax.param for ax in self.axes] + list(self.fixed))
+        if not all(cmath.isfinite(value) for value in self.fixed.values()):
+            raise ValueError(f"fixed parameters must be finite, got {self.fixed}")
 
 
 @dataclass(frozen=True)
@@ -109,15 +108,14 @@ class SweepResult:
         return buf.getvalue()
 
     def sidecar_dict(self) -> dict:
-        fixed = self.spec.fixed or {}
-        cfg = self.spec.config or OptimizerConfig()
+        cfg = self.spec.config
         return {
             "family": self.spec.family.value,
             "axes": [
                 {"param": ax.param, "start": ax.start, "stop": ax.stop, "steps": ax.steps}
                 for ax in self.spec.axes
             ],
-            "fixed": {k: [complex(v).real, complex(v).imag] for k, v in fixed.items()},
+            "fixed": {k: [complex(v).real, complex(v).imag] for k, v in self.spec.fixed.items()},
             "f": self.spec.equation.f.to_text(),
             "g": self.spec.equation.g.to_text(),
             "config": {"restarts": cfg.restarts, "max_evals": cfg.max_evals, "tol": cfg.tol},
@@ -135,7 +133,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Degenerate grid points (zero state) are recorded as invalid and
     skipped: their chain carries its warm start on to its next point.
     """
-    cfg = spec.config or OptimizerConfig()
+    cfg = spec.config
     axis0 = spec.axes[0]
     rows = (None,) if len(spec.axes) == 1 else tuple(float(v) for v in spec.axes[1].values())
     chains: list[list[SweepPoint]] = [[] for _ in rows]
@@ -143,7 +141,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for i, value in enumerate(axis0.values()):
         batch, states = [], []
         for j, row_value in enumerate(rows):
-            params = dict(spec.fixed or {})
+            params = dict(spec.fixed)
             coords = (float(value),)
             if row_value is not None:
                 params[spec.axes[1].param] = row_value

@@ -6,6 +6,7 @@ input tuples.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -68,10 +69,10 @@ class TestTruthTable:
         assert TruthTable.from_text(" 2:8 ") == TruthTable(2, 8)
 
     def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            TruthTable.from_text("6996")
-        with pytest.raises(ValueError):
-            TruthTable.from_text("4:zz")
+        # int() alone reads the last five too: 4:-0 as 4:0000, the others as 4:6996
+        for text in ("6996", "4:zz", "4:0x6996", "4:69_96", "4:+6996", "+4:6996", "4:-0"):
+            with pytest.raises(ValueError):
+                TruthTable.from_text(text)
 
     def test_equation_requires_matching_arity(self):
         with pytest.raises(ValueError):
@@ -265,6 +266,13 @@ class TestClassQueriesAgainstEvaluation:
 
 
 @settings(max_examples=100, deadline=None)
+@given(arity=st.sampled_from((2, 3, 4)), data=st.data())
+def test_text_form_round_trips(arity, data):
+    t = TruthTable(arity, data.draw(st.integers(0, (1 << (1 << arity)) - 1)))
+    assert TruthTable.from_text(t.to_text()) == t
+
+
+@settings(max_examples=100, deadline=None)
 @given(arity=st.sampled_from((2, 3)), data=st.data())
 def test_minterm_form_round_trips(arity, data):
     bits = data.draw(st.integers(0, (1 << (1 << arity)) - 1))
@@ -291,20 +299,38 @@ class TestReduce:
         assert counts["after_relevance_filter"] == len(space) == 4184
 
     @pytest.mark.parametrize(
-        "arity,flip,dedup,relevant",
+        "arity,relevant,flip,counts",
         [
             # Burnside oracles: arity 2 -> (16+3*4)/4 = 7 and (16+2*3*4)/8 = 5;
             # arity 3 -> (256+7*16)/8 = 46 and (256+2*7*16)/16 = 30.
-            (2, False, 7, 3),
-            (2, True, 5, 2),
-            (3, False, 46, 32),
-            (3, True, 30, 20),
+            (2, False, True, [16, 8, 5, None]),
+            (2, False, False, [16, 16, 7, None]),
+            (2, True, True, [16, 8, 5, 2]),
+            (2, True, False, [16, 16, 7, 3]),
+            (3, False, True, [256, 128, 30, None]),
+            (3, False, False, [256, 256, 46, None]),
+            (3, True, True, [256, 128, 30, 20]),
+            (3, True, False, [256, 256, 46, 32]),
+            (4, False, True, [65536, 32768, 2288, None]),
+            (4, False, False, [65536, 65536, 4336, None]),
+            (4, True, True, [65536, 32768, 2288, 2191]),
+            (4, True, False, [65536, 65536, 4336, 4184]),
         ],
     )
-    def test_small_arity_counts(self, arity, flip, dedup, relevant):
-        space = reduce_function_space(arity, require_all_relevant=True, include_output_flip=flip)
-        assert space.stage_counts()["after_variant_dedup"] == dedup
-        assert len(space) == relevant
+    def test_small_arity_counts(self, arity, relevant, flip, counts):
+        space = reduce_function_space(arity, require_all_relevant=relevant, include_output_flip=flip)
+        stages = ["full_space", "after_output_flip", "after_variant_dedup", "after_relevance_filter"]
+        assert list(space.stage_counts().items()) == list(zip(stages, counts))
+        assert len(space) == [count for count in counts if count is not None][-1]
+
+    def test_space_is_a_value_and_a_sequence(self):
+        space = reduce_function_space(3)
+        assert pickle.loads(pickle.dumps(space)) == space
+        assert hash(reduce_function_space(3)) == hash(space)
+        assert [space[i] for i in range(len(space))] == list(space)
+        # each call hands out a fresh dict, so a caller's edit does not stick
+        space.stage_counts()["full_space"] = 0
+        assert space.stage_counts()["full_space"] == 256
 
     def test_output_is_sorted_canonical_and_variant_free(self):
         space = reduce_function_space(3, require_all_relevant=True, include_output_flip=True)

@@ -110,6 +110,12 @@ class TestEval:
                        "--output-dir", str(out / "runs"))
         assert code == VALIDATION_ERROR
 
+    def test_table_literal_that_to_text_never_writes_is_validation_error(self, out):
+        code = run_cli("eval", "--state", "ghz4", "--f", "4:0x6996", "--g", "a^b^c^d",
+                       "--output-dir", str(out / "runs"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "runs").exists()
+
     def test_three_player_game(self, out, capsys):
         code = run_cli("eval", "--state", "ghz3", "--f", "xyz", "--g", "a^b^c",
                        "--mode", "both", "--output-dir", str(out / "runs"))
@@ -425,6 +431,12 @@ class TestSweepCommand:
          "fixed": {"b": 0.3}, "f": "xy", "g": "ab"},
         {"family": "l_a2b2", "axes": [{"param": "a", "steps": 2}], "fixed": {"b": True},
          "f": "xy", "g": "ab"},
+        # a present output that is not a string, or config that is not an object
+        *({"family": "l_a2b2", "axes": [{"param": "a", "steps": 2}], "fixed": {"b": 0.3},
+           "f": "xy", "g": "ab", key: value}
+          for key, values in (("output", (False, 0, [], {}, None, 5)),
+                              ("config", (False, 0, [], "", None, 5)))
+          for value in values),
     ))
     def test_wrong_json_types_are_validation_errors(self, out, spec):
         spec_path = out / "spec.json"
@@ -432,6 +444,7 @@ class TestSweepCommand:
         code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
         assert code == VALIDATION_ERROR
         assert not (out / "runs").exists()
+        assert not list(out.rglob("*.csv"))
 
     def test_sidecar_round_trips_as_a_spec(self, out, capsys):
         spec_path = self.write_spec(out / "spec.json", output=str(out / "first.csv"))
