@@ -117,8 +117,9 @@ _SETTINGS = {
     "spec": _Setting(str, None, ("sweep",), help="sweep specification JSON file"),
     "restarts": _Setting(int, _OPTIMIZER.restarts, _OPTIMIZED),
     "max_evals": _Setting(int, _OPTIMIZER.max_evals, _OPTIMIZED,
-                          help="cap on best-response updates per restart; one sweep over "
-                               "every (player, question bit) is 2n updates "
+                          help="cap on the see-saw's best-response updates per restart; one "
+                               "sweep over every (player, question bit) is 2n updates; XOR "
+                               "games on GHZ-type states do not read it "
                                f"(default {_OPTIMIZER.max_evals})"),
     "tol": _Setting(float, _OPTIMIZER.tol, _OPTIMIZED),
 }
@@ -226,7 +227,7 @@ class _Run:
     def write(self, name: str, text: str, path: str | Path | None = None) -> Path:
         """Write ``text`` to ``path`` if given, else to ``name`` in the run directory."""
         Path(self.args.output_dir).mkdir(parents=True, exist_ok=True)  # ``path`` may lie in it
-        out_path = Path(path or self.directory / name)
+        out_path = Path(path) if path is not None else self.directory / name
         out_path.write_text(text)
         self.outputs.append(out_path)
         return out_path
@@ -351,6 +352,9 @@ def _sweep_spec_from_file(args) -> SweepSpec:
             and isinstance(raw.get("output", ""), str)):
         raise ValueError(f"sweep spec {args.spec!r} must be a JSON object with an axes list, "
                          "a fixed object and a string output")
+    if raw.get("output") == "":
+        raise ValueError(f"sweep spec {args.spec!r} has an empty output path; "
+                         "give a file path or leave it out")
     name = _typed(raw.get("family"), str, "a sweep spec's family").lower()
     family = FAMILY_BY_NAME.get(name)
     if family is None:
@@ -476,6 +480,8 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, key, config.get(key, setting.default))
         if args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
+        if getattr(args, "output", None) == "":
+            raise ValueError("--output is an empty path; give a file path or leave it out")
         run = _Run(args)
         _HANDLERS[args.subcommand][0](args, run)
         run.record()

@@ -2,9 +2,10 @@
 
 The classical optimum is exact: all 2**(2n) deterministic strategies are
 enumerated.  The quantum optimum is a multi-start see-saw ascent over every
-player's measurements; every reported quantum gain is the re-evaluated win
-probability of the returned strategy, so it is always an achievable lower
-bound.
+player's measurements, except for XOR games on GHZ-type states, whose
+value is a maximum over the players' phase differences (the torus path);
+every reported quantum gain is the re-evaluated win probability of the
+returned strategy, so it is always an achievable lower bound.
 
 Batch searches play every function against one ``g`` on one state.  They
 split the functions into contiguous tasks, and each task runs the restarts
@@ -30,6 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .boolfn import GameEquation, TruthTable
+from . import torus
 from .quantum import (
     FOUR_PI,
     GainKernel,
@@ -79,12 +81,15 @@ class ClassicalStrategy:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """See-saw settings.
+    """Optimizer settings.
 
-    ``restarts`` random starts run per game; ``max_evals`` caps the
-    best-response updates of one restart, where a sweep over every
-    (player, question bit) is 2n updates; a restart stops early once a
-    sweep raises its gain by less than ``tol``.
+    ``restarts`` random starts run per game, from ``seed`` (a search
+    derives each game's seed from it).  For the see-saw, ``max_evals``
+    caps the best-response updates of one restart, where a sweep over
+    every (player, question bit) is 2n updates, and a restart stops early
+    once a sweep raises its gain by less than ``tol``.  The torus path
+    (XOR games on GHZ-type states) reads ``restarts`` and the seed only:
+    its ascent takes a fixed number of steps.
     """
 
     restarts: int = 20
@@ -286,6 +291,12 @@ def _see_saw(
     return out
 
 
+def _per_game(items, kind: type, count: int) -> list:
+    """One item per game from one item, a one-item list or one item per game."""
+    items = [items] if isinstance(items, kind) else list(items)
+    return items * count if len(items) == 1 else items
+
+
 def _optimize_games(
     states: StateVector | Sequence[StateVector],
     eqs: GameEquation | Sequence[GameEquation],
@@ -293,38 +304,62 @@ def _optimize_games(
     cfg: OptimizerConfig,
     extra_starts: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> list[tuple[float, QuantumStrategy]]:
-    """``optimize_quantum`` for several games, run through one see-saw pool.
+    """``optimize_quantum`` for several games: the best strategy of each and its gain.
 
     Game j plays ``eqs[j]`` on ``states[j]``; a single state or equation is
-    shared by every game.  It draws its restarts from ``seeds[j]`` and adds
-    the warm starts ``extra_starts[j]`` after them.  Each game's result is
-    bit-identical to running it alone.
+    shared by every game.  It draws its starts from ``seeds[j]`` and adds
+    the warm starts ``extra_starts[j]`` after them.
+
+    The input picks each game's path.  An XOR game on a GHZ-type state
+    (``torus.signs_and_phase``) takes the torus path, ``torus.optimize``,
+    which reads only ``cfg.restarts``; ``max_evals`` and ``tol`` are see-saw
+    settings.  Every other game runs through one see-saw pool.  Either
+    way, a game's gain is the win probability of its returned angles,
+    evaluated afresh by the kernel, and each game's result is bit-identical
+    to running it alone.
     """
+    count = len(seeds)
+    extra_starts = extra_starts or [()] * count
     kernel = GainKernel(states, eqs)
+    games = [torus.signs_and_phase(psi, eq) for psi, eq in zip(
+        _per_game(states, StateVector, count), _per_game(eqs, GameEquation, count))]
+    on_torus = [j for j, game in enumerate(games) if game is not None]
+    seesaw = [j for j, game in enumerate(games) if game is None]
     dim = 6 * kernel.n
-    starts, counts = [], []
-    for seed, extras in zip(seeds, extra_starts or [()] * len(seeds)):
-        rng = np.random.default_rng(seed)
-        starts.extend(rng.uniform(0.0, FOUR_PI, (cfg.restarts, dim)))
-        starts.extend(np.asarray(s, dtype=float).reshape(dim) for s in extras)
-        counts.append(cfg.restarts + len(extras))
-    game = np.repeat(np.arange(len(seeds)), counts)
-    start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
-    angles = _angles_from_gates(
-        _see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol)
-    )
-    # the gains of the returned angles, evaluated afresh: never the optimizer state;
-    # a pool's rows at a time, so that memory stays bounded by the pool
-    flat = angles.reshape(len(starts), dim)
-    gains = np.concatenate([
+    best, gains = np.empty((count, kernel.n, 2, 3)), np.empty(count)
+    if on_torus:
+        best[on_torus] = torus.optimize(
+            [games[j] for j in on_torus], [seeds[j] for j in on_torus], cfg.restarts,
+            [extra_starts[j] for j in on_torus])
+        gains[on_torus] = _gains(kernel, best[on_torus], np.array(on_torus))
+    if seesaw:
+        starts, counts = [], []
+        for j in seesaw:
+            rng = np.random.default_rng(seeds[j])
+            starts.extend(rng.uniform(0.0, FOUR_PI, (cfg.restarts, dim)))
+            starts.extend(np.asarray(s, dtype=float).reshape(dim) for s in extra_starts[j])
+            counts.append(cfg.restarts + len(extra_starts[j]))
+        game = np.repeat(seesaw, counts)
+        start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
+        angles = _angles_from_gates(
+            _see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol)
+        )
+        row_gains = _gains(kernel, angles, game)
+        for j, lo, rows in zip(seesaw, np.cumsum([0] + counts[:-1]), counts):
+            pick = lo + int(np.argmax(row_gains[lo:lo + rows]))
+            best[j], gains[j] = angles[pick], row_gains[pick]
+    return [(float(gain), QuantumStrategy(angles)) for gain, angles in zip(gains, best)]
+
+
+def _gains(kernel: GainKernel, angles: np.ndarray, game: np.ndarray) -> np.ndarray:
+    """Win probabilities of (R, n, 2, 3) angles, row r on game ``game[r]``, evaluated
+    afresh (never taken from an optimizer's state), a pool's rows at a time, so that
+    memory stays bounded by the pool."""
+    flat = angles.reshape(angles.shape[0], -1)
+    return np.concatenate([
         kernel.gains(flat[lo:lo + _CHUNK_ROWS], game[lo:lo + _CHUNK_ROWS])
-        for lo in range(0, len(starts), _CHUNK_ROWS)
+        for lo in range(0, len(flat), _CHUNK_ROWS)
     ])
-    results = []
-    for lo, count in zip(np.cumsum([0] + counts[:-1]), counts):
-        best = lo + int(np.argmax(gains[lo:lo + count]))
-        results.append((float(gains[best]), QuantumStrategy(angles[best])))
-    return results
 
 
 def optimize_quantum(
@@ -333,16 +368,21 @@ def optimize_quantum(
     cfg: OptimizerConfig | None = None,
     extra_starts: Sequence[np.ndarray] = (),
 ) -> tuple[float, QuantumStrategy]:
-    """Multi-start see-saw ascent over every player's measurements.
+    """The best strategy found for one game, and its win probability.
 
-    Each restart draws a start uniformly from [0, 4pi)^{6n}, turns it into
-    gates and runs the see-saw of ``_see_saw``; all restarts run as one
-    batch.  A restart stops when one sweep (2n best-response updates)
-    raises its gain by less than ``cfg.tol``, or after ``cfg.max_evals``
-    updates.  ``extra_starts`` adds warm starts after the random restarts
-    (used for sweep chaining).  The returned angles have phi = 0, and the
-    returned gain is the win probability of the returned strategy,
-    re-evaluated from its angles, never taken from the optimizer state.
+    An XOR game (``g`` parity or its complement) on a GHZ-type state takes
+    the torus path: ``cfg.restarts`` seeded starts of an ascent over each
+    player's phase difference (``torus.optimize``), which returns
+    equatorial gates and reaches the game's quantum value.  Every other
+    game takes the multi-start see-saw: each restart draws a start
+    uniformly from [0, 4pi)^{6n}, turns it into gates and runs the see-saw
+    of ``_see_saw``; all restarts run as one batch.  A restart stops when
+    one sweep (2n best-response updates) raises its gain by less than
+    ``cfg.tol``, or after ``cfg.max_evals`` updates.  ``extra_starts`` adds
+    warm starts after the random restarts (used for sweep chaining).  The
+    returned angles have phi = 0, and the returned gain is the win
+    probability of the returned strategy, re-evaluated from its angles,
+    never taken from the optimizer state.
     """
     cfg = cfg or OptimizerConfig()
     return _optimize_games(psi, eq, [cfg.seed], cfg, [extra_starts])[0]

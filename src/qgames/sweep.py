@@ -6,7 +6,8 @@ strategy with a per-point derived seed, and records the gain.  Along the
 primary axis the previous point's best angles are added as one extra warm
 start, which removes optimizer noise from landscape plots; rows of a 2D
 sweep are independent chains.  A sweep runs in one process: step i of every
-chain runs through one see-saw pool, each chain on its own state.
+chain runs through one see-saw pool, each chain on its own state (a GHZ-type
+point of an XOR game takes the torus path instead).
 """
 
 from __future__ import annotations

@@ -1,0 +1,231 @@
+"""XOR games on GHZ-type states: their quantum value on the phase torus.
+
+With g = parity a game is an XOR game: P(win | q) = (1 + s_q E_q) / 2, with
+s_q = (-1)^f(q) and E_q the correlation of the players' +-1 outcomes, so the
+win probability is 1/2 + 2^-(n+1) sum_q s_q E_q, a full-correlation Bell
+functional with two +-1 observables per player (g's complement flips every
+s_q).  Over every state and every such pair of observables, in any
+dimension, its maximum is
+
+    1/2 + 2^-(n+1) max over delta in [0, 2pi)^n of |S(delta)|,
+    S(delta) = sum_q s_q e^{i q.delta},
+
+and GHZ with equatorial measurements reaches it (Werner & Wolf, PRA 64,
+032112, 2001; Zukowski & Brukner, PRL 88, 210401, 2002).  On
+(|0...0> + e^{i chi} |1...1>) / sqrt 2, players who measure at azimuths
+alpha_k(q_k) give E_q = cos(chi - sum_k alpha_k(q_k)), and delta_k =
+alpha_k(1) - alpha_k(0).  The classical value is the same maximum over
+delta in {0, pi}^n, the largest Walsh coefficient.  Neither closed form
+holds for any other g, such as the W game's, nor on other states.
+
+``signs_and_phase`` says whether a game is such a game, and ``optimize``
+finds the best delta of each and returns its equatorial strategy.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Sequence
+
+import numpy as np
+
+from .boolfn import GameEquation
+from .quantum import TWO_PI, StateVector
+
+#: Coordinate-ascent sweeps, then Newton steps, that every torus start takes.
+_SWEEPS = 4
+_NEWTON_STEPS = 5
+
+
+@functools.cache
+def _parity_bits(n: int) -> int:
+    """The table of a1 ^ ... ^ an."""
+    return sum(1 << a for a in range(1 << n) if bin(a).count("1") % 2)
+
+
+@functools.cache
+def _question_bits(n: int) -> np.ndarray:
+    """(n, 2**n) floats: row k is player k's bit of every question (read-only)."""
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    bits = bits.astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+@functools.cache
+def _supersets(n: int) -> np.ndarray:
+    """(2**n, 2**n) complex 0/1: entry (q, m) is 1 when question q has every bit of m.
+
+    Terms @ this matrix give, in column m, the sum of the terms of every
+    such q: column 0 is S itself, column 2**(n-1-k) is S_k, the terms where
+    player k has question 1, and the column of two players' bits sums
+    where both have 1 (read-only).
+    """
+    q = np.arange(1 << n)
+    table = ((q[:, None] & q[None, :]) == q[None, :]).astype(complex)
+    table.flags.writeable = False
+    return table
+
+
+def signs_and_phase(psi: StateVector, eq: GameEquation) -> tuple[np.ndarray, float] | None:
+    """The signs s_q of a game and the relative phase chi of its state, or None.
+
+    The torus path plays a game when ``g`` is parity or its complement and
+    the state is GHZ-type: exactly two non-zero amplitudes, of equal
+    modulus, on |0...0> and |1...1>, with any relative phase chi.  Then
+    s_q = (-1)^(f(q) ^ c), with c = 1 for the complement.
+    """
+    n = eq.arity
+    parity = _parity_bits(n)
+    flip = {parity: 0, parity ^ ((1 << (1 << n)) - 1): 1}.get(eq.g.bits)
+    amps = psi.amplitudes
+    ends = amps[[0, -1]]
+    if (flip is None or np.count_nonzero(amps) != 2 or not ends.all()
+            or abs(abs(ends[0]) - abs(ends[1])) > 1e-12):
+        return None
+    return 1.0 - 2.0 * (eq.f.values() ^ flip), float(np.angle(ends[1] * ends[0].conj()))
+
+
+def _terms(signs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """(R, 2**n) terms s_q e^{i q.delta} of S(delta) for (R, 2**n) signs and (R, n) deltas."""
+    phases = (delta[:, None, :] @ _question_bits(delta.shape[1]))[:, 0]
+    return signs * np.exp(1j * phases)
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with system[r] @ x[r] = rhs[r] for (R, n, n) systems, by Gauss-Jordan elimination.
+
+    No pivoting and no exception: a row whose system is singular, or
+    nearly, gets an inf or NaN solution, which ``_ascent`` rejects
+    as a step like any other step that does not raise |S|.  (LAPACK's
+    batched solve raises for the whole batch on one singular system.)
+    """
+    n = system.shape[1]
+    table = np.concatenate([system, rhs[:, :, None]], axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            row = table[:, k] / table[:, k, k:k + 1]
+            table = table - table[:, :, k:k + 1] * row[:, None, :]
+            table[:, k] = row
+    return table[:, :, n]
+
+
+def _ascent(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local maxima of |S(delta)|, S(delta) = sum_q s_q e^{i q.delta}, from (R, n) starts.
+
+    Returns the deltas and their S.  A coordinate step writes
+    S = A + e^{i delta_k} B, with A the terms where player k has question
+    0, and sets delta_k = arg A - arg B, which lines both up and never
+    lowers |S|; ``_SWEEPS`` sweeps over every player find a basin,
+    where they may creep.  ``_NEWTON_STEPS`` damped Newton steps on |S|^2
+    then polish it: (mu I - H) step = grad, taken by a row only where it
+    raises |S|.  mu starts tiny, so a step near a maximum is Newton's,
+    and grows fourfold on each failure, which shortens the step towards
+    one along the gradient.  Every operation treats each row on its own
+    (no sum across rows), so a row's result does not depend on the other
+    rows.
+    """
+    rows, n = delta.shape
+    supersets = _supersets(n)
+    single = [1 << (n - 1 - k) for k in range(n)]
+    both = np.bitwise_or.outer(single, single)
+    # per player, the columns of S and of S_k
+    columns = [supersets[:, [0, bit]] for bit in single]
+    delta = delta.copy()
+    terms = _terms(signs, delta)
+    for _ in range(_SWEEPS):
+        for k in range(n):
+            total, ones = (terms[:, None, :] @ columns[k])[:, 0].T
+            step = np.angle((total - ones) * ones.conj())
+            delta[:, k] += step
+            pairs = terms.reshape(rows, 1 << k, 2, -1)
+            turned = pairs[:, :, 1:] * np.exp(1j * step)[:, None, None, None]
+            terms = np.concatenate([pairs[:, :, :1], turned], axis=2).reshape(rows, -1)
+    sums = (terms[:, None, :] @ supersets)[:, 0]
+    value = np.abs(sums[:, 0])
+    damping = np.full(rows, 1e-9)
+    for _ in range(_NEWTON_STEPS):
+        s, sk = sums[:, :1], sums[:, single]
+        # gradient and Hessian of |S|^2: dS/d delta_k = i S_k, d2S/d delta_k d delta_l = -S_kl
+        grad = -2.0 * (s.conj() * sk).imag
+        hess = (2.0 * (sk[:, :, None] * sk[:, None, :].conj()).real
+                - 2.0 * (s[:, :, None].conj() * sums[:, both]).real)
+        trial = delta + _solve(damping[:, None, None] * np.eye(n) - hess, grad)
+        trial_sums = (_terms(signs, trial)[:, None, :] @ supersets)[:, 0]
+        trial_value = np.abs(trial_sums[:, 0])
+        up = trial_value > value
+        delta = np.where(up[:, None], trial, delta)
+        sums = np.where(up[:, None], trial_sums, sums)
+        value = np.where(up, trial_value, value)
+        damping = np.where(up, np.maximum(damping / 4.0, 1e-9), 4.0 * (damping + 1.0))
+    return delta, sums[:, 0]
+
+
+def _walsh_vertex(signs: np.ndarray) -> np.ndarray:
+    """(G, n) deltas in {0, pi}^n of each game's largest |S|: the best classical point.
+
+    On the vertex pi*m, S is the Walsh coefficient sum_q s_q (-1)^(q.m),
+    and there |S| may peak so flatly that an ascent from elsewhere creeps
+    up to it, so every game also starts there.  The sums are of +-1s, so
+    they are exact.
+    """
+    bits = _question_bits(signs.shape[1].bit_length() - 1)
+    walsh = signs @ (1.0 - 2.0 * ((bits.T @ bits) % 2))
+    return np.pi * bits[:, np.abs(walsh).argmax(axis=1)].T
+
+
+def _delta_of(angles: np.ndarray) -> np.ndarray:
+    """(..., n, 2, 3) angles -> (..., n): each player's delta = alpha(1) - alpha(0).
+
+    A gate answers 0 on the state u with <u| its first row, so the
+    player's +-1 observable has <0|A|1> = -sin(theta) e^{i lam}, whose
+    phase is -alpha: the azimuth of its equatorial part.
+    """
+    theta, lam = angles[..., 0], angles[..., 2]
+    return np.angle(np.sin(theta[..., 0]) * np.sin(theta[..., 1])
+                    * np.exp(1j * (lam[..., 0] - lam[..., 1])))
+
+
+def _angles(delta: np.ndarray, total: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """(G, n) deltas, their S and each state's phase chi -> (G, n, 2, 3) equatorial angles.
+
+    Observables alpha_k(q) = alpha_k(0) + q delta_k with sum_k alpha_k(0)
+    = chi - arg S give sum_q s_q E_q = |S|.  The gate of azimuth alpha has
+    theta = pi/2, phi = 0 and lam = -alpha - pi.
+    """
+    alpha = np.zeros(delta.shape + (2,))
+    alpha[:, 0, 0] = chi - np.angle(total)
+    alpha[:, :, 1] = alpha[:, :, 0] + delta
+    angles = np.zeros(delta.shape + (2, 3))
+    angles[..., 0] = np.pi / 2
+    angles[..., 2] = -alpha - np.pi
+    return angles
+
+
+def optimize(
+    games: Sequence[tuple[np.ndarray, float]],
+    seeds: Sequence[int],
+    restarts: int,
+    extra_starts: Sequence[Sequence[np.ndarray]],
+) -> np.ndarray:
+    """(G, n, 2, 3) angles of the best equatorial strategy of each game.
+
+    ``games`` are ``signs_and_phase`` results, none of them None.  Game j
+    starts from ``restarts`` deltas drawn uniformly from [0, 2pi)^n by
+    ``seeds[j]``, then from its best Walsh vertex, then from the deltas of
+    its warm starts.  Its strategy is that of its start's ascent with the
+    largest |S|.
+    """
+    signs = np.array([s for s, _ in games])
+    n = signs.shape[1].bit_length() - 1
+    vertex = _walsh_vertex(signs)
+    starts, counts = [], []
+    for seed, extras, corner in zip(seeds, extra_starts, vertex):
+        warm = _delta_of(np.asarray(extras, dtype=float).reshape(-1, n, 2, 3))
+        starts += [np.random.default_rng(seed).uniform(0.0, TWO_PI, (restarts, n)),
+                   corner[None, :], warm]
+        counts.append(restarts + 1 + len(warm))
+    delta, total = _ascent(np.repeat(signs, counts, axis=0), np.concatenate(starts))
+    best = [lo + int(np.argmax(np.abs(total[lo:lo + count])))
+            for lo, count in zip(np.cumsum([0] + counts[:-1]), counts)]
+    return _angles(delta[best], total[best], np.array([chi for _, chi in games]))

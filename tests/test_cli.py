@@ -256,6 +256,31 @@ class TestInputRefusals:
         assert not (out / "sweep.csv").exists()
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--arity", "2", "--output", ""],
+        ["search", "--state", "epr", "--g", "a^b", "--functions", "FUNCTIONS", "--output", ""],
+        ["search", "--state", "epr", "--g", "a^b", "--functions", "FUNCTIONS", "--config", "CONFIG"],
+    ], ids=["reduce", "search", "search-config-file"])
+    def test_an_empty_output_path(self, out, capsys, functions_file, argv):
+        config = out / "config.json"
+        config.write_text(json.dumps({"output": ""}))
+        argv = [{"FUNCTIONS": str(functions_file), "CONFIG": str(config)}.get(a, a) for a in argv]
+        code = run_cli(*argv, "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "refused").exists()
+        assert "--output is an empty path" in capsys.readouterr().err
+
+    def test_an_empty_sweep_output_path(self, out, capsys):
+        spec = out / "spec.json"
+        spec.write_text(json.dumps({
+            "family": "l_a2b2", "axes": [{"param": "a", "steps": 2}], "fixed": {"b": 0.3},
+            "f": "wxyz", "g": "a^b^c^d", "output": "",
+        }))
+        code = run_cli("sweep", "--spec", str(spec), "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "refused").exists()
+        assert f"sweep spec {str(spec)!r} has an empty output path" in capsys.readouterr().err
+
 
 class TestSearchAndScore:
     def test_search_results_and_summary(self, out, functions_file, capsys):

@@ -20,10 +20,12 @@ from qgames.boolfn import (
     reduce_function_space,
 )
 from qgames.quantum import (
+    FamilyId,
     GainKernel,
     QuantumStrategy,
     StateVector,
     _build_gate_stack,
+    make_family_state,
     make_named_state,
     win_probability,
 )
@@ -39,7 +41,7 @@ from qgames.search import (
     search_space,
     stratified_subsample,
 )
-from qgames import search
+from qgames import search, torus
 from qgames.search import _CHUNK_ROWS, _optimize_games, _see_saw, _split_tasks
 
 
@@ -59,6 +61,23 @@ def w_game_equation():
         parse_table("wx + wy + wz + xy + xz + yz", QUESTION_VARS[4]),
         parse_table("!abcd + a!bcd + ab!cd + abc!d", ANSWER_VARS[4]),
     )
+
+
+def hadamard_rotated(psi):
+    """``psi`` with a Hadamard gate on player 1's qubit.
+
+    A local unitary, so every game keeps its value; but the state is not
+    GHZ-type, so the see-saw plays it where the torus path plays ``psi``.
+    (A Hadamard on every qubit would map EPR to itself.)
+    """
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return StateVector(np.tensordot(hadamard, psi.tensor(), axes=([1], [0])).reshape(-1))
+
+
+def see_saw_state(name):
+    """The named state, Hadamard-rotated if it is GHZ-type, so that the see-saw plays it."""
+    psi = make_named_state(name)
+    return hadamard_rotated(psi) if name in ("epr", "ghz2", "ghz3", "ghz4") else psi
 
 
 class TestClassicalStrategy:
@@ -221,28 +240,35 @@ class TestClassicalBestOracle:
         assert counts.dtype == np.uint8 and not counts.flags.writeable
         assert counts.tolist() == [bin(i).count("1") for i in range(1 << 16)]
 
+
+def epr_on_both_paths():
+    """EPR, which the torus path plays, and its rotation, which the see-saw plays."""
+    return make_named_state("epr"), see_saw_state("epr")
+
+
 class TestOptimizeQuantum:
     def test_two_player_chsh_reaches_tsirelson(self):
-        gain, strategy = optimize_quantum(
-            make_named_state("epr"), chsh_equation(), OptimizerConfig(restarts=10, seed=3)
-        )
-        assert gain == pytest.approx(math.cos(math.pi / 8) ** 2, abs=2e-3)
-        assert gain <= math.cos(math.pi / 8) ** 2 + 1e-9
+        for psi in epr_on_both_paths():
+            gain, strategy = optimize_quantum(
+                psi, chsh_equation(), OptimizerConfig(restarts=10, seed=3)
+            )
+            assert gain == pytest.approx(math.cos(math.pi / 8) ** 2, abs=2e-3)
+            assert gain <= math.cos(math.pi / 8) ** 2 + 1e-9
 
     def test_deterministic_given_seed(self):
         eq = chsh_equation()
-        psi = make_named_state("epr")
         cfg = OptimizerConfig(restarts=3, seed=11)
-        g1, s1 = optimize_quantum(psi, eq, cfg)
-        g2, s2 = optimize_quantum(psi, eq, cfg)
-        assert g1 == g2
-        assert np.array_equal(s1.angles, s2.angles)
+        for psi in epr_on_both_paths():
+            g1, s1 = optimize_quantum(psi, eq, cfg)
+            g2, s2 = optimize_quantum(psi, eq, cfg)
+            assert g1 == g2
+            assert np.array_equal(s1.angles, s2.angles)
 
     def test_reported_gain_is_reevaluated_win_probability(self):
         eq = chsh_equation()
-        psi = make_named_state("epr")
-        gain, strategy = optimize_quantum(psi, eq, OptimizerConfig(restarts=4, seed=0))
-        assert gain == win_probability(psi, strategy, eq)
+        for psi in epr_on_both_paths():
+            gain, strategy = optimize_quantum(psi, eq, OptimizerConfig(restarts=4, seed=0))
+            assert gain == win_probability(psi, strategy, eq)
 
     def test_product_state_matches_classical(self):
         psi = StateVector([1] + [0] * 15)
@@ -253,11 +279,11 @@ class TestOptimizeQuantum:
 
     def test_extra_starts_can_only_help(self):
         eq = chsh_equation()
-        psi = make_named_state("epr")
         cfg = OptimizerConfig(restarts=1, seed=13)
-        base, strategy = optimize_quantum(psi, eq, cfg)
-        warmed, _ = optimize_quantum(psi, eq, cfg, extra_starts=[strategy.angles.reshape(-1)])
-        assert warmed >= base - 1e-12
+        for psi in epr_on_both_paths():
+            base, strategy = optimize_quantum(psi, eq, cfg)
+            warmed, _ = optimize_quantum(psi, eq, cfg, extra_starts=[strategy.angles.reshape(-1)])
+            assert warmed >= base - 1e-12
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -287,7 +313,7 @@ class TestSeeSaw:
     ])
     def test_restart_gain_never_decreases_from_sweep_to_sweep(self, state, equation):
         # with one restart, a cap of s sweeps returns that restart after s sweeps
-        psi = make_named_state(state)
+        psi = see_saw_state(state)
         eq = equation()
         sweep = 2 * psi.n
         for seed in (0, 1, 2):
@@ -300,16 +326,17 @@ class TestSeeSaw:
             assert all(later >= earlier - 1e-12 for earlier, later in zip(gains, gains[1:]))
 
     def test_angles_have_zero_phi_and_player_shape(self):
+        # on the see-saw (rotated states) and on the torus path (GHZ-type states)
         for state, equation in (("epr", chsh_equation), ("ghz4", ghz_game_equation)):
-            psi = make_named_state(state)
-            _, strategy = optimize_quantum(psi, equation(), OptimizerConfig(restarts=3, seed=4))
-            assert strategy.angles.shape == (psi.n, 2, 3)
-            assert np.all(strategy.angles[..., 1] == 0.0)
+            for psi in (see_saw_state(state), make_named_state(state)):
+                _, strategy = optimize_quantum(psi, equation(), OptimizerConfig(restarts=3, seed=4))
+                assert strategy.angles.shape == (psi.n, 2, 3)
+                assert np.all(strategy.angles[..., 1] == 0.0)
 
     def test_tiny_max_evals_is_honoured(self):
         # max_evals counts best-response updates: 3 updates touch player 1's
         # two gates and player 2's question-0 gate, and leave the start elsewhere
-        psi = make_named_state("ghz4")
+        psi = see_saw_state("ghz4")
         seed = 8
         start = QuantumStrategy(
             np.random.default_rng(seed).uniform(0.0, 4 * math.pi, 24).reshape(4, 2, 3)
@@ -465,6 +492,121 @@ class TestSeeSawPool:
         assert admitted[0] == rows
         waiting = [size for size, rows_wait in sizes if rows_wait]
         assert len(waiting) > 4 and set(waiting) == {capacity}
+
+
+TSIRELSON = math.cos(math.pi / 8) ** 2
+
+
+def _ghz(n, phase=0.0):
+    """GHZ state on n qubits with relative phase ``phase`` on |1...1>."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0], amps[-1] = 1.0, np.exp(1j * phase)
+    return StateVector(amps)
+
+
+class TestTorusPath:
+    """XOR games on GHZ-type states take the closed-form ascent over the phase torus."""
+
+    def test_chsh_and_the_ghz_game_reach_tsirelson(self):
+        for psi, eq in ((make_named_state("epr"), chsh_equation()),
+                        (make_named_state("ghz4"), ghz_game_equation()),
+                        (_ghz(4, 2.5), ghz_game_equation())):
+            gain, strategy = optimize_quantum(psi, eq)
+            assert abs(gain - TSIRELSON) <= 1e-12
+            assert gain <= TSIRELSON + 1e-12
+            assert gain == win_probability(psi, strategy, eq)
+            # equatorial gates: theta = pi/2 and phi = 0
+            assert np.all(strategy.angles[..., 0] == math.pi / 2)
+            assert np.all(strategy.angles[..., 1] == 0.0)
+
+    def test_at_least_the_see_saw_on_the_rotated_state(self):
+        # the benchmark's 12 search-ghz4 functions, and random parity games at n = 2 and 3
+        # against parity and its complement
+        parity = parse_table("a^b^c^d", ANSWER_VARS[4])
+        games = [(4, GameEquation(f, parity))
+                 for f in stratified_subsample(list(reduce_function_space(4)), 12, 1729)]
+        rng = np.random.default_rng(18)
+        for n in (2, 3):
+            g = TruthTable(n, torus._parity_bits(n))
+            for k, bits in enumerate(rng.integers(0, 1 << (1 << n), 10)):
+                games.append((n, GameEquation(TruthTable(n, int(bits)), g if k % 2 else g.complement())))
+        for n, eq in games:
+            psi = make_named_state(f"ghz{n}")
+            gain, strategy = optimize_quantum(psi, eq)
+            see_saw, _ = optimize_quantum(hadamard_rotated(psi), eq)
+            assert gain >= see_saw - 1e-9, eq.f.to_text()
+            assert gain >= classical_best(eq)[0] - 1e-12
+            assert gain == win_probability(psi, strategy, eq)
+
+    def test_which_games_take_the_torus_path(self, monkeypatch):
+        rows = []
+        see_saw = search._see_saw
+
+        def spy(kernel, gates, game, *args, **kwargs):
+            rows.append(gates.shape[0])
+            return see_saw(kernel, gates, game, *args, **kwargs)
+
+        monkeypatch.setattr(search, "_see_saw", spy)
+        eq = ghz_game_equation()
+        phased = _ghz(4, 0.7).amplitudes
+        third = phased.copy()
+        third[0b0101] = 1e-3
+        unequal = phased.copy()
+        unequal[-1] *= 1.001
+        ghz_point = make_family_state(FamilyId.G_ABCD, {"a": 1, "b": 0, "c": 0, "d": 1})
+        cases = [
+            (StateVector(phased), eq, True),
+            (StateVector(phased), GameEquation(eq.f, eq.g.complement()), True),
+            (ghz_point, eq, True),
+            (StateVector(third), eq, False),
+            (StateVector(unequal), eq, False),
+            (StateVector(phased), w_game_equation(), False),
+            (see_saw_state("ghz4"), eq, False),
+        ]
+        for psi, game, on_torus in cases:
+            rows.clear()
+            gain, strategy = optimize_quantum(psi, game, OptimizerConfig(restarts=4, seed=1))
+            assert (rows == []) == on_torus
+            assert (torus.signs_and_phase(psi, game) is not None) == on_torus
+            assert gain == win_probability(psi, strategy, game)
+
+    def test_mixed_games_equal_games_run_alone(self):
+        rng = np.random.default_rng(12)
+        ghz4, eq, w_eq = make_named_state("ghz4"), ghz_game_equation(), w_game_equation()
+        other = GameEquation(TruthTable(4, int(rng.integers(1 << 16))), eq.g.complement())
+        states = [ghz4, _random_states(rng, 1)[0], ghz4, _ghz(4, 1.3), see_saw_state("ghz4"), ghz4]
+        eqs = [eq, eq, w_eq, other, eq, other]
+        seeds = [int(s) for s in rng.integers(0, 2**31, len(states))]
+        warm = [[rng.uniform(0.0, 4 * math.pi, 24)] if j % 2 else [] for j in range(len(states))]
+        cfg = OptimizerConfig(restarts=6, seed=0)
+        assert [torus.signs_and_phase(psi, e) is not None for psi, e in zip(states, eqs)] == [
+            True, False, False, True, False, True]
+        batch = _optimize_games(states, eqs, seeds, cfg, warm)
+        for j, (gain, strategy) in enumerate(batch):
+            alone_gain, alone = _optimize_games(states[j], eqs[j], [seeds[j]], cfg, [warm[j]])[0]
+            assert gain == alone_gain
+            assert np.array_equal(strategy.angles, alone.angles)
+
+    @pytest.mark.parametrize("n, rows", [(2, 300), (3, 257), (4, 1), (4, 2), (4, 255), (4, 256),
+                                         (4, 777)])
+    def test_ascent_rows_equal_single_row_runs(self, n, rows):
+        rng = np.random.default_rng(rows)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, (rows, 1 << n))
+        delta = rng.uniform(0.0, 2 * math.pi, (rows, n))
+        batch_delta, batch_total = torus._ascent(signs, delta)
+        for r in range(rows):
+            alone_delta, alone_total = torus._ascent(signs[r:r + 1], delta[r:r + 1])
+            assert np.array_equal(alone_delta[0], batch_delta[r])
+            assert alone_total[0] == batch_total[r]
+
+    def test_a_torus_strategy_projects_back_onto_its_deltas(self):
+        # warm starts enter the torus path as the deltas of their gates
+        rng = np.random.default_rng(3)
+        delta = rng.uniform(-math.pi, math.pi, (6, 4))
+        total = rng.normal(size=6) + 1j * rng.normal(size=6)
+        angles = torus._angles(delta, total, rng.uniform(0.0, 2 * math.pi, 6))
+        back = torus._delta_of(angles)
+        assert np.abs(np.angle(np.exp(1j * (back - delta)))).max() < 1e-12
 
 
 class TestDeterministicEmbedding:
@@ -656,7 +798,7 @@ def chunked_run():
     g = parse_table("a^b^c^d", ANSWER_VARS[4])
     cfg = OptimizerConfig(restarts=30, seed=5)
     assert len(tables) > 2 * (_CHUNK_ROWS // cfg.restarts)
-    return space, tables, g, make_named_state("ghz4"), cfg
+    return space, tables, g, see_saw_state("ghz4"), cfg
 
 
 def _alone(f, g, psi, cfg, index, state):

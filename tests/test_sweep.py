@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from qgames.boolfn import ANSWER_VARS, QUESTION_VARS, GameEquation, parse_table
 from qgames.quantum import FamilyId, make_family_state, make_named_state
+from qgames import torus
 from qgames.search import OptimizerConfig, derive_task_seed, optimize_quantum
 from qgames.sweep import FamilyReport, SweepAxis, SweepSpec, family_report, run_sweep
 
@@ -21,6 +23,27 @@ def ghz_game_equation():
 
 
 FAST = OptimizerConfig(restarts=6, max_evals=3000, seed=3)
+TSIRELSON = math.cos(math.pi / 8) ** 2
+
+
+def _assert_points_equal_single_optimizations(spec, result):
+    """Every valid point is the optimization of its own state, seeded from its raster
+    index and warm-started from the last valid point of its chain, bit for bit."""
+    steps0 = spec.axes[0].steps
+    fixed = dict(spec.fixed)
+    for j, b in enumerate(spec.axes[1].values()):
+        warm = []
+        for i, a in enumerate(spec.axes[0].values()):
+            point = result.points[j * steps0 + i]
+            if not point.valid:
+                continue
+            psi = make_family_state(spec.family, fixed | {spec.axes[0].param: a,
+                                                          spec.axes[1].param: b})
+            cfg = replace(spec.config, seed=derive_task_seed(spec.config.seed, j * steps0 + i))
+            gain, strategy = optimize_quantum(psi, spec.equation, cfg, extra_starts=warm)
+            assert point.gain == gain
+            assert np.array_equal(point.strategy.angles, strategy.angles)
+            warm = [strategy.angles.reshape(-1)]
 
 
 class TestSpecValidation:
@@ -176,9 +199,7 @@ class TestRunSweep:
             assert values[3:] == point.strategy.reduced_angles().reshape(-1).tolist()
 
     def test_2d_points_equal_single_warm_started_optimizations(self):
-        # every point is the optimization of its own state, seeded from its
-        # raster index and warm-started from the last valid point of its
-        # chain; the b = 0 chain has the zero state at a = 0, in its middle
+        # the b = 0 chain has the zero state at a = 0, in its middle
         spec = SweepSpec(
             family=FamilyId.G_ABCD,
             axes=(SweepAxis("a", -1.0, 1.0, 3), SweepAxis("b", 0.0, 0.5, 2)),
@@ -188,19 +209,25 @@ class TestRunSweep:
         )
         result = run_sweep(spec)
         assert [p.valid for p in result.points] == [True, False, True, True, True, True]
-        steps0 = spec.axes[0].steps
-        for j, b in enumerate(spec.axes[1].values()):
-            warm = []
-            for i, a in enumerate(spec.axes[0].values()):
-                point = result.points[j * steps0 + i]
-                if not point.valid:
-                    continue
-                psi = make_family_state(FamilyId.G_ABCD, {"a": a, "b": b, "c": 0.0, "d": 0.0})
-                cfg = replace(FAST, seed=derive_task_seed(FAST.seed, j * steps0 + i))
-                gain, strategy = optimize_quantum(psi, spec.equation, cfg, extra_starts=warm)
-                assert point.gain == gain
-                assert np.array_equal(point.strategy.angles, strategy.angles)
-                warm = [strategy.angles.reshape(-1)]
+        _assert_points_equal_single_optimizations(spec, result)
+
+    def test_a_sweep_through_the_ghz_point_equals_single_optimizations(self):
+        # a = d = 1, b = c = 0 is GHZ, so the last step of the b = 0 chain
+        # takes the torus path in the same call as the see-saw point beside it
+        spec = SweepSpec(
+            family=FamilyId.G_ABCD,
+            axes=(SweepAxis("a", 0.0, 1.0, 3), SweepAxis("b", 0.0, 0.5, 2)),
+            fixed={"c": 0.0, "d": 1.0},
+            equation=ghz_game_equation(),
+            config=FAST,
+        )
+        result = run_sweep(spec)
+        on_torus = [torus.signs_and_phase(make_family_state(FamilyId.G_ABCD, {
+            "a": a, "b": b, "c": 0.0, "d": 1.0}), spec.equation) is not None
+            for a, b in (p.coords for p in result.points)]
+        assert on_torus == [False, False, True, False, False, False]
+        assert result.points[2].gain == pytest.approx(TSIRELSON, abs=1e-12)
+        _assert_points_equal_single_optimizations(spec, result)
 
     def test_sidecar_captures_spec_and_seed(self):
         spec = SweepSpec(
