@@ -467,21 +467,30 @@ _HANDLERS = {
 }
 
 
+def _refuse_empty_paths(args, keys: tuple[str, ...]) -> None:
+    """ValueError if a path setting among ``keys`` is the empty string, which no file
+    is: taken as no value, or as the working directory, it would run unasked."""
+    for key in keys:
+        if getattr(args, key, None) == "":
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} is an empty path; give a path or leave it out")
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _parser().parse_args(argv)
     try:
+        _refuse_empty_paths(args, ("config",))
         config = _config_values(
             _flat_object(_read_json(args.config, "config file"), "a config file"),
             args.subcommand,
-        ) if args.config else {}
+        ) if args.config is not None else {}
         for key, setting in _settings(args.subcommand).items():
             if getattr(args, key) is None:
                 setattr(args, key, config.get(key, setting.default))
         if args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
-        if getattr(args, "output", None) == "":
-            raise ValueError("--output is an empty path; give a file path or leave it out")
+        _refuse_empty_paths(args, ("output_dir", "output"))
         run = _Run(args)
         _HANDLERS[args.subcommand][0](args, run)
         run.record()

@@ -270,6 +270,24 @@ class TestInputRefusals:
         assert not (out / "refused").exists()
         assert "--output is an empty path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--config", "", "eval"], "--config"),
+        (["eval", "--config", ""], "--config"),
+        (["--output-dir", "", "eval"], "--output-dir"),
+        (["eval", "--config", "CONFIG"], "--output-dir"),
+    ], ids=["config", "config-after-subcommand", "output-dir", "output-dir-config-file"])
+    def test_an_empty_config_or_output_dir_path(self, out, capsys, monkeypatch, argv, flag):
+        # an empty path is no file: read as no value, or as the working directory,
+        # the run would go ahead and write its run directory here
+        config = out / "config.json"
+        config.write_text(json.dumps({"output_dir": ""}))
+        monkeypatch.chdir(out)
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        code = run_cli(*argv, "--state", "epr", "--f", "xy", "--g", "a^b")
+        assert code == VALIDATION_ERROR
+        assert f"{flag} is an empty path" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
     def test_an_empty_sweep_output_path(self, out, capsys):
         spec = out / "spec.json"
         spec.write_text(json.dumps({

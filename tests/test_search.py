@@ -27,6 +27,7 @@ from qgames.quantum import (
     _build_gate_stack,
     make_family_state,
     make_named_state,
+    parse_state_literal,
     win_probability,
 )
 from qgames.search import (
@@ -75,8 +76,9 @@ def hadamard_rotated(psi):
 
 
 def see_saw_state(name):
-    """The named state, Hadamard-rotated if it is GHZ-type, so that the see-saw plays it."""
-    psi = make_named_state(name)
+    """The state literal's state, Hadamard-rotated if it is a GHZ-type named state, so
+    that the see-saw plays it."""
+    psi = parse_state_literal(name)
     return hadamard_rotated(psi) if name in ("epr", "ghz2", "ghz3", "ghz4") else psi
 
 
@@ -307,23 +309,53 @@ class TestOptimizeQuantum:
             OptimizerConfig(tol=float("inf"))
 
 
+def _spy_on_trials(monkeypatch) -> list[int]:
+    """Count the rows of every SQUAREM trial point that ``_see_saw`` builds."""
+    trials, extrapolated = [], search._extrapolated_gates
+
+    def spy(x0, x1, x2):
+        trials.append(x0.shape[0])
+        return extrapolated(x0, x1, x2)
+
+    monkeypatch.setattr(search, "_extrapolated_gates", spy)
+    return trials
+
+
+#: The GHZ game on this state has the see-saw's slowest tail seen: plain
+#: sweeps rise by about 0.98 of the sweep before for over a hundred sweeps.
+SLOW_TAIL = "l_a2_0_3p1:a=1"
+
+
 class TestSeeSaw:
     @pytest.mark.parametrize("state, equation", [
         ("epr", chsh_equation), ("ghz4", ghz_game_equation), ("w4", w_game_equation),
+        (SLOW_TAIL, ghz_game_equation),
     ])
-    def test_restart_gain_never_decreases_from_sweep_to_sweep(self, state, equation):
-        # with one restart, a cap of s sweeps returns that restart after s sweeps
+    def test_restart_gain_never_decreases_from_sweep_to_sweep(self, state, equation, monkeypatch):
+        # with one restart, a cap of s sweeps returns that restart after s sweeps,
+        # SQUAREM trials included: a trial is kept only where it raises the gain
+        trials = _spy_on_trials(monkeypatch)
         psi = see_saw_state(state)
         eq = equation()
         sweep = 2 * psi.n
+        caps = range(1, 61) if state == SLOW_TAIL else range(1, 16)
         for seed in (0, 1, 2):
             start = np.random.default_rng(seed).uniform(0.0, 4 * math.pi, 3 * sweep)
             gains = [win_probability(psi, QuantumStrategy(start.reshape(psi.n, 2, 3)), eq)]
             gains += [
                 optimize_quantum(psi, eq, OptimizerConfig(restarts=1, max_evals=s * sweep, seed=seed))[0]
-                for s in range(1, 16)
+                for s in caps
             ]
             assert all(later >= earlier - 1e-12 for earlier, later in zip(gains, gains[1:]))
+        if state == SLOW_TAIL:
+            assert trials
+
+    def test_a_slow_tail_comes_within_its_long_run_value(self):
+        # the plain see-saw stopped 2.3e-5 short here; 0.6787452382 is its value
+        # at tol 1e-14 after 4,000 sweeps
+        psi = parse_state_literal("l_a4:a=100")
+        gain, _ = optimize_quantum(psi, ghz_game_equation(), OptimizerConfig())
+        assert abs(gain - 0.6787452382) <= 2e-6
 
     def test_angles_have_zero_phi_and_player_shape(self):
         # on the see-saw (rotated states) and on the torus path (GHZ-type states)
@@ -456,42 +488,135 @@ class TestSeeSawPool:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("tol", [-np.inf, 1e-6])
-    def test_refilled_pool_equals_one_batch(self, n, tol):
+    def test_refilled_pool_equals_one_batch(self, n, tol, monkeypatch):
         # rows on their own games, each game on its own state; a tol of -inf
-        # stops rows on the cap alone
+        # stops rows on the cap alone.  At n = 4 a fourth game is the slow
+        # tail's, whose rows take SQUAREM trials at the larger caps
         rng = np.random.default_rng(40 + n)
         rows = 12
-        kernel = GainKernel(_random_states(rng, 3, n), [
+        states = _random_states(rng, 3, n)
+        eqs = [
             GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))),
                          TruthTable(n, int(rng.integers(1 << (1 << n)))))
             for _ in range(3)
-        ])
+        ]
+        if n == 4:
+            states.append(parse_state_literal(SLOW_TAIL))
+            eqs.append(ghz_game_equation())
+        kernel = GainKernel(states, eqs)
         gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
-        game = rng.integers(0, 3, rows)
+        game = rng.integers(0, len(eqs), rows)
+        trials = _spy_on_trials(monkeypatch)
         for cap in [*range(1, 3 * n + 1), 50, 5000]:
             whole = _see_saw(kernel, gates, game, cap, tol, capacity=rows)
             pooled = _see_saw(kernel, gates, game, cap, tol, capacity=5)
             assert np.array_equal(pooled, whole)
+        assert trials
 
     def test_pool_stays_full_while_rows_wait(self):
+        # a row is admitted through ``amplitudes`` of its start gates; the other
+        # ``amplitudes`` calls are of SQUAREM trial points, of rows already in
         rows, capacity = 40, 7
         kernel, gates, game, _ = _step_setup(4, 50, batch=rows)
         amplitudes, best_response = kernel.amplitudes, kernel.best_response
-        admitted, sizes = [0], []
+        starts = {row.tobytes() for row in gates}
+        admitted, trials, sizes = [], [0], []
 
-        def admit(gates, state=None):
-            admitted[0] += gates.shape[0]
-            return amplitudes(gates, state)
+        def admit(batch, state=None):
+            fresh = [row.tobytes() in starts for row in batch]
+            if all(fresh):
+                admitted.extend(row.tobytes() for row in batch)
+            else:
+                assert not any(fresh)
+                trials[0] += batch.shape[0]
+            return amplitudes(batch, state)
 
         def step(amps, *args):
-            sizes.append((amps.shape[0], admitted[0] < rows))
+            sizes.append((amps.shape[0], len(admitted) < rows))
             return best_response(amps, *args)
 
         kernel.amplitudes, kernel.best_response = admit, step
         _see_saw(kernel, gates, game, 5000, 1e-6, capacity=capacity)
-        assert admitted[0] == rows
+        assert sorted(admitted) == sorted(starts) and trials[0] > 0
         waiting = [size for size, rows_wait in sizes if rows_wait]
         assert len(waiting) > 4 and set(waiting) == {capacity}
+
+
+def _one_row_see_saw(kernel, gates, game, max_updates, tol, outcomes):
+    """``_see_saw`` for one (1, n, 2, 2, 2) row, written out sweep by sweep.
+
+    Sweep s counts from 1.  After sweep s = 3c + 2, c >= 1, the row takes the
+    SQUAREM point of its gates after sweeps 3c, 3c + 1 and 3c + 2 when the last rise
+    is over ``_TAIL_RATIO`` times the one before and a sweep of budget is
+    left; the next sweep is kept only if it beats the plain point, and a
+    trial that fails never stops the row.  ``outcomes`` gets "kept" or
+    "reverted" for each trial.
+    """
+    sweep = 2 * kernel.n
+    live = gates.copy()
+    amps = kernel.amplitudes(live, game)
+    gains, iterates = [kernel.gains_of(amps, game)[0]], [live.copy()]
+    updates, plain = 0, None
+    while True:
+        left = max_updates - updates
+        before = live.copy()
+        for k in range(kernel.n):
+            amps, live[:, k] = kernel.best_response(amps, live[:, k], k, game)
+        if left < sweep:
+            past = np.arange(sweep).reshape(1, kernel.n, 2, 1, 1) >= left
+            live = np.where(past, before, live)
+        updates += sweep
+        gain = kernel.gains_of(amps, game)[0]
+        failed = False
+        if plain is not None:
+            if gain > plain[2]:
+                outcomes.append("kept")
+            else:
+                outcomes.append("reverted")
+                live, amps, gain, failed = *plain, True
+            plain = None
+        if updates >= max_updates or (gain - gains[-1] < tol and not failed):
+            return live
+        gains.append(gain)
+        iterates.append(live.copy())
+        if (len(gains) - 1) % 3 == 2 and len(gains) > 4:
+            g0, g1, g2 = gains[-3:]
+            if g2 - g1 > search._TAIL_RATIO * (g1 - g0) and max_updates - updates >= sweep:
+                plain = (live, amps, gain)
+                live = search._extrapolated_gates(*search._bloch(np.stack(iterates[-3:])))
+                amps = kernel.amplitudes(live, game)
+
+
+class TestSquarem:
+    """Each row of the pool follows the SQUAREM cycle of ``_see_saw``'s docstring."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("tol", [-np.inf, 1e-6])
+    def test_pool_rows_equal_the_cycle_written_out(self, n, tol):
+        rng = np.random.default_rng(70 + n)
+        rows = 8
+        states = [*_random_states(rng, 2, n), hadamard_rotated(make_named_state(f"ghz{n}"))]
+        eqs = [GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))),
+                            TruthTable(n, int(rng.integers(1 << (1 << n))))) for _ in range(2)]
+        # an XOR game on a rotated GHZ state, which the see-saw plays
+        parity = TruthTable(n, 0x6996 & ((1 << (1 << n)) - 1))
+        eqs.append(GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))), parity))
+        if n == 4:
+            states.append(parse_state_literal(SLOW_TAIL))
+            eqs.append(ghz_game_equation())
+        kernel = GainKernel(states, eqs)
+        gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
+        game = np.arange(rows) % len(eqs)
+        sweep = 2 * n
+        outcomes = []
+        for cap in (1, sweep - 1, 2 * sweep, 3 * sweep, 3 * sweep + 1, 4 * sweep, 50, 400):
+            pooled = _see_saw(kernel, gates, game, cap, tol, capacity=3)
+            for r in range(rows):
+                one = slice(r, r + 1)
+                alone = _one_row_see_saw(kernel, gates[one], game[one], cap, tol, outcomes)
+                assert np.array_equal(pooled[one], alone)
+        # with no stop on the rise, rows sweep on at their optimum, where trials fail
+        assert {"kept", "reverted"} <= set(outcomes) if tol == -np.inf else "kept" in outcomes
 
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
