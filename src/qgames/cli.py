@@ -117,9 +117,9 @@ _SETTINGS = {
     "spec": _Setting(str, None, ("sweep",), help="sweep specification JSON file"),
     "restarts": _Setting(int, _OPTIMIZER.restarts, _OPTIMIZED),
     "max_evals": _Setting(int, _OPTIMIZER.max_evals, _OPTIMIZED,
-                          help="cap on the see-saw's best-response updates per restart; one "
-                               "sweep over every (player, question bit) is 2n updates; XOR "
-                               "games on GHZ-type states do not read it "
+                          help="cap on the see-saw's best-response updates per restart, "
+                               "rounded up to whole sweeps of 2n updates (one per player and "
+                               "question bit); XOR games on GHZ-type states do not read it "
                                f"(default {_OPTIMIZER.max_evals})"),
     "tol": _Setting(float, _OPTIMIZER.tol, _OPTIMIZED),
 }

@@ -294,9 +294,7 @@ class GainKernel:
         Liang & Doherty 2007).  For the undone state (p0, p1), h is the sign
         table times |p0|^2 - |p1|^2 over two and b the sign table times
         p0 conj(p1).  Both question bits' gates are always replaced, each
-        from the same undone state, so a caller whose budget ends after the
-        question-0 gate may put the old question-1 gate back (as
-        ``search._see_saw`` does).  Returns the amplitudes in the next
+        from the same undone state.  Returns the amplitudes in the next
         player's layout and the new (B, 2, 2, 2) gates.
         """
         batch = amps.shape[0]

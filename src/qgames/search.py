@@ -88,12 +88,12 @@ class OptimizerConfig:
 
     ``restarts`` random starts run per game, from ``seed`` (a search
     derives each game's seed from it).  For the see-saw, ``max_evals``
-    caps the best-response updates of one restart, where a sweep over
-    every (player, question bit) is 2n updates, and a restart stops early
-    once a sweep raises its gain by less than ``tol``.  A sweep from a
-    SQUAREM trial point counts 2n updates like any other, and is tested
-    against ``tol`` too unless its trial failed; no trial starts with less
-    than one sweep of ``max_evals`` left.  The torus path
+    caps the best-response updates of one restart, rounded up to whole
+    sweeps: a sweep over every (player, question bit) is 2n updates, so a
+    restart runs at most ceil(max_evals / 2n) sweeps.  It stops early once
+    a sweep raises its gain by less than ``tol``.  A sweep from a SQUAREM
+    trial point counts like any other, and is tested against ``tol`` too
+    unless its trial failed.  The torus path
     (XOR games on GHZ-type states) reads ``restarts`` and the seed only:
     its ascent takes a fixed number of steps.
     """
@@ -225,10 +225,13 @@ def _angles_from_gates(gates: np.ndarray) -> np.ndarray:
 #: Rows of a see-saw pool: ``_see_saw`` runs at most this many restarts at
 #: once, and a restart that stops makes room for the next waiting one, so a
 #: search task's best responses run on full batches until its last
-#: restarts drain.  On the 300-function GHZ4 subsample at one worker
-#: (2 vCPUs, numpy 2.4), pools of 60, 120, 240 and 480 rows took 0.46,
-#: 0.43, 0.45 and 0.46 s.  ``TestChunkedSearch`` needs a pool below 150
-#: rows, so that its 10 games at 30 restarts fill more than two pools.
+#: restarts drain.  On see-saw traffic (the 300-function stratified
+#: subsample, seed 7, of the 2,191 classes, parity ``g``, 20 restarts, one
+#: worker; 2 vCPUs, numpy 2.4), pools of 40, 120 and 1280 rows took
+#: 1.22-1.30, 0.91-0.99 and 1.03-1.08 s on ``w4`` and 0.52-0.58, 0.43-0.54
+#: and 0.52-0.56 s on ``mp``.
+#: ``TestChunkedSearch`` needs a pool below 150 rows, so that its 10 games
+#: at 30 restarts fill more than two pools.
 _CHUNK_ROWS = 120
 
 
@@ -278,20 +281,19 @@ def _extrapolated_gates(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.nd
 
 
 def _see_saw(
-    kernel: GainKernel, gates: np.ndarray, game: np.ndarray, max_updates: int, tol: float,
+    kernel: GainKernel, gates: np.ndarray, game: np.ndarray, max_sweeps: int, tol: float,
     capacity: int = _CHUNK_ROWS,
-) -> np.ndarray:
-    """Batched see-saw ascent from (R, n, 2, 2, 2) start gates; returns the final gates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched see-saw ascent from (R, n, 2, 2, 2) start gates.
 
-    Row r plays game ``game[r]`` of the kernel, on that game's state.  A
-    sweep replaces both question bits' gates of player 1 by their best
-    response (``GainKernel.best_response``), then of player 2, and so on:
-    2n updates, none of which can lower a row's gain.  A row stops when a
-    sweep raises its gain by less than ``tol`` or when it has made
-    ``max_updates`` updates of its own.  A row whose budget ends inside a
-    sweep gets back its start-of-sweep gates from its budget on; as a
-    player's new gates depend only on the others', they are bit for bit
-    those of ``max_updates`` single updates.
+    Returns each row's final gates and the see-saw's own gain of them
+    (from its stepped amplitudes, not re-evaluated).  Row r plays game
+    ``game[r]`` of the kernel, on that game's state.  A sweep replaces both
+    question bits' gates of player 1 by their best response
+    (``GainKernel.best_response``), then of player 2, and so on: 2n
+    updates, none of which can lower a row's gain.  A row stops when a
+    sweep raises its gain by less than ``tol`` or after ``max_sweeps``
+    sweeps of its own.
 
     A slow tail is accelerated by SQUAREM (Varadhan & Roland 2008) on the
     Bloch vectors of each row's 2n answer-0 vectors (``_bloch``).  Each
@@ -302,10 +304,10 @@ def _see_saw(
     sweep runs from x' to x3; otherwise the third sweep is plain.  (The
     first cycle runs from a random start, before any slow tail: on the
     paper's games, trials there saved no sweeps.)  A row keeps x3 only if
-    g3 > g2, and otherwise goes back to x2's gates and amplitudes without
-    stopping.  A trial sweep counts 2n updates, and no trial starts with
-    less than one sweep of budget left.  Trial rows ride the pool's
-    regular sweep, so every best response runs on the whole pool.
+    g3 > g2, and otherwise goes back to x2's gates, amplitudes and gain
+    without stopping.  A trial sweep counts as a sweep.  Trial rows ride
+    the pool's regular sweep, so every best response runs on the whole
+    pool.
 
     At most ``capacity`` rows run at once.  At each sweep boundary, where
     every running row is back in layout 0, the rows that stopped leave and
@@ -314,17 +316,16 @@ def _see_saw(
     depend on the other rows it runs with, whatever their number.
     """
     total = gates.shape[0]
-    sweep = 2 * kernel.n
 
     def start(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         amps = kernel.amplitudes(gates[rows], game[rows])
         return gates[rows], amps, kernel.gains_of(amps, game[rows])
 
-    out = np.empty_like(gates)
+    out, out_gains = np.empty_like(gates), np.empty(total)
     admitted = min(capacity, total)
     rows = np.arange(admitted)
     live, amps, gains = start(rows)
-    updates = np.zeros(rows.size, dtype=int)
+    sweeps = np.zeros(rows.size, dtype=int)
     # per row: the rise of its last sweep and its gates one sweep back; the
     # rows on trial, and the plain point x2 that each goes back to
     rise = np.zeros(rows.size)
@@ -333,18 +334,10 @@ def _see_saw(
     plain_live = plain_amps = None
     while rows.size:
         row_game = game[rows]
-        left = max_updates - updates
-        capped = np.flatnonzero(left < sweep)
-        kept = live[capped]
         back2, back1 = back1, live.copy()
         for k in range(kernel.n):
             amps, live[:, k] = kernel.best_response(amps, live[:, k], k, row_game)
-        if capped.size:
-            # update 2k + q of a sweep is player k's question-q gate
-            update = np.arange(sweep).reshape(1, kernel.n, 2, 1, 1)
-            past = update >= left[capped].reshape(-1, 1, 1, 1, 1)
-            live[capped] = np.where(past, kept, live[capped])
-        updates += sweep
+        sweeps += 1
         new_gains = kernel.gains_of(amps, row_game)
         new_rise = new_gains - gains
         if trial.size:
@@ -353,24 +346,23 @@ def _see_saw(
             live[back], amps[back] = plain_live[worse], plain_amps[worse]
             # a failed trial is no sign that the row has converged
             new_gains[back], new_rise[back] = gains[back], np.inf
-        stop = (updates >= max_updates) | (new_rise < tol)
+        stop = (sweeps >= max_sweeps) | (new_rise < tol)
         # a cycle is two plain sweeps and one that may start from x'; the first
         # cycle, not yet on the tail, is all plain
-        tail = ((updates % (3 * sweep) == 2 * sweep) & (updates > 3 * sweep)
-                & (new_rise > _TAIL_RATIO * rise) & (max_updates - updates >= sweep) & ~stop)
-        out[rows[stop]] = live[stop]
+        tail = (sweeps % 3 == 2) & (sweeps > 3) & (new_rise > _TAIL_RATIO * rise) & ~stop
+        out[rows[stop]], out_gains[rows[stop]] = live[stop], new_gains[stop]
         gains, rise = new_gains, new_rise
         slots = np.flatnonzero(stop)[:total - admitted]
         if slots.size:
             rows[slots] = np.arange(admitted, admitted + slots.size)
             admitted += slots.size
             live[slots], amps[slots], gains[slots] = start(rows[slots])
-            updates[slots] = 0
+            sweeps[slots] = 0
             stop[slots] = False
         if stop.any():
             keep = ~stop
-            rows, live, amps, gains, updates, rise, back1, back2, tail = (
-                rows[keep], live[keep], amps[keep], gains[keep], updates[keep], rise[keep],
+            rows, live, amps, gains, sweeps, rise, back1, back2, tail = (
+                rows[keep], live[keep], amps[keep], gains[keep], sweeps[keep], rise[keep],
                 back1[keep], back2[keep], tail[keep],
             )
         trial = np.flatnonzero(tail)
@@ -379,7 +371,7 @@ def _see_saw(
             x0, x1, x2 = _bloch(np.stack([back2[trial], back1[trial], plain_live]))
             live[trial] = _extrapolated_gates(x0, x1, x2)
             amps[trial] = kernel.amplitudes(live[trial], game[rows[trial]])
-    return out
+    return out, out_gains
 
 
 def _per_game(items, kind: type, count: int) -> list:
@@ -404,10 +396,11 @@ def _optimize_games(
     The input picks each game's path.  An XOR game on a GHZ-type state
     (``torus.signs_and_phase``) takes the torus path, ``torus.optimize``,
     which reads only ``cfg.restarts``; ``max_evals`` and ``tol`` are see-saw
-    settings.  Every other game runs through one see-saw pool.  Either
-    way, a game's gain is the win probability of its returned angles,
-    evaluated afresh by the kernel, and each game's result is bit-identical
-    to running it alone.
+    settings.  Every other game runs through one see-saw pool.  Each solver
+    picks a game's best start by its own score (the torus value, the
+    see-saw's gain), and one kernel call then evaluates every game's
+    returned angles afresh: that is the game's gain.  Each game's result is
+    bit-identical to running it alone.
     """
     count = len(seeds)
     extra_starts = extra_starts or [()] * count
@@ -417,12 +410,11 @@ def _optimize_games(
     on_torus = [j for j, game in enumerate(games) if game is not None]
     seesaw = [j for j, game in enumerate(games) if game is None]
     dim = 6 * kernel.n
-    best, gains = np.empty((count, kernel.n, 2, 3)), np.empty(count)
+    best = np.empty((count, kernel.n, 2, 3))
     if on_torus:
         best[on_torus] = torus.optimize(
             [games[j] for j in on_torus], [seeds[j] for j in on_torus], cfg.restarts,
             [extra_starts[j] for j in on_torus])
-        gains[on_torus] = _gains(kernel, best[on_torus], np.array(on_torus))
     if seesaw:
         starts, counts = [], []
         for j in seesaw:
@@ -432,25 +424,13 @@ def _optimize_games(
             counts.append(cfg.restarts + len(extra_starts[j]))
         game = np.repeat(seesaw, counts)
         start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
-        angles = _angles_from_gates(
-            _see_saw(kernel, start_gates, game, cfg.max_evals, cfg.tol)
-        )
-        row_gains = _gains(kernel, angles, game)
-        for j, lo, rows in zip(seesaw, np.cumsum([0] + counts[:-1]), counts):
-            pick = lo + int(np.argmax(row_gains[lo:lo + rows]))
-            best[j], gains[j] = angles[pick], row_gains[pick]
+        max_sweeps = -(-cfg.max_evals // (2 * kernel.n))
+        gates, row_gains = _see_saw(kernel, start_gates, game, max_sweeps, cfg.tol)
+        picks = [lo + int(np.argmax(row_gains[lo:lo + rows]))
+                 for lo, rows in zip(np.cumsum([0] + counts[:-1]), counts)]
+        best[seesaw] = _angles_from_gates(gates[picks])
+    gains = kernel.gains(best.reshape(count, -1), np.arange(count))
     return [(float(gain), QuantumStrategy(angles)) for gain, angles in zip(gains, best)]
-
-
-def _gains(kernel: GainKernel, angles: np.ndarray, game: np.ndarray) -> np.ndarray:
-    """Win probabilities of (R, n, 2, 3) angles, row r on game ``game[r]``, evaluated
-    afresh (never taken from an optimizer's state), a pool's rows at a time, so that
-    memory stays bounded by the pool."""
-    flat = angles.reshape(angles.shape[0], -1)
-    return np.concatenate([
-        kernel.gains(flat[lo:lo + _CHUNK_ROWS], game[lo:lo + _CHUNK_ROWS])
-        for lo in range(0, len(flat), _CHUNK_ROWS)
-    ])
 
 
 def optimize_quantum(
@@ -468,9 +448,9 @@ def optimize_quantum(
     game takes the multi-start see-saw: each restart draws a start
     uniformly from [0, 4pi)^{6n}, turns it into gates and runs the see-saw
     of ``_see_saw``, with its SQUAREM step on slow tails; all restarts run
-    as one batch.  A restart stops when
-    one sweep (2n best-response updates) raises its gain by less than
-    ``cfg.tol``, or after ``cfg.max_evals`` updates.  ``extra_starts`` adds
+    as one batch.  A restart stops when one sweep (2n best-response
+    updates) raises its gain by less than ``cfg.tol``, or after
+    ceil(``cfg.max_evals`` / 2n) sweeps.  ``extra_starts`` adds
     warm starts after the random restarts (used for sweep chaining).  The
     returned angles have phi = 0, and the returned gain is the win
     probability of the returned strategy, re-evaluated from its angles,
@@ -486,7 +466,9 @@ def optimize_quantum(
 #: task's restarts share one see-saw pool, which runs part-empty only while
 #: the task's last restarts drain.  At the default 20 restarts a task holds
 #: 64 games; at n = 4 the task's start gates and results take about 2.7 KB
-#: a row, so a task holds about 3.5 MB whatever ``--restarts`` is.
+#: a row, so a task holds about 3.5 MB whatever ``--restarts`` is.  On the
+#: ``w4`` traffic of ``_CHUNK_ROWS``, tasks of 120, 240 and 1280 rows took
+#: 1.00-1.03, 0.99-1.04 and 0.94-0.95 s.
 _TASK_ROWS = 1280
 
 

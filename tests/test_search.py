@@ -365,22 +365,37 @@ class TestSeeSaw:
                 assert strategy.angles.shape == (psi.n, 2, 3)
                 assert np.all(strategy.angles[..., 1] == 0.0)
 
-    def test_tiny_max_evals_is_honoured(self):
-        # max_evals counts best-response updates: 3 updates touch player 1's
-        # two gates and player 2's question-0 gate, and leave the start elsewhere
-        psi = see_saw_state("ghz4")
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_max_evals_rounds_up_to_whole_sweeps(self, n):
+        # every budget inside sweep s + 1 buys that whole sweep; at n = 2 a game
+        # on a random state that is still climbing after four sweeps
+        if n == 2:
+            psi = _random_states(np.random.default_rng(5), 1, 2)[0]
+            eq = GameEquation(TruthTable(2, 0x8), TruthTable(2, 0x7))
+        else:
+            psi, eq = see_saw_state("ghz4"), ghz_game_equation()
+        sweep = 2 * n
         seed = 8
-        start = QuantumStrategy(
-            np.random.default_rng(seed).uniform(0.0, 4 * math.pi, 24).reshape(4, 2, 3)
-        )
-        _, strategy = optimize_quantum(
-            psi, ghz_game_equation(), OptimizerConfig(restarts=1, max_evals=3, seed=seed)
-        )
-        for player in range(4):
-            for bit in (0, 1):
-                overlap = abs(np.vdot(start.gate(player, bit)[0], strategy.gate(player, bit)[0]))
-                updated = (player, bit) in ((0, 0), (0, 1), (1, 0))
-                assert (overlap < 1 - 1e-9) == updated
+
+        def run(budget):
+            gain, strategy = optimize_quantum(
+                psi, eq, OptimizerConfig(restarts=2, max_evals=budget, tol=1e-15, seed=seed))
+            return gain, strategy.angles
+
+        whole = [run(sweep * (s + 1)) for s in range(4)]
+        for s in range(3):
+            for budget in range(sweep * s + 1, sweep * (s + 1)):
+                gain, angles = run(budget)
+                assert gain == whole[s][0] and np.array_equal(angles, whole[s][1])
+            # and the budget still ends the ascent: one more sweep moves the gates
+            assert not np.array_equal(whole[s][1], whole[s + 1][1])
+        # so max_evals=3 at n = 4 replaces all eight gates of the start, not three
+        if n == 4:
+            _, strategy = optimize_quantum(psi, eq, OptimizerConfig(restarts=1, max_evals=3, seed=seed))
+            start = _build_gate_stack(np.random.default_rng(seed).uniform(0.0, 4 * math.pi, (4, 2, 3)))
+            moved = _build_gate_stack(strategy.angles)
+            overlap = np.abs((start[..., 0, :].conj() * moved[..., 0, :]).sum(-1))
+            assert np.all(overlap < 1 - 1e-9)
 
     def test_phi_never_changes_a_gain(self):
         kernel = GainKernel(make_named_state("l"), w_game_equation())
@@ -462,25 +477,18 @@ class TestBestResponseStep:
                     assert np.all(gains <= best + 1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_see_saw_cap_mid_sweep_matches_steps_on_fresh_amplitudes(self, n):
+    def test_see_saw_cap_of_s_sweeps_matches_steps_on_fresh_amplitudes(self, n):
         kernel, gates, game, _ = _step_setup(n, 20 + n)
-        # a tol of -inf never stops a row early, so the cap alone ends the ascent
-        sweep = 2 * n
-        for cap in range(1, 3 * n + 1):
-            expect = gates.copy()
-            for update in range(0, cap, 2):
-                player = (update // 2) % n
+        # a tol of -inf never stops a row early, so the cap alone ends the ascent;
+        # SQUAREM trials start after sweep 5 at the earliest
+        expect = gates.copy()
+        for cap in range(1, 4):
+            for player in range(n):
                 amps = _to_layout(kernel.amplitudes(expect), n, player)
-                _, new = kernel.best_response(amps, expect[:, player], player, game)
-                # with one update left, only the question-0 gate is replaced
-                expect[:, player, :cap - update] = new[:, :cap - update]
-            got = _see_saw(kernel, gates, game, cap, -np.inf)
+                _, expect[:, player] = kernel.best_response(amps, expect[:, player], player, game)
+            got, gains = _see_saw(kernel, gates, game, cap, -np.inf)
             assert np.abs(got - expect).max() < 1e-9
-            # the gates past the cap are the start-of-sweep gates, bit for bit
-            start = gates if cap < sweep else _see_saw(kernel, gates, game, sweep, -np.inf)
-            past = cap % sweep
-            assert np.array_equal(got.reshape(-1, sweep, 2, 2)[:, past:],
-                                  start.reshape(-1, sweep, 2, 2)[:, past:])
+            assert np.abs(gains - kernel.gains_of(kernel.amplitudes(expect), game)).max() < 1e-12
 
 
 class TestSeeSawPool:
@@ -507,10 +515,10 @@ class TestSeeSawPool:
         gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
         game = rng.integers(0, len(eqs), rows)
         trials = _spy_on_trials(monkeypatch)
-        for cap in [*range(1, 3 * n + 1), 50, 5000]:
+        for cap in [*range(1, 8), 13, 600]:
             whole = _see_saw(kernel, gates, game, cap, tol, capacity=rows)
             pooled = _see_saw(kernel, gates, game, cap, tol, capacity=5)
-            assert np.array_equal(pooled, whole)
+            assert np.array_equal(pooled[0], whole[0]) and np.array_equal(pooled[1], whole[1])
         assert trials
 
     def test_pool_stays_full_while_rows_wait(self):
@@ -536,36 +544,29 @@ class TestSeeSawPool:
             return best_response(amps, *args)
 
         kernel.amplitudes, kernel.best_response = admit, step
-        _see_saw(kernel, gates, game, 5000, 1e-6, capacity=capacity)
+        _see_saw(kernel, gates, game, 625, 1e-6, capacity=capacity)
         assert sorted(admitted) == sorted(starts) and trials[0] > 0
         waiting = [size for size, rows_wait in sizes if rows_wait]
         assert len(waiting) > 4 and set(waiting) == {capacity}
 
 
-def _one_row_see_saw(kernel, gates, game, max_updates, tol, outcomes):
+def _one_row_see_saw(kernel, gates, game, max_sweeps, tol, outcomes):
     """``_see_saw`` for one (1, n, 2, 2, 2) row, written out sweep by sweep.
 
     Sweep s counts from 1.  After sweep s = 3c + 2, c >= 1, the row takes the
     SQUAREM point of its gates after sweeps 3c, 3c + 1 and 3c + 2 when the last rise
-    is over ``_TAIL_RATIO`` times the one before and a sweep of budget is
-    left; the next sweep is kept only if it beats the plain point, and a
-    trial that fails never stops the row.  ``outcomes`` gets "kept" or
-    "reverted" for each trial.
+    is over ``_TAIL_RATIO`` times the one before and it has not stopped; the
+    next sweep is kept only if it beats the plain point, and a trial that
+    fails never stops the row.  Returns the final gates and their gain;
+    ``outcomes`` gets "kept" or "reverted" for each trial.
     """
-    sweep = 2 * kernel.n
     live = gates.copy()
     amps = kernel.amplitudes(live, game)
     gains, iterates = [kernel.gains_of(amps, game)[0]], [live.copy()]
-    updates, plain = 0, None
+    plain = None
     while True:
-        left = max_updates - updates
-        before = live.copy()
         for k in range(kernel.n):
             amps, live[:, k] = kernel.best_response(amps, live[:, k], k, game)
-        if left < sweep:
-            past = np.arange(sweep).reshape(1, kernel.n, 2, 1, 1) >= left
-            live = np.where(past, before, live)
-        updates += sweep
         gain = kernel.gains_of(amps, game)[0]
         failed = False
         if plain is not None:
@@ -575,13 +576,14 @@ def _one_row_see_saw(kernel, gates, game, max_updates, tol, outcomes):
                 outcomes.append("reverted")
                 live, amps, gain, failed = *plain, True
             plain = None
-        if updates >= max_updates or (gain - gains[-1] < tol and not failed):
-            return live
+        # ``gains`` holds the start's gain and one per earlier sweep
+        if len(gains) >= max_sweeps or (gain - gains[-1] < tol and not failed):
+            return live, gain
         gains.append(gain)
         iterates.append(live.copy())
         if (len(gains) - 1) % 3 == 2 and len(gains) > 4:
             g0, g1, g2 = gains[-3:]
-            if g2 - g1 > search._TAIL_RATIO * (g1 - g0) and max_updates - updates >= sweep:
+            if g2 - g1 > search._TAIL_RATIO * (g1 - g0):
                 plain = (live, amps, gain)
                 live = search._extrapolated_gates(*search._bloch(np.stack(iterates[-3:])))
                 amps = kernel.amplitudes(live, game)
@@ -607,14 +609,13 @@ class TestSquarem:
         kernel = GainKernel(states, eqs)
         gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
         game = np.arange(rows) % len(eqs)
-        sweep = 2 * n
         outcomes = []
-        for cap in (1, sweep - 1, 2 * sweep, 3 * sweep, 3 * sweep + 1, 4 * sweep, 50, 400):
-            pooled = _see_saw(kernel, gates, game, cap, tol, capacity=3)
+        for cap in (1, 2, 3, 4, 5, 6, 7, 13, 50):
+            pooled, pooled_gains = _see_saw(kernel, gates, game, cap, tol, capacity=3)
             for r in range(rows):
                 one = slice(r, r + 1)
-                alone = _one_row_see_saw(kernel, gates[one], game[one], cap, tol, outcomes)
-                assert np.array_equal(pooled[one], alone)
+                alone, gain = _one_row_see_saw(kernel, gates[one], game[one], cap, tol, outcomes)
+                assert np.array_equal(pooled[one], alone) and pooled_gains[r] == gain
         # with no stop on the rise, rows sweep on at their optimum, where trials fail
         assert {"kept", "reverted"} <= set(outcomes) if tol == -np.inf else "kept" in outcomes
 
@@ -732,6 +733,52 @@ class TestTorusPath:
         angles = torus._angles(delta, total, rng.uniform(0.0, 2 * math.pi, 6))
         back = torus._delta_of(angles)
         assert np.abs(np.angle(np.exp(1j * (back - delta)))).max() < 1e-12
+
+
+class TestOneEvaluation:
+    """Each solver picks a game's best start by its own score; one kernel call then
+    evaluates every game's returned angles afresh."""
+
+    @staticmethod
+    def mixed_games():
+        rng = np.random.default_rng(20)
+        eq = ghz_game_equation()
+        states = [make_named_state("ghz4"), _random_states(rng, 1)[0], make_named_state("w4"),
+                  _ghz(4, 1.3), see_saw_state("ghz4")]
+        eqs = [eq, eq, w_game_equation(), eq, eq]
+        return states, eqs, [int(s) for s in rng.integers(0, 2**31, len(states))]
+
+    def test_one_gains_call_with_one_row_per_game(self, monkeypatch):
+        calls, gains = [], GainKernel.gains
+
+        def spy(self, angle_batch, game=None):
+            calls.append((np.asarray(angle_batch).shape[0], np.asarray(game).tolist()))
+            return gains(self, angle_batch, game)
+
+        monkeypatch.setattr(GainKernel, "gains", spy)
+        states, eqs, seeds = self.mixed_games()
+        assert [torus.signs_and_phase(psi, e) is not None for psi, e in zip(states, eqs)] == [
+            True, False, False, True, False]
+        _optimize_games(states, eqs, seeds, OptimizerConfig(restarts=5, seed=0))
+        assert calls == [(5, [0, 1, 2, 3, 4])]
+
+    def test_a_see_saw_gain_is_its_best_restart_evaluated_afresh(self, monkeypatch):
+        returned, see_saw = [], search._see_saw
+
+        def spy(kernel, gates, game, *args, **kwargs):
+            final_gates, gains = see_saw(kernel, gates, game, *args, **kwargs)
+            returned.append((game, final_gates))
+            return final_gates, gains
+
+        monkeypatch.setattr(search, "_see_saw", spy)
+        states, eqs, seeds = self.mixed_games()
+        results = _optimize_games(states, eqs, seeds, OptimizerConfig(restarts=5, seed=0))
+        ((game, final_gates),) = returned
+        angles = search._angles_from_gates(final_gates)
+        for j in np.unique(game):
+            best = max(win_probability(states[j], QuantumStrategy(a), eqs[j])
+                       for a in angles[game == j])
+            assert abs(results[j][0] - best) <= 1e-12
 
 
 class TestDeterministicEmbedding:
