@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -234,16 +235,21 @@ class GainKernel:
                 raise ValueError(f"state has {n} qubits but the equation arity is {eq.arity}")
         # (G, 2**n): one row per game, or one shared; states of other sizes do not stack
         self.states = np.stack([psi.amplitudes for psi in states])
-        # (G, 4, ..., 4): one win mask per game, in layout 0
+        # (G, 4**n): one win mask per game, in layout 0
         bits = np.stack([win_mask(eq) for eq in eqs]).reshape((-1,) + (2,) * (2 * n))
         order = (0, *(1 + k + n * a for k in range(n) for a in (0, 1)))
-        pairs = bits.transpose(order).reshape((-1,) + (4,) * n)
-        self.masks = pairs.reshape(-1, 4**n)
-        # per player, (G, 2, 4**(n-1)) in their layout: the mask with them answering 0 minus 1
-        self._signs = []
-        for k in range(n):
-            m = pairs.transpose(0, *(1 + (k + j) % n for j in range(n))).reshape(-1, 2, 2, 4**n // 4)
-            self._signs.append(m[:, :, 0] - m[:, :, 1])
+        self.masks = bits.transpose(order).reshape(-1, 4**n)
+
+    @functools.cached_property
+    def _signs(self) -> list[np.ndarray]:
+        """Per player, (G, 2, 4**(n-1)) in their layout: the mask with them answering 0 minus 1.
+
+        Built on first use: only the see-saw reads them.
+        """
+        n, pairs = self.n, self.masks.reshape((-1,) + (4,) * self.n)
+        tables = [pairs.transpose(0, *(1 + (k + j) % n for j in range(n))).reshape(-1, 2, 2, 4**n // 4)
+                  for k in range(n)]
+        return [m[:, :, 0] - m[:, :, 1] for m in tables]
 
     @property
     def psi(self) -> np.ndarray:

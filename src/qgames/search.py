@@ -95,7 +95,8 @@ class OptimizerConfig:
     trial point counts like any other, and is tested against ``tol`` too
     unless its trial failed.  The torus path
     (XOR games on GHZ-type states) reads ``restarts`` and the seed only:
-    its ascent takes a fixed number of steps.
+    every start takes a fixed number of sweeps, and each game's few best
+    starts a fixed number of Newton steps.
     """
 
     restarts: int = 20

@@ -19,7 +19,9 @@ delta in {0, pi}^n, the largest Walsh coefficient.  Neither closed form
 holds for any other g, such as the W game's, nor on other states.
 
 ``signs_and_phase`` says whether a game is such a game, and ``optimize``
-finds the best delta of each and returns its equatorial strategy.
+finds the best delta of each and returns its equatorial strategy: a few
+coordinate sweeps from every start, then Newton steps from each game's
+best few.
 """
 
 from __future__ import annotations
@@ -32,24 +34,17 @@ import numpy as np
 from .boolfn import GameEquation
 from .quantum import TWO_PI, StateVector
 
-#: Coordinate-ascent sweeps, then Newton steps, that every torus start takes.
+#: Coordinate-ascent sweeps that every torus start takes, then Newton steps
+#: that each game's ``_POLISHED`` starts of largest swept |S| take.
 _SWEEPS = 4
 _NEWTON_STEPS = 5
+_POLISHED = 4
 
 
 @functools.cache
 def _parity_bits(n: int) -> int:
     """The table of a1 ^ ... ^ an."""
     return sum(1 << a for a in range(1 << n) if bin(a).count("1") % 2)
-
-
-@functools.cache
-def _question_bits(n: int) -> np.ndarray:
-    """(n, 2**n) floats: row k is player k's bit of every question (read-only)."""
-    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    bits = bits.astype(float)
-    bits.flags.writeable = False
-    return bits
 
 
 @functools.cache
@@ -87,16 +82,23 @@ def signs_and_phase(psi: StateVector, eq: GameEquation) -> tuple[np.ndarray, flo
 
 
 def _terms(signs: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """(R, 2**n) terms s_q e^{i q.delta} of S(delta) for (R, 2**n) signs and (R, n) deltas."""
-    phases = (delta[:, None, :] @ _question_bits(delta.shape[1]))[:, 0]
-    return signs * np.exp(1j * phases)
+    """(R, 2**n) terms s_q e^{i q.delta} of S(delta) for (R, 2**n) signs and (R, n) deltas.
+
+    e^{i q.delta} is the product of e^{i delta_k} over the players with
+    question 1, so the exp runs on the (R, n) deltas only.
+    """
+    factors = np.exp(1j * delta)
+    phases = np.ones((delta.shape[0], 1), dtype=complex)
+    for k in range(delta.shape[1]):
+        phases = np.stack([phases, phases * factors[:, k:k + 1]], axis=2).reshape(delta.shape[0], -1)
+    return signs * phases
 
 
 def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with system[r] @ x[r] = rhs[r] for (R, n, n) systems, by Gauss-Jordan elimination.
 
     No pivoting and no exception: a row whose system is singular, or
-    nearly, gets an inf or NaN solution, which ``_ascent`` rejects
+    nearly, gets an inf or NaN solution, which ``_polish`` rejects
     as a step like any other step that does not raise |S|.  (LAPACK's
     batched solve raises for the whole batch on one singular system.)
     """
@@ -110,27 +112,21 @@ def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return table[:, :, n]
 
 
-def _ascent(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local maxima of |S(delta)|, S(delta) = sum_q s_q e^{i q.delta}, from (R, n) starts.
+def _sweep(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_SWEEPS`` coordinate-ascent sweeps of |S(delta)| from (R, n) starts.
 
-    Returns the deltas and their S.  A coordinate step writes
+    Returns the deltas and their terms.  A coordinate step writes
     S = A + e^{i delta_k} B, with A the terms where player k has question
     0, and sets delta_k = arg A - arg B, which lines both up and never
-    lowers |S|; ``_SWEEPS`` sweeps over every player find a basin,
-    where they may creep.  ``_NEWTON_STEPS`` damped Newton steps on |S|^2
-    then polish it: (mu I - H) step = grad, taken by a row only where it
-    raises |S|.  mu starts tiny, so a step near a maximum is Newton's,
-    and grows fourfold on each failure, which shortens the step towards
-    one along the gradient.  Every operation treats each row on its own
-    (no sum across rows), so a row's result does not depend on the other
-    rows.
+    lowers |S|.  A few sweeps over every player find a basin, where they
+    may creep.  Every operation treats each row on its own (no sum across
+    rows), so a row's result does not depend on the other rows; likewise
+    in ``_polish``.
     """
     rows, n = delta.shape
     supersets = _supersets(n)
-    single = [1 << (n - 1 - k) for k in range(n)]
-    both = np.bitwise_or.outer(single, single)
     # per player, the columns of S and of S_k
-    columns = [supersets[:, [0, bit]] for bit in single]
+    columns = [supersets[:, [0, 1 << (n - 1 - k)]] for k in range(n)]
     delta = delta.copy()
     terms = _terms(signs, delta)
     for _ in range(_SWEEPS):
@@ -141,9 +137,24 @@ def _ascent(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarra
             pairs = terms.reshape(rows, 1 << k, 2, -1)
             turned = pairs[:, :, 1:] * np.exp(1j * step)[:, None, None, None]
             terms = np.concatenate([pairs[:, :, :1], turned], axis=2).reshape(rows, -1)
+    return delta, terms
+
+
+def _polish(signs: np.ndarray, delta: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_NEWTON_STEPS`` damped Newton steps on |S|^2 from swept (R, n) deltas and their terms.
+
+    Returns the deltas and their S.  A step solves (mu I - H) step = grad
+    and is taken by a row only where it raises |S|.  mu starts tiny, so a
+    step near a maximum is Newton's, and grows fourfold on each failure,
+    which shortens the step towards one along the gradient.
+    """
+    n = delta.shape[1]
+    supersets = _supersets(n)
+    single = [1 << (n - 1 - k) for k in range(n)]
+    both = np.bitwise_or.outer(single, single)
     sums = (terms[:, None, :] @ supersets)[:, 0]
     value = np.abs(sums[:, 0])
-    damping = np.full(rows, 1e-9)
+    damping = np.full(delta.shape[0], 1e-9)
     for _ in range(_NEWTON_STEPS):
         s, sk = sums[:, :1], sums[:, single]
         # gradient and Hessian of |S|^2: dS/d delta_k = i S_k, d2S/d delta_k d delta_l = -S_kl
@@ -169,7 +180,9 @@ def _walsh_vertex(signs: np.ndarray) -> np.ndarray:
     up to it, so every game also starts there.  The sums are of +-1s, so
     they are exact.
     """
-    bits = _question_bits(signs.shape[1].bit_length() - 1)
+    n = signs.shape[1].bit_length() - 1
+    # (n, 2**n): row k is player k's bit of every question
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
     walsh = signs @ (1.0 - 2.0 * ((bits.T @ bits) % 2))
     return np.pi * bits[:, np.abs(walsh).argmax(axis=1)].T
 
@@ -213,19 +226,28 @@ def optimize(
     ``games`` are ``signs_and_phase`` results, none of them None.  Game j
     starts from ``restarts`` deltas drawn uniformly from [0, 2pi)^n by
     ``seeds[j]``, then from its best Walsh vertex, then from the deltas of
-    its warm starts.  Its strategy is that of its start's ascent with the
-    largest |S|.
+    its warm starts.  Every start takes ``_sweep``; then the game's
+    ``_POLISHED`` starts of largest swept |S| take ``_polish``, and its
+    strategy is that of the polished start with the largest |S|.
     """
     signs = np.array([s for s, _ in games])
     n = signs.shape[1].bit_length() - 1
     vertex = _walsh_vertex(signs)
     starts, counts = [], []
     for seed, extras, corner in zip(seeds, extra_starts, vertex):
-        warm = _delta_of(np.asarray(extras, dtype=float).reshape(-1, n, 2, 3))
+        warm = (_delta_of(np.asarray(extras, dtype=float).reshape(-1, n, 2, 3)) if len(extras)
+                else np.empty((0, n)))
         starts += [np.random.default_rng(seed).uniform(0.0, TWO_PI, (restarts, n)),
                    corner[None, :], warm]
         counts.append(restarts + 1 + len(warm))
-    delta, total = _ascent(np.repeat(signs, counts, axis=0), np.concatenate(starts))
-    best = [lo + int(np.argmax(np.abs(total[lo:lo + count])))
-            for lo, count in zip(np.cumsum([0] + counts[:-1]), counts)]
+    game = np.repeat(np.arange(len(counts)), counts)
+    delta, terms = _sweep(signs[game], np.concatenate(starts))
+    swept = np.abs(terms.sum(axis=1))
+    # each game's _POLISHED starts of largest swept |S|, in start order
+    bounds = np.cumsum([0] + counts)
+    polished = np.concatenate([lo + np.sort(np.argsort(-swept[lo:hi], kind="stable")[:_POLISHED])
+                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+    delta, total = _polish(signs[game[polished]], delta[polished], terms[polished])
+    bounds = np.cumsum([0] + [min(count, _POLISHED) for count in counts])
+    best = [lo + int(np.argmax(np.abs(total[lo:hi]))) for lo, hi in zip(bounds[:-1], bounds[1:])]
     return _angles(delta[best], total[best], np.array([chi for _, chi in games]))

@@ -1,5 +1,6 @@
 """Classical enumeration, quantum optimization, and batch-search tests."""
 
+import collections
 import itertools
 import json
 import logging
@@ -31,6 +32,7 @@ from qgames.quantum import (
     win_probability,
 )
 from qgames.search import (
+    DEFAULT_SEED,
     ClassicalStrategy,
     GameResult,
     OptimizerConfig,
@@ -719,11 +721,72 @@ class TestTorusPath:
         rng = np.random.default_rng(rows)
         signs = 1.0 - 2.0 * rng.integers(0, 2, (rows, 1 << n))
         delta = rng.uniform(0.0, 2 * math.pi, (rows, n))
-        batch_delta, batch_total = torus._ascent(signs, delta)
+        swept_delta, terms = torus._sweep(signs, delta)
+        batch_delta, batch_total = torus._polish(signs, swept_delta, terms)
         for r in range(rows):
-            alone_delta, alone_total = torus._ascent(signs[r:r + 1], delta[r:r + 1])
+            alone_swept, alone_terms = torus._sweep(signs[r:r + 1], delta[r:r + 1])
+            assert np.array_equal(alone_swept[0], swept_delta[r])
+            assert np.array_equal(alone_terms[0], terms[r])
+            alone_delta, alone_total = torus._polish(signs[r:r + 1], alone_swept, alone_terms)
             assert np.array_equal(alone_delta[0], batch_delta[r])
             assert alone_total[0] == batch_total[r]
+
+    @staticmethod
+    def torus_value(signs, angles):
+        """|S(delta)| = |sum_q s_q e^{i q.delta}| of each game's returned delta, summed directly."""
+        n = angles.shape[1]
+        delta = torus._delta_of(angles)
+        questions = np.array(list(itertools.product((0, 1), repeat=n)))
+        return np.abs((signs * np.exp(1j * (delta @ questions.T))).sum(axis=1))
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+    def test_polishing_the_best_starts_reaches_polishing_every_start(self, seed, monkeypatch):
+        # the 20 classes at n = 3 and the criterion-7 subsample at n = 4, parity g, on GHZ
+        spaces = [list(reduce_function_space(3)),
+                  stratified_subsample(list(reduce_function_space(4)), 300, DEFAULT_SEED)]
+        assert [len(space) for space in spaces] == [20, 300]
+        for space in spaces:
+            n = space[0].arity
+            g, psi = TruthTable(n, torus._parity_bits(n)), _ghz(n)
+            games = [torus.signs_and_phase(psi, GameEquation(f, g)) for f in space]
+            signs = np.array([s for s, _ in games])
+            seeds = [derive_task_seed(seed, j) for j in range(len(games))]
+            few = torus.optimize(games, seeds, 20, [()] * len(games))
+            with monkeypatch.context() as polish_all:
+                polish_all.setattr(torus, "_POLISHED", 10**6)
+                every = torus.optimize(games, seeds, 20, [()] * len(games))
+            # |S| <= 2**n; as win probabilities, 1/2 + |S| / 2**(n+1)
+            assert np.abs(self.torus_value(signs, few) - self.torus_value(signs, every)).max() <= 1e-12
+
+    @pytest.mark.parametrize("restarts, warm", [(1, 0), (2, 1)])
+    def test_games_with_at_most_polished_starts_polish_all_of_them(self, restarts, warm, monkeypatch):
+        rng = np.random.default_rng(restarts)
+        games = [torus.signs_and_phase(_ghz(4, 0.4), GameEquation(
+            TruthTable(4, int(bits)), ghz_game_equation().g)) for bits in rng.integers(0, 1 << 16, 30)]
+        seeds = [int(s) for s in rng.integers(0, 2**31, len(games))]
+        extras = [[rng.uniform(0.0, 4 * math.pi, 24) for _ in range(warm)] for _ in games]
+        assert restarts + 1 + warm <= torus._POLISHED
+        few = torus.optimize(games, seeds, restarts, extras)
+        monkeypatch.setattr(torus, "_POLISHED", 10**6)
+        assert np.array_equal(few, torus.optimize(games, seeds, restarts, extras))
+
+    @pytest.mark.slow
+    def test_full_space_gap_spectrum(self):
+        # every one of the 2,191 classes of the ghz4 parity scan, by its gap rounded at 1e-6
+        results = search_space(parse_table("a^b^c^d", ANSWER_VARS[4]), make_named_state("ghz4"),
+                               OptimizerConfig(), list(reduce_function_space(4)), workers=1)
+        spectrum = collections.Counter(round(r.gap, 6) for r in results)
+        assert spectrum == {0.0: 941, 0.02391: 160, 0.029508: 280, 0.051777: 444, 0.076641: 80,
+                            0.094736: 240, 0.103553: 14, 0.125: 15, 0.145528: 16, 0.228553: 1}
+
+    @pytest.mark.parametrize("n, weights", [(5, (2, 3)), (6, (0, 3, 4))])
+    def test_symmetric_games_beyond_four_players_reach_tsirelson(self, n, weights):
+        # f = 1 on the questions of these weights, parity g: raw sign vectors,
+        # since the game equations stop at four players
+        signs = np.array([[-1.0 if bin(q).count("1") in weights else 1.0 for q in range(1 << n)]])
+        angles = torus.optimize([(signs[0], 0.0)], [DEFAULT_SEED], 20, [()])
+        gain = 0.5 + self.torus_value(signs, angles)[0] / 2 ** (n + 1)
+        assert abs(gain - TSIRELSON) <= 1e-12
 
     def test_a_torus_strategy_projects_back_onto_its_deltas(self):
         # warm starts enter the torus path as the deltas of their gates
