@@ -173,11 +173,6 @@ def _build_gate_stack(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def win_mask(eq: GameEquation) -> np.ndarray:
-    """Flat (2**n * 2**n,) 0/1 mask over (question, answer) pairs with f(q) = g(a)."""
-    return (eq.f.values()[:, None] == eq.g.values()[None, :]).astype(float).reshape(-1)
-
-
 def _best_response_gates(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gates whose answer-0 projector maximizes <u|D|u> for D = [[c + h, b], [b*, c - h]].
 
@@ -197,7 +192,9 @@ class GainKernel:
 
     One kernel holds the states and win masks of one or more games: one
     state per game or one shared by every game, and likewise one equation
-    per game or one shared.  ``game`` is the (B,) index of each row's game,
+    per game or one shared.  It keeps the equations' table entries,
+    ``f_values`` and ``g_values`` (one row each), and builds every win mask
+    from them in one comparison.  ``game`` is the (B,) index of each row's game,
     which picks both its state and its win mask, and None means that every
     row plays the first.  Every product is stacked per row, never one 2-D
     product across rows, and no arithmetic reuses a temporary in place, so
@@ -235,8 +232,11 @@ class GainKernel:
                 raise ValueError(f"state has {n} qubits but the equation arity is {eq.arity}")
         # (G, 2**n): one row per game, or one shared; states of other sizes do not stack
         self.states = np.stack([psi.amplitudes for psi in states])
-        # (G, 4**n): one win mask per game, in layout 0
-        bits = np.stack([win_mask(eq) for eq in eqs]).reshape((-1,) + (2,) * (2 * n))
+        bits = np.array([(eq.f.bits, eq.g.bits) for eq in eqs])[:, :, None] >> np.arange(1 << n)
+        self.f_values, self.g_values = bits[:, 0] & 1, bits[:, 1] & 1
+        # (G, 4**n): one win mask per game, f(q) == g(a) over (question, answer) pairs, in layout 0
+        bits = (self.f_values[:, :, None] == self.g_values[:, None, :]).astype(float)
+        bits = bits.reshape((-1,) + (2,) * (2 * n))
         order = (0, *(1 + k + n * a for k in range(n) for a in (0, 1)))
         self.masks = bits.transpose(order).reshape(-1, 4**n)
 

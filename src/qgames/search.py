@@ -184,6 +184,13 @@ def _strategies(n: int) -> tuple[ClassicalStrategy, ...]:
     return tuple(ClassicalStrategy(n, s) for s in range(1 << (2 * n)))
 
 
+def _classical_values(g: TruthTable, functions: Sequence[TruthTable]) -> list[float]:
+    """``classical_best(GameEquation(f, g))[0]`` of every f: one xor and popcount for all."""
+    size = 1 << g.arity
+    words = _answer_words(g) ^ np.array([f.bits for f in functions])[:, None]
+    return ((size - _popcounts().take(words).min(axis=1)) / size).tolist()
+
+
 def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
     """Exhaustive exact optimum over all deterministic strategies.
 
@@ -375,12 +382,6 @@ def _see_saw(
     return out, out_gains
 
 
-def _per_game(items, kind: type, count: int) -> list:
-    """One item per game from one item, a one-item list or one item per game."""
-    items = [items] if isinstance(items, kind) else list(items)
-    return items * count if len(items) == 1 else items
-
-
 def _optimize_games(
     states: StateVector | Sequence[StateVector],
     eqs: GameEquation | Sequence[GameEquation],
@@ -395,7 +396,7 @@ def _optimize_games(
     the warm starts ``extra_starts[j]`` after them.
 
     The input picks each game's path.  An XOR game on a GHZ-type state
-    (``torus.signs_and_phase``) takes the torus path, ``torus.optimize``,
+    (``torus.xor_games``) takes the torus path, ``torus.optimize``,
     which reads only ``cfg.restarts``; ``max_evals`` and ``tol`` are see-saw
     settings.  Every other game runs through one see-saw pool.  Each solver
     picks a game's best start by its own score (the torus value, the
@@ -406,17 +407,15 @@ def _optimize_games(
     count = len(seeds)
     extra_starts = extra_starts or [()] * count
     kernel = GainKernel(states, eqs)
-    games = [torus.signs_and_phase(psi, eq) for psi, eq in zip(
-        _per_game(states, StateVector, count), _per_game(eqs, GameEquation, count))]
-    on_torus = [j for j, game in enumerate(games) if game is not None]
-    seesaw = [j for j, game in enumerate(games) if game is None]
+    on, signs, chi = torus.xor_games(kernel.states, kernel.f_values, kernel.g_values, count)
+    on_torus, seesaw = np.flatnonzero(on), np.flatnonzero(~on)
     dim = 6 * kernel.n
     best = np.empty((count, kernel.n, 2, 3))
-    if on_torus:
+    if on_torus.size:
         best[on_torus] = torus.optimize(
-            [games[j] for j in on_torus], [seeds[j] for j in on_torus], cfg.restarts,
+            signs, chi, [seeds[j] for j in on_torus], cfg.restarts,
             [extra_starts[j] for j in on_torus])
-    if seesaw:
+    if seesaw.size:
         starts, counts = [], []
         for j in seesaw:
             rng = np.random.default_rng(seeds[j])
@@ -494,7 +493,7 @@ def _run_task(
     seeds = [derive_task_seed(cfg.seed, start + j) for j in range(len(functions))]
     try:
         eqs = [GameEquation(f, g) for f in functions]
-        classical = [classical_best(eq)[0] for eq in eqs]
+        classical = _classical_values(g, functions)
         quantum = _optimize_games(psi, eqs, seeds, cfg)
     except Exception as exc:
         raise RuntimeError(

@@ -18,7 +18,7 @@ alpha_k(1) - alpha_k(0).  The classical value is the same maximum over
 delta in {0, pi}^n, the largest Walsh coefficient.  Neither closed form
 holds for any other g, such as the W game's, nor on other states.
 
-``signs_and_phase`` says whether a game is such a game, and ``optimize``
+``xor_games`` says which games are such games, and ``optimize``
 finds the best delta of each and returns its equatorial strategy: a few
 coordinate sweeps from every start, then Newton steps from each game's
 best few.
@@ -62,23 +62,35 @@ def _supersets(n: int) -> np.ndarray:
     return table
 
 
-def signs_and_phase(psi: StateVector, eq: GameEquation) -> tuple[np.ndarray, float] | None:
-    """The signs s_q of a game and the relative phase chi of its state, or None.
+def xor_games(states: np.ndarray, f: np.ndarray, g: np.ndarray,
+              count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (count,) torus mask, and the (T, 2**n) signs s_q and (T,) phases chi of its games.
 
-    The torus path plays a game when ``g`` is parity or its complement and
+    A game takes the torus path when ``g`` is parity or its complement and
     the state is GHZ-type: exactly two non-zero amplitudes, of equal
     modulus, on |0...0> and |1...1>, with any relative phase chi.  Then
-    s_q = (-1)^(f(q) ^ c), with c = 1 for the complement.
+    s_q = (-1)^(f(q) ^ c), with c = 1 for the complement.  ``states``
+    (S, 2**n) and table entries ``f``, ``g`` (E, 2**n) hold one row per
+    game or one shared, as in ``GainKernel``: each state is read once.
     """
-    n = eq.arity
-    parity = _parity_bits(n)
-    flip = {parity: 0, parity ^ ((1 << (1 << n)) - 1): 1}.get(eq.g.bits)
-    amps = psi.amplitudes
-    ends = amps[[0, -1]]
-    if (flip is None or np.count_nonzero(amps) != 2 or not ends.all()
-            or abs(abs(ends[0]) - abs(ends[1])) > 1e-12):
-        return None
-    return 1.0 - 2.0 * (eq.f.values() ^ flip), float(np.angle(ends[1] * ends[0].conj()))
+    n = f.shape[1].bit_length() - 1
+    ends = states[:, [0, -1]]
+    ghz = ((np.count_nonzero(states, axis=1) == 2) & ends.all(axis=1)
+           & (np.abs(np.abs(ends[:, 0]) - np.abs(ends[:, 1])) <= 1e-12))
+    # g ^ parity is one constant, c, exactly when g is parity or its complement
+    flip = g ^ ((_parity_bits(n) >> np.arange(1 << n)) & 1)
+    xor = (flip == flip[:, :1]).all(axis=1)
+    game = np.arange(count)
+    on = ghz[game % len(ghz)] & xor[game % len(xor)]
+    signs = 1.0 - 2.0 * (f ^ flip[:, :1])
+    chi = np.angle(ends[:, 1] * ends[:, 0].conj())
+    return on, signs[game[on] % len(signs)], chi[game[on] % len(chi)]
+
+
+def signs_and_phase(psi: StateVector, eq: GameEquation) -> tuple[np.ndarray, float] | None:
+    """The signs s_q of one game and the phase chi of its state, or None: ``xor_games`` of one."""
+    on, signs, chi = xor_games(psi.amplitudes[None], eq.f.values()[None], eq.g.values()[None], 1)
+    return (signs[0], float(chi[0])) if on[0] else None
 
 
 def _terms(signs: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -87,10 +99,14 @@ def _terms(signs: np.ndarray, delta: np.ndarray) -> np.ndarray:
     e^{i q.delta} is the product of e^{i delta_k} over the players with
     question 1, so the exp runs on the (R, n) deltas only.
     """
+    rows, n = delta.shape
     factors = np.exp(1j * delta)
-    phases = np.ones((delta.shape[0], 1), dtype=complex)
-    for k in range(delta.shape[1]):
-        phases = np.stack([phases, phases * factors[:, k:k + 1]], axis=2).reshape(delta.shape[0], -1)
+    phases = np.empty((rows, 1 << n), dtype=complex)
+    phases[:, 0] = 1.0
+    for k in range(n):
+        # the entries set so far are every 2**(n-k)-th; player k's question 1 is 2**(n-1-k) on
+        pairs = phases.reshape(rows, 1 << k, 2, -1)[:, :, :, 0]
+        pairs[:, :, 1] = pairs[:, :, 0] * factors[:, k:k + 1]
     return signs * phases
 
 
@@ -99,23 +115,22 @@ def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     No pivoting and no exception: a row whose system is singular, or
     nearly, gets an inf or NaN solution, which ``_polish`` rejects
-    as a step like any other step that does not raise |S|.  (LAPACK's
-    batched solve raises for the whole batch on one singular system.)
+    as a step like any other step that does not raise |S|, unannounced.
+    (LAPACK's batched solve raises for the whole batch on one singular system.)
     """
     n = system.shape[1]
     table = np.concatenate([system, rhs[:, :, None]], axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n):
-            row = table[:, k] / table[:, k, k:k + 1]
-            table = table - table[:, :, k:k + 1] * row[:, None, :]
-            table[:, k] = row
+    for k in range(n):
+        row = table[:, k] / table[:, k, k:k + 1]
+        table = table - table[:, :, k:k + 1] * row[:, None, :]
+        table[:, k] = row
     return table[:, :, n]
 
 
 def _sweep(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_SWEEPS`` coordinate-ascent sweeps of |S(delta)| from (R, n) starts.
 
-    Returns the deltas and their terms.  A coordinate step writes
+    Returns the deltas and their terms, turned in place.  A coordinate step writes
     S = A + e^{i delta_k} B, with A the terms where player k has question
     0, and sets delta_k = arg A - arg B, which lines both up and never
     lowers |S|.  A few sweeps over every player find a basin, where they
@@ -134,9 +149,8 @@ def _sweep(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray
             total, ones = (terms[:, None, :] @ columns[k])[:, 0].T
             step = np.angle((total - ones) * ones.conj())
             delta[:, k] += step
-            pairs = terms.reshape(rows, 1 << k, 2, -1)
-            turned = pairs[:, :, 1:] * np.exp(1j * step)[:, None, None, None]
-            terms = np.concatenate([pairs[:, :, :1], turned], axis=2).reshape(rows, -1)
+            # the terms where player k has question 1 turn by e^{i step}
+            terms.reshape(rows, 1 << k, 2, -1)[:, :, 1] *= np.exp(1j * step)[:, None, None]
     return delta, terms
 
 
@@ -155,20 +169,21 @@ def _polish(signs: np.ndarray, delta: np.ndarray, terms: np.ndarray) -> tuple[np
     sums = (terms[:, None, :] @ supersets)[:, 0]
     value = np.abs(sums[:, 0])
     damping = np.full(delta.shape[0], 1e-9)
-    for _ in range(_NEWTON_STEPS):
-        s, sk = sums[:, :1], sums[:, single]
-        # gradient and Hessian of |S|^2: dS/d delta_k = i S_k, d2S/d delta_k d delta_l = -S_kl
-        grad = -2.0 * (s.conj() * sk).imag
-        hess = (2.0 * (sk[:, :, None] * sk[:, None, :].conj()).real
-                - 2.0 * (s[:, :, None].conj() * sums[:, both]).real)
-        trial = delta + _solve(damping[:, None, None] * np.eye(n) - hess, grad)
-        trial_sums = (_terms(signs, trial)[:, None, :] @ supersets)[:, 0]
-        trial_value = np.abs(trial_sums[:, 0])
-        up = trial_value > value
-        delta = np.where(up[:, None], trial, delta)
-        sums = np.where(up[:, None], trial_sums, sums)
-        value = np.where(up, trial_value, value)
-        damping = np.where(up, np.maximum(damping / 4.0, 1e-9), 4.0 * (damping + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            s, sk = sums[:, :1], sums[:, single]
+            # gradient and Hessian of |S|^2: dS/d delta_k = i S_k, d2S/d delta_k d delta_l = -S_kl
+            grad = -2.0 * (s.conj() * sk).imag
+            hess = (2.0 * (sk[:, :, None] * sk[:, None, :].conj()).real
+                    - 2.0 * (s[:, :, None].conj() * sums[:, both]).real)
+            trial = delta + _solve(damping[:, None, None] * np.eye(n) - hess, grad)
+            trial_sums = (_terms(signs, trial)[:, None, :] @ supersets)[:, 0]
+            trial_value = np.abs(trial_sums[:, 0])
+            up = trial_value > value
+            delta = np.where(up[:, None], trial, delta)
+            sums = np.where(up[:, None], trial_sums, sums)
+            value = np.where(up, trial_value, value)
+            damping = np.where(up, np.maximum(damping / 4.0, 1e-9), 4.0 * (damping + 1.0))
     return delta, sums[:, 0]
 
 
@@ -215,39 +230,48 @@ def _angles(delta: np.ndarray, total: np.ndarray, chi: np.ndarray) -> np.ndarray
     return angles
 
 
+def _leading(game: np.ndarray, value: np.ndarray, keep: int) -> np.ndarray:
+    """Indices, in row order, of each game's ``keep`` rows of largest ``value`` (all, if fewer).
+
+    ``game`` does not decrease.  Of rows of equal value, the earlier leads:
+    the sort is stable, and it keeps the games in place, so entry i of
+    ``order`` is a row of game[i], at place i - (game[i]'s first row).
+    """
+    order = np.lexsort((-value, game))
+    return np.sort(order[np.arange(game.size) - np.searchsorted(game, game) < keep])
+
+
 def optimize(
-    games: Sequence[tuple[np.ndarray, float]],
+    signs: np.ndarray,
+    chi: np.ndarray,
     seeds: Sequence[int],
     restarts: int,
     extra_starts: Sequence[Sequence[np.ndarray]],
 ) -> np.ndarray:
     """(G, n, 2, 3) angles of the best equatorial strategy of each game.
 
-    ``games`` are ``signs_and_phase`` results, none of them None.  Game j
+    ``signs`` (G, 2**n) and ``chi`` (G,) are ``xor_games`` results.  Game j
     starts from ``restarts`` deltas drawn uniformly from [0, 2pi)^n by
     ``seeds[j]``, then from its best Walsh vertex, then from the deltas of
     its warm starts.  Every start takes ``_sweep``; then the game's
     ``_POLISHED`` starts of largest swept |S| take ``_polish``, and its
     strategy is that of the polished start with the largest |S|.
     """
-    signs = np.array([s for s, _ in games])
     n = signs.shape[1].bit_length() - 1
-    vertex = _walsh_vertex(signs)
-    starts, counts = [], []
-    for seed, extras, corner in zip(seeds, extra_starts, vertex):
-        warm = (_delta_of(np.asarray(extras, dtype=float).reshape(-1, n, 2, 3)) if len(extras)
-                else np.empty((0, n)))
-        starts += [np.random.default_rng(seed).uniform(0.0, TWO_PI, (restarts, n)),
-                   corner[None, :], warm]
-        counts.append(restarts + 1 + len(warm))
+    warm = np.array([len(extras) for extras in extra_starts], dtype=int)
+    counts = restarts + 1 + warm
     game = np.repeat(np.arange(len(counts)), counts)
-    delta, terms = _sweep(signs[game], np.concatenate(starts))
-    swept = np.abs(terms.sum(axis=1))
-    # each game's _POLISHED starts of largest swept |S|, in start order
-    bounds = np.cumsum([0] + counts)
-    polished = np.concatenate([lo + np.sort(np.argsort(-swept[lo:hi], kind="stable")[:_POLISHED])
-                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+    # each start's place among its game's: random, then the vertex, then warm
+    place = np.arange(game.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    delta = np.empty((game.size, n))
+    delta[place < restarts] = np.concatenate(
+        [np.random.default_rng(seed).uniform(0.0, TWO_PI, (restarts, n)) for seed in seeds])
+    delta[place == restarts] = _walsh_vertex(signs)
+    if warm.any():
+        angles = np.array([start for extras in extra_starts for start in extras], dtype=float)
+        delta[place > restarts] = _delta_of(angles.reshape(-1, n, 2, 3))
+    delta, terms = _sweep(signs[game], delta)
+    polished = _leading(game, np.abs(terms.sum(axis=1)), _POLISHED)
     delta, total = _polish(signs[game[polished]], delta[polished], terms[polished])
-    bounds = np.cumsum([0] + [min(count, _POLISHED) for count in counts])
-    best = [lo + int(np.argmax(np.abs(total[lo:hi]))) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return _angles(delta[best], total[best], np.array([chi for _, chi in games]))
+    best = _leading(game[polished], np.abs(total), 1)
+    return _angles(delta[best], total[best], chi)

@@ -749,12 +749,12 @@ class TestTorusPath:
             n = space[0].arity
             g, psi = TruthTable(n, torus._parity_bits(n)), _ghz(n)
             games = [torus.signs_and_phase(psi, GameEquation(f, g)) for f in space]
-            signs = np.array([s for s, _ in games])
+            signs, chi = np.array([s for s, _ in games]), np.array([c for _, c in games])
             seeds = [derive_task_seed(seed, j) for j in range(len(games))]
-            few = torus.optimize(games, seeds, 20, [()] * len(games))
+            few = torus.optimize(signs, chi, seeds, 20, [()] * len(games))
             with monkeypatch.context() as polish_all:
                 polish_all.setattr(torus, "_POLISHED", 10**6)
-                every = torus.optimize(games, seeds, 20, [()] * len(games))
+                every = torus.optimize(signs, chi, seeds, 20, [()] * len(games))
             # |S| <= 2**n; as win probabilities, 1/2 + |S| / 2**(n+1)
             assert np.abs(self.torus_value(signs, few) - self.torus_value(signs, every)).max() <= 1e-12
 
@@ -763,12 +763,13 @@ class TestTorusPath:
         rng = np.random.default_rng(restarts)
         games = [torus.signs_and_phase(_ghz(4, 0.4), GameEquation(
             TruthTable(4, int(bits)), ghz_game_equation().g)) for bits in rng.integers(0, 1 << 16, 30)]
+        signs, chi = np.array([s for s, _ in games]), np.array([c for _, c in games])
         seeds = [int(s) for s in rng.integers(0, 2**31, len(games))]
         extras = [[rng.uniform(0.0, 4 * math.pi, 24) for _ in range(warm)] for _ in games]
         assert restarts + 1 + warm <= torus._POLISHED
-        few = torus.optimize(games, seeds, restarts, extras)
+        few = torus.optimize(signs, chi, seeds, restarts, extras)
         monkeypatch.setattr(torus, "_POLISHED", 10**6)
-        assert np.array_equal(few, torus.optimize(games, seeds, restarts, extras))
+        assert np.array_equal(few, torus.optimize(signs, chi, seeds, restarts, extras))
 
     @pytest.mark.slow
     def test_full_space_gap_spectrum(self):
@@ -779,12 +780,49 @@ class TestTorusPath:
         assert spectrum == {0.0: 941, 0.02391: 160, 0.029508: 280, 0.051777: 444, 0.076641: 80,
                             0.094736: 240, 0.103553: 14, 0.125: 15, 0.145528: 16, 0.228553: 1}
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+    def test_full_space_gaps_fall_at_most_two_rounding_units_below_zero(self, seed):
+        # a torus game with no advantage can read a gap one rounding unit (1.1e-16) below
+        # zero, since its gain is the re-evaluated win probability; a real shortfall is larger
+        results = search_space(parse_table("a^b^c^d", ANSWER_VARS[4]), make_named_state("ghz4"),
+                               OptimizerConfig(seed=seed), list(reduce_function_space(4)), workers=1)
+        assert len(results) == 2191
+        assert min(r.gap for r in results) >= -2.3e-16
+
+    @staticmethod
+    def leading_by_loop(counts, value, keep):
+        """Each game's ``keep`` rows of largest value in row order, ties to the earlier row,
+        one game at a time."""
+        bounds = np.cumsum([0] + list(counts))
+        return np.concatenate([lo + np.sort(np.argsort(-value[lo:hi], kind="stable")[:keep])
+                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    # 12 games of 21 starts (20 restarts and the vertex); warm starts on some games, as in
+    # a sweep step; 1 or 2 restarts, so that some games have fewer starts than _POLISHED
+    @pytest.mark.parametrize("counts", [[21] * 12, [21, 22, 21, 21, 23, 22, 21],
+                                        [2, 3, 2, 4, 5, 2, 3], [3, 21, 2, 7]])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_start_ranking_and_pick_equal_a_loop_over_games(self, counts, ties):
+        rng = np.random.default_rng(len(counts) + sum(counts))
+        game = np.repeat(np.arange(len(counts)), counts)
+        # swept |S| values; with ties, few distinct values, so that most rows tie
+        value = rng.integers(0, 3, game.size) * 1.0 if ties else rng.uniform(0.0, 16.0, game.size)
+        polished = torus._leading(game, value, torus._POLISHED)
+        assert np.array_equal(polished, self.leading_by_loop(counts, value, torus._POLISHED))
+        # each game's best polished start: the first of largest |S|, as argmax picks
+        total = rng.integers(0, 2, polished.size) * 1.0 if ties else rng.uniform(0.0, 16.0, polished.size)
+        kept = [min(count, torus._POLISHED) for count in counts]
+        bounds = np.cumsum([0] + kept)
+        best = [lo + int(np.argmax(total[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert torus._leading(game[polished], total, 1).tolist() == best
+
     @pytest.mark.parametrize("n, weights", [(5, (2, 3)), (6, (0, 3, 4))])
     def test_symmetric_games_beyond_four_players_reach_tsirelson(self, n, weights):
         # f = 1 on the questions of these weights, parity g: raw sign vectors,
         # since the game equations stop at four players
         signs = np.array([[-1.0 if bin(q).count("1") in weights else 1.0 for q in range(1 << n)]])
-        angles = torus.optimize([(signs[0], 0.0)], [DEFAULT_SEED], 20, [()])
+        angles = torus.optimize(signs, np.zeros(1), [DEFAULT_SEED], 20, [()])
         gain = 0.5 + self.torus_value(signs, angles)[0] / 2 ** (n + 1)
         assert abs(gain - TSIRELSON) <= 1e-12
 
@@ -796,6 +834,81 @@ class TestTorusPath:
         angles = torus._angles(delta, total, rng.uniform(0.0, 2 * math.pi, 6))
         back = torus._delta_of(angles)
         assert np.abs(np.angle(np.exp(1j * (back - delta)))).max() < 1e-12
+
+
+class TestTaskSetUp:
+    """A search task sets up all its games at once: classical values, torus path and masks."""
+
+    @staticmethod
+    def answer_sides(n):
+        """Parity, the W game's g (exactly n - 1 answers 1) and two seeded random g."""
+        rng = np.random.default_rng(n)
+        w = sum(1 << a for a in range(1 << n) if bin(a).count("1") == n - 1)
+        return [TruthTable(n, torus._parity_bits(n)), TruthTable(n, w),
+                *(TruthTable(n, int(bits)) for bits in rng.integers(0, 1 << (1 << n), 2))]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_classical_values_equal_classical_best(self, n):
+        functions = ([TruthTable(n, bits) for bits in range(1 << (1 << n))] if n < 4
+                     else list(reduce_function_space(4)))
+        assert len(functions) == {2: 16, 3: 256, 4: 2191}[n]
+        for g in self.answer_sides(n):
+            values = search._classical_values(g, functions)
+            assert all(type(value) is float for value in values)
+            assert values == [classical_best(GameEquation(f, g))[0] for f in functions]
+
+    @staticmethod
+    def torus_games(states, eqs, count):
+        kernel = GainKernel(states, eqs)
+        return torus.xor_games(kernel.states, kernel.f_values, kernel.g_values, count)
+
+    def test_torus_games_equal_games_classified_alone(self):
+        rng = np.random.default_rng(22)
+        eq, w_eq = ghz_game_equation(), w_game_equation()
+        complement = GameEquation(eq.f, eq.g.complement())
+        fs = [TruthTable(4, int(bits)) for bits in rng.integers(0, 1 << 16, 6)]
+        ghz4, phased, w4 = make_named_state("ghz4"), _ghz(4, 2.1), make_named_state("w4")
+        # a sweep batch: one equation, a family state per game, GHZ-type at a = d, b = c = 0
+        family = [make_family_state(FamilyId.G_ABCD, {"a": a, "b": b, "c": 0, "d": 1})
+                  for a, b in ((1, 0), (0.5, 0), (1, 0.5), (1, 0), (-1, 0))]
+        cases = [
+            (ghz4, [GameEquation(f, eq.g) for f in fs] + [complement, w_eq]),
+            (phased, [GameEquation(f, g) for f, g in zip(fs, [eq.g, complement.g] * 3)]),
+            (w4, [eq, complement, w_eq]),
+            (family, eq),
+            (family, [complement, w_eq, eq, complement, eq]),
+            ([phased, w4, _ghz(4, 0.8), _random_states(rng, 1)[0]], [eq, eq, complement, eq]),
+            (phased, complement),
+        ]
+        for states, eqs in cases:
+            count = max(len(x) if isinstance(x, list) else 1 for x in (states, eqs))
+            on, signs, chi = self.torus_games(states, eqs, count)
+            alone = [torus.signs_and_phase(states[j] if isinstance(states, list) else states,
+                                           eqs[j] if isinstance(eqs, list) else eqs)
+                     for j in range(count)]
+            assert on.tolist() == [game is not None for game in alone]
+            on_torus = [game for game in alone if game is not None]
+            assert np.array_equal(signs, np.array([s for s, _ in on_torus]).reshape(-1, 16))
+            assert chi.tolist() == [c for _, c in on_torus]
+        # s_q = (-1)^(f(q) ^ c) and chi, written out, for the phased state and parity's complement
+        on, signs, chi = self.torus_games(phased, [complement], 1)
+        assert on.tolist() == [True] and chi.tolist() == [pytest.approx(2.1, abs=1e-12)]
+        assert signs[0].tolist() == [1.0 - 2.0 * (eq.f.value(q) ^ 1) for q in range(16)]
+
+    def test_masks_are_f_of_the_questions_equal_to_g_of_the_answers(self):
+        rng = np.random.default_rng(23)
+        eqs = [ghz_game_equation(), w_game_equation(),
+               *(GameEquation(TruthTable(4, int(f)), TruthTable(4, int(g)))
+                 for f, g in rng.integers(0, 1 << 16, (4, 2)))]
+        # layout 0: one (question bit, answer bit) axis pair per player, player 1 first
+        masks = GainKernel(make_named_state("ghz4"), eqs).masks.reshape((len(eqs),) + (2,) * 8)
+        for j, eq in enumerate(eqs):
+            for pairs in itertools.product((0, 1), repeat=8):
+                q, a = pairs[0::2], pairs[1::2]
+                assert masks[(j, *pairs)] == float(eq.f.evaluate(q) == eq.g.evaluate(a))
+        ((chsh_mask,),) = [GainKernel(make_named_state("epr"), chsh_equation()).masks]
+        assert chsh_mask.tolist() == [float((q1 & q2) == (a1 ^ a2)) for q1, a1, q2, a2
+                                      in itertools.product((0, 1), repeat=4)]
 
 
 class TestOneEvaluation:
