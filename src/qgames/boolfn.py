@@ -16,8 +16,8 @@ Conventions
   output).  The canonical representative of a variant class is the
   numerically smallest table in the class.
 - Every class query runs on one bitwise kernel, ``_negate_inputs`` and
-  ``_relevant``, which takes one table (an int) or every table at once (a
-  uint32 array).  ``_canonical_all`` caches each arity's read-only class
+  ``_relevant``, which takes one table (an int) or many at once (an integer
+  array).  ``_canonical_all`` caches each arity's read-only class
   table; ``canonical_representative`` and ``reduce_function_space`` read it.
 """
 
@@ -362,9 +362,10 @@ def reduce_function_space(
     full_count = 1 << (1 << arity)
     stages = [("full_space", full_count),
               ("after_output_flip", full_count // 2 if include_output_flip else full_count)]
-    reps = np.unique(_canonical_all(arity, include_output_flip))
+    canon = _canonical_all(arity, include_output_flip)
+    reps = np.flatnonzero(canon == np.arange(canon.size))  # each class's own canonical form
     stages.append(("after_variant_dedup", int(reps.size)))
     if require_all_relevant:
         reps = reps[np.logical_and.reduce([_relevant(reps, arity, k) for k in range(arity)])]
     stages.append(("after_relevance_filter", int(reps.size) if require_all_relevant else None))
-    return ReducedSpace(tuple(TruthTable(arity, int(v)) for v in reps), tuple(stages))
+    return ReducedSpace(tuple(TruthTable(arity, v) for v in reps.tolist()), tuple(stages))

@@ -154,7 +154,10 @@ class GameResult:
 
 @functools.lru_cache(maxsize=64)
 def _answer_words(g: TruthTable) -> np.ndarray:
-    """(2**2n,) uint16 words: bit q of word s is g(strategy s's answers to q) (read-only)."""
+    """(2**2n,) words: bit q of word s is g(strategy s's answers to q) (read-only).
+
+    The words are ``np.intp``, numpy's index dtype, so ``take`` needs no cast.
+    """
     n = g.arity
     strategies = np.arange(1 << (2 * n))[:, None]
     questions = np.arange(1 << n)[None, :]
@@ -163,7 +166,7 @@ def _answer_words(g: TruthTable) -> np.ndarray:
         qbit = (questions >> (n - 1 - i)) & 1
         hbit = (strategies >> (2 * (n - 1 - i) + (1 - qbit))) & 1
         answers |= hbit << (n - 1 - i)
-    words = (g.values()[answers] << questions).sum(axis=1).astype(np.uint16)
+    words = (g.values()[answers] << questions).sum(axis=1).astype(np.intp)
     words.flags.writeable = False
     return words
 
@@ -179,9 +182,11 @@ def _popcounts() -> np.ndarray:
 
 
 @functools.cache
-def _strategies(n: int) -> tuple[ClassicalStrategy, ...]:
-    """Every deterministic strategy of n players, indexed by encoding (frozen, so shared)."""
-    return tuple(ClassicalStrategy(n, s) for s in range(1 << (2 * n)))
+def _strategies(n: int) -> np.ndarray:
+    """Every deterministic strategy of n players, by encoding (read-only; frozen, so shared)."""
+    table = np.array([ClassicalStrategy(n, s) for s in range(1 << (2 * n))], dtype=object)
+    table.flags.writeable = False
+    return table
 
 
 def _classical_values(g: TruthTable, functions: Sequence[TruthTable]) -> list[float]:
@@ -208,10 +213,7 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
     size = 1 << n
     mismatches = _popcounts().take(_answer_words(eq.g) ^ eq.f.bits)
     fewest = mismatches[mismatches.argmin()]
-    strategies = _strategies(n)
-    return (size - int(fewest)) / size, [
-        strategies[s] for s in np.flatnonzero(mismatches == fewest).tolist()
-    ]
+    return (size - int(fewest)) / size, _strategies(n)[mismatches == fewest].tolist()
 
 
 # --- Quantum search -------------------------------------------------------------

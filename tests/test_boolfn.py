@@ -9,10 +9,12 @@ import itertools
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgames import boolfn
 from qgames.boolfn import (
     ANSWER_VARS,
     QUESTION_VARS,
@@ -332,20 +334,40 @@ class TestReduce:
         space.stage_counts()["full_space"] = 0
         assert space.stage_counts()["full_space"] == 256
 
-    def test_output_is_sorted_canonical_and_variant_free(self):
-        space = reduce_function_space(3, require_all_relevant=True, include_output_flip=True)
+    @pytest.mark.parametrize("arity", [3, 4])
+    @pytest.mark.parametrize("flip", [True, False])
+    def test_output_is_sorted_canonical_and_variant_free(self, arity, flip):
+        space = reduce_function_space(arity, require_all_relevant=True, include_output_flip=flip)
         bits = [t.bits for t in space]
         assert bits == sorted(bits)
         listed = set(bits)
         for t in space:
-            assert canonical_representative(t, True) == t
+            assert canonical_representative(t, flip) == t
             orbit = set()
             for variant in input_negation_variants(t):
                 orbit.add(variant.bits)
-                orbit.add(variant.complement().bits)
+                if flip:
+                    orbit.add(variant.complement().bits)
             assert orbit & listed == {t.bits}
         # every listed function keeps all variables relevant
-        assert all(len(relevant_variables(t)) == 3 for t in space)
+        assert all(len(relevant_variables(t)) == arity for t in space)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("relevant", [True, False])
+    @pytest.mark.parametrize("flip", [True, False])
+    def test_equals_a_sort_based_reference(self, arity, relevant, flip):
+        # the classes as the distinct canonical forms, sorted by np.unique
+        reps = np.unique(boolfn._canonical_all(arity, flip)).tolist()
+        full = 1 << (1 << arity)
+        stages = [("full_space", full), ("after_output_flip", full // 2 if flip else full),
+                  ("after_variant_dedup", len(reps)), ("after_relevance_filter", None)]
+        if relevant:
+            reps = [v for v in reps if len(relevant_variables(TruthTable(arity, v))) == arity]
+            stages[-1] = ("after_relevance_filter", len(reps))
+        space = reduce_function_space(arity, require_all_relevant=relevant, include_output_flip=flip)
+        assert [t.bits for t in space] == reps
+        assert all(t.arity == arity for t in space)
+        assert space.stages == tuple(stages)
 
     def test_deterministic_across_runs(self):
         a = reduce_function_space(3, True, True)

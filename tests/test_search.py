@@ -238,8 +238,18 @@ class TestClassicalBestOracle:
         with pytest.raises(FrozenInstanceError):
             maximizers[0].encoding = 1
         words = search._answer_words(ghz_game_equation().g)
+        assert words.dtype == np.intp  # take reads the popcount table without a cast
         with pytest.raises(ValueError):
             words[0] = 0
+        table = search._strategies(4)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = ClassicalStrategy(4, 1)
+        assert [(s.n, s.encoding) for s in table] == [(4, s) for s in range(256)]
+        # every call hands out a fresh list of the table's own objects
+        again = classical_best(ghz_game_equation())[1]
+        assert type(again) is list and again is not maximizers and again == maximizers
+        assert all(s is table[s.encoding] for s in maximizers + again)
         counts = search._popcounts()
         assert counts.dtype == np.uint8 and not counts.flags.writeable
         assert counts.tolist() == [bin(i).count("1") for i in range(1 << 16)]
