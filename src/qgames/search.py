@@ -154,10 +154,7 @@ class GameResult:
 
 @functools.lru_cache(maxsize=64)
 def _answer_words(g: TruthTable) -> np.ndarray:
-    """(2**2n,) words: bit q of word s is g(strategy s's answers to q) (read-only).
-
-    The words are ``np.intp``, numpy's index dtype, so ``take`` needs no cast.
-    """
+    """Read-only (2**2n,) intp words (no cast in take): bit q of word s is g(s's answers to q)."""
     n = g.arity
     strategies = np.arange(1 << (2 * n))[:, None]
     questions = np.arange(1 << n)[None, :]
