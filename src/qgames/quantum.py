@@ -173,22 +173,51 @@ def _build_gate_stack(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_response_gates(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gates whose answer-0 projector maximizes <u|D|u> for D = [[c + h, b], [b*, c - h]].
+#: Per qubit, the Pauli expectations of a density matrix's (i, j) entries:
+#: row mu (I, X, Y, Z), column 2i + j, holds sigma_mu[j, i], so that
+#: tr(rho sigma_mu) = sum over (i, j) of rho[i, j] sigma_mu[j, i].
+_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
-    The top eigenvector of D is u = (cos t/2, e^{-i w} sin t/2) up to a
-    phase, with t = atan2(|b|, h) and w the phase of b (any w will do when
-    b = 0).  The returned gate has conj(u) as its first row, so it answers
-    0 on exactly u.
+
+@functools.cache
+def _form_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per n, the index tables of the Pauli form (read-only).
+
+    - ``walsh`` (2**n, 2**n): (-1)^{|a & S|} at [a, S], so g @ walsh is g-hat;
+    - ``support`` (4**n,): for each Pauli index mu in player order, the set S
+      of the players with mu_k != 0, as a bit mask in the order of answers;
+    - ``paulis`` (n, 4**n) and ``questions`` (n, 2**n): player k's layouts,
+      axes k, k+1, ..., n-1, 0, ..., k-1, as indices into player order.
     """
-    t = np.arctan2(np.abs(b), h) / 2.0
-    c, s = np.cos(t), np.sin(t)
-    w = np.exp(1j * np.angle(b))
-    return np.stack([c, w * s, s, -w * c], axis=-1).reshape(h.shape + (2, 2))
+    index = np.arange(1 << n)
+    parity = np.zeros((1 << n, 1 << n), dtype=int)
+    for bit in range(n):
+        parity ^= (index[:, None] & index[None, :]) >> bit & 1
+    mu = np.arange(4**n)
+    support = sum(((mu >> 2 * (n - 1 - k) & 3) != 0) << (n - 1 - k) for k in range(n))
+    axes = [[(k + j) % n for j in range(n)] for k in range(n)]
+    paulis = np.stack([mu.reshape((4,) * n).transpose(order).reshape(-1) for order in axes])
+    questions = np.stack([index.reshape((2,) * n).transpose(order).reshape(-1) for order in axes])
+    tables = (1 - 2 * parity, support, paulis, questions)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _unit_bloch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 4) rows (c, w) -> the rows (1, w / |w|), (1, 0, 0, 1) where w = 0, and |w|."""
+    w = v[..., 1:]
+    norm = np.sqrt((w * w).sum(-1))
+    zero = norm == 0
+    unit = v / np.where(zero, 1.0, norm)[..., None]
+    unit[..., 0] = 1.0
+    if zero.any():
+        unit[zero] = (1.0, 0.0, 0.0, 1.0)
+    return unit, norm
 
 
 class GainKernel:
-    """Vectorized win-probability evaluation and see-saw steps for batches of strategies.
+    """Vectorized win probabilities and see-saw steps for batches of strategies.
 
     One kernel holds the states and win masks of one or more games: one
     state per game or one shared by every game, and likewise one equation
@@ -201,20 +230,23 @@ class GainKernel:
     a row's results do not depend on the other rows of its batch, bit for
     bit, at any batch size.
 
-    Amplitudes of all (question, answer) pairs are a (B, 4**n) array in a
-    pair-major layout: its axes are each player's (question bit, answer
-    bit) pair, question bit first.  Layout k puts player k's pair outermost
-    and the others after it in cyclic order k+1, ..., n-1, 0, ..., k-1;
-    ``amplitudes`` and ``gains_of`` use layout 0, player 1 first.
+    ``gains`` evaluates gate angles.  Amplitudes of all (question, answer)
+    pairs are a (B, 4**n) array whose axes are each player's (question bit,
+    answer bit) pair, question bit first, player 1 outermost
+    (``amplitudes``); ``gains_of`` sums their squares over the win mask.
 
-    ``best_response`` takes amplitudes in player k's layout.  With that
-    player's gate undone, the amplitudes no longer depend on their question
-    bit, so it undoes only the question-0 slice: one (2, 2) @ (2, M)
-    product per row, M = 4**(n-1).  The response operator is the player's
-    sign table (the win mask with them answering 0 minus answering 1) times
-    that undone state, and the new gates are applied as a (M, 2) @ (2, 4)
-    product, whose output puts the player's pair last: layout k+1, with no
-    copy.  A sweep over every player returns to layout 0.
+    The see-saw works on Bloch rows instead: (B, n, 2, 4), per player k and
+    question bit q the row A_k^q = (1, r_k^q), where r_k^q is the Bloch
+    vector of the answer-0 vector.  Player k's answer projectors are
+    (I +- r_k^q . sigma) / 2, and [f(q) = g(a)] = 1 - f(q) + s_q g(a) with
+    s_q = 2 f(q) - 1, so the win probability is the multilinear form
+
+        c_f + 4**-n sum_q s_q sum_mu L[mu] prod_k A_k^{q_k}[mu_k],
+
+    with c_f the share of questions where f is 0, mu over {I, X, Y, Z}**n,
+    and L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, where
+    g-hat(S) = sum_a g(a) (-1)^{a . S}.  Its tables are built on the first
+    see-saw step (``_form``).
     """
 
     def __init__(
@@ -234,22 +266,42 @@ class GainKernel:
         self.states = np.stack([psi.amplitudes for psi in states])
         bits = np.array([(eq.f.bits, eq.g.bits) for eq in eqs])[:, :, None] >> np.arange(1 << n)
         self.f_values, self.g_values = bits[:, 0] & 1, bits[:, 1] & 1
-        # (G, 4**n): one win mask per game, f(q) == g(a) over (question, answer) pairs, in layout 0
+        # (G, 4**n): one win mask per game, f(q) == g(a) over (question, answer) pairs, as amplitudes
         bits = (self.f_values[:, :, None] == self.g_values[:, None, :]).astype(float)
         bits = bits.reshape((-1,) + (2,) * (2 * n))
         order = (0, *(1 + k + n * a for k in range(n) for a in (0, 1)))
         self.masks = bits.transpose(order).reshape(-1, 4**n)
 
     @functools.cached_property
-    def _signs(self) -> list[np.ndarray]:
-        """Per player, (G, 2, 4**(n-1)) in their layout: the mask with them answering 0 minus 1.
+    def _form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Pauli form's tables, built on first use: only the see-saw reads them.
 
-        Built on first use: only the see-saw reads them.
+        ``pauli`` (n, D, 4**n) holds 4**-n L of each distinct (g, state)
+        pair, in each player's layout (``_form_index``), and ``pair`` (G,)
+        each game's pair; ``signs`` (n, G, 2, 2**(n-1)) holds s_q in each
+        player's layout, and ``constant`` (G,) c_f.  A kernel whose games
+        share one g and one state has one pair, which every row broadcasts.
         """
-        n, pairs = self.n, self.masks.reshape((-1,) + (4,) * self.n)
-        tables = [pairs.transpose(0, *(1 + (k + j) % n for j in range(n))).reshape(-1, 2, 2, 4**n // 4)
-                  for k in range(n)]
-        return [m[:, :, 0] - m[:, :, 1] for m in tables]
+        n, states = self.n, self.states
+        walsh, support, paulis, questions = _form_index(n)
+        # (S, 4**n): <psi| sigma_mu |psi>, each qubit's (i, j) pair of psi psi^dagger
+        # mapped to its Pauli index, one qubit per product as in ``amplitudes``
+        rho = (states[:, :, None] * states[:, None, :].conj()).reshape((-1,) + (2,) * (2 * n))
+        t = rho.transpose(0, *(1 + k + n * side for k in range(n) for side in (0, 1)))
+        for _ in range(n):
+            t = _PAULI @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
+        expectations = t.reshape(-1, 4**n).real
+        # each game's (state, g) pair as one key: the state's index above g's table bits
+        codes = self.g_values @ (1 << np.arange(1 << n))
+        games = np.arange(max(len(states), len(codes)))
+        keys, pair = np.unique(games % len(states) << (1 << n) | codes[games % len(codes)],
+                               return_inverse=True)
+        g_hat = (keys[:, None] >> np.arange(1 << n) & 1) @ walsh
+        form = g_hat[:, support] * expectations[keys >> (1 << n)] / 4**n
+        signs = (2.0 * self.f_values - 1.0)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
+        constant = (1.0 - self.f_values).sum(axis=1) / (1 << n)
+        return (np.ascontiguousarray(form[:, paulis].swapaxes(0, 1)), pair.reshape(-1),
+                np.ascontiguousarray(signs.swapaxes(0, 1)), constant)
 
     @property
     def psi(self) -> np.ndarray:
@@ -262,7 +314,7 @@ class GainKernel:
         return tables[:1] if index is None or tables.shape[0] == 1 else tables[index]
 
     def amplitudes(self, gates: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
-        """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 4**n) amplitudes in layout 0."""
+        """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 4**n) amplitudes, player 1 outermost."""
         batch = gates.shape[0]
         t = self._per_row(self.states, game)
         # the last player first: each step's qubit is the last axis, and its pair goes first
@@ -271,7 +323,7 @@ class GainKernel:
         return t.reshape(batch, -1)
 
     def gains_of(self, amps: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
-        """(B, 4**n) amplitudes in layout 0 -> (B,) win probabilities."""
+        """(B, 4**n) amplitudes of ``amplitudes`` -> (B,) win probabilities."""
         batch = amps.shape[0]
         probs = (amps.real**2 + amps.imag**2).reshape(batch, 1, -1)
         # one dot product per row, so that no row's sum depends on the others
@@ -287,36 +339,44 @@ class GainKernel:
         gates = _build_gate_stack(batch.reshape(batch.shape[0], self.n, 2, 3))
         return self.gains_of(self.amplitudes(gates, game), game)
 
-    def best_response(
-        self, amps: np.ndarray, gates: np.ndarray, player: int, game: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One see-saw step: the player's best gates and the amplitudes they give.
+    def _response(self, rows: np.ndarray, player: int, game: np.ndarray | None) -> np.ndarray:
+        """(B, 2, 4): per question bit q of the player, the V[q] of c_f + sum_q V[q] . A^q.
 
-        ``amps`` (B, 4**n) are in the player's layout and ``gates``
-        (B, 2, 2, 2) are the player's gates inside them.  With every other
-        player fixed, the win probability is linear in the player's answer-0
-        projector on each question bit, and the best rank-1 projector is the
-        top eigenvector of D = [[c + h, b], [b*, c - h]] (Werner & Wolf 2001;
-        Liang & Doherty 2007).  For the undone state (p0, p1), h is the sign
-        table times |p0|^2 - |p1|^2 over two and b the sign table times
-        p0 conj(p1).  Both question bits' gates are always replaced, each
-        from the same undone state.  Returns the amplitudes in the next
-        player's layout and the new (B, 2, 2, 2) gates.
+        V is L contracted with the other players' rows of ``rows``, then
+        summed over their question bits with the signs s_q.  L, in the
+        player's layout (mu_k outermost), meets players k-1, k-2, ..., k+1
+        in turn: each product takes the last axis and puts its question bit
+        first, which leaves (q_{k+1}, ..., q_{k-1}, mu_k) for the sign table.
         """
-        batch = amps.shape[0]
-        # (B, 2, M): the player's qubit and the other players' pairs, question 0's gate undone
-        undone = gates[:, 0].conj().swapaxes(1, 2) @ amps.reshape(batch, 2, 2, -1)[:, 0]
-        probs = undone.real**2 + undone.imag**2
-        signs = self._per_row(self._signs[player], game)
-        h = (signs @ (probs[:, 0] - probs[:, 1])[..., None])[..., 0] / 2.0
-        # a named factor, not a temporary: numpy multiplies into a large enough
-        # temporary in place, which rounds differently and so made a row's b
-        # depend on its batch size from 256 rows on (at n = 4)
-        conj1 = undone[:, 1].conj()
-        b = (signs @ (undone[:, 0] * conj1)[..., None])[..., 0]
-        new = _best_response_gates(h, b)
-        amps = undone.swapaxes(1, 2) @ new.reshape(batch, 4, 2).swapaxes(1, 2)
-        return amps.reshape(batch, -1), new
+        pauli, pair, signs, _ = self._form
+        t = self._per_row(pauli[player], pair[:1] if game is None else pair[game])
+        for j in range(player - 1, player - self.n, -1):
+            t = rows[:, j] @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
+        return self._per_row(signs[player], game) @ t.reshape(t.shape[0], -1, 4)
+
+    def bloch_gains(self, rows: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
+        """(B, n, 2, 4) Bloch rows -> (B,) win probabilities, by the Pauli form."""
+        batch = rows.shape[0]
+        dots = self._response(rows, 0, game).reshape(batch, 1, 8) @ rows[:, 0].reshape(batch, 8, 1)
+        return self._per_row(self._form[3], game) + dots.reshape(batch)
+
+    def bloch_response(
+        self, rows: np.ndarray, player: int, game: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One see-saw step: the player's best (B, 2, 4) rows and the (B,) gains they give.
+
+        With every other player fixed, the win probability is
+        c_f + sum_q (V[q, 0] + V[q, 1:] . r^q) (``_response``), and the unit
+        vector r^q = V[q, 1:] / |V[q, 1:]| maximizes each question bit's
+        term (Werner & Wolf 2001; Liang & Doherty 2007), at
+        c_f + sum_q (V[q, 0] + |V[q, 1:]|).  Where V[q, 1:] is 0 every r^q
+        is as good, and the step takes +z.  Both question bits' rows are
+        replaced; ``rows`` is read, not written.
+        """
+        v = self._response(rows, player, game)
+        new, norm = _unit_bloch(v)
+        top = v[..., 0] + norm
+        return new, self._per_row(self._form[3], game) + top[:, 0] + top[:, 1]
 
 
 def win_probability(psi: StateVector, strategy: QuantumStrategy, eq: GameEquation) -> float:

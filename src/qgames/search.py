@@ -4,15 +4,18 @@ The classical optimum is exact: all 2**(2n) deterministic strategies are
 enumerated.  The quantum optimum is a multi-start see-saw ascent over every
 player's measurements, except for XOR games on GHZ-type states, whose
 value is a maximum over the players' phase differences (the torus path).
-The see-saw's slow tails are accelerated by a safeguarded SQUAREM step on
-each restart's Bloch vectors (Varadhan & Roland 2008; see ``_see_saw``).
+The see-saw runs on the Bloch vectors of the players' answer-0 vectors,
+against each game's Pauli correlation tensor (``GainKernel``): starts are
+turned into Bloch vectors once, and each game's best restart back into
+gate angles once.  Its slow tails are accelerated by a safeguarded SQUAREM
+step on those vectors (Varadhan & Roland 2008; see ``_see_saw``).
 Every reported quantum gain is the re-evaluated win probability of the
 returned strategy, so it is always an achievable lower bound.
 
 Batch searches play every function against one ``g`` on one state.  They
 split the functions into contiguous tasks, and each task runs the restarts
 of all its games through one refilled see-saw pool: a fixed number of
-rows, each with its own game's win mask, where a row that stops makes room
+rows, each with its own game's sign table, where a row that stops makes room
 for the next waiting restart.  Worker processes take whole tasks.  Every
 game is seeded from (master seed, function index), and no game's result
 depends on the other games of its task, which makes results independent of
@@ -34,14 +37,7 @@ import numpy as np
 
 from .boolfn import GameEquation, TruthTable
 from . import torus
-from .quantum import (
-    FOUR_PI,
-    GainKernel,
-    QuantumStrategy,
-    StateVector,
-    _best_response_gates,
-    _build_gate_stack,
-)
+from .quantum import FOUR_PI, GainKernel, QuantumStrategy, StateVector, _unit_bloch
 
 logger = logging.getLogger(__name__)
 
@@ -215,18 +211,29 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
 
 # --- Quantum search -------------------------------------------------------------
 
-def _angles_from_gates(gates: np.ndarray) -> np.ndarray:
-    """(..., 2, 2) gates -> (..., 3) angles with phi = 0 and the same win probabilities.
+def _bloch(angles: np.ndarray) -> np.ndarray:
+    """(..., 3) gate angles -> (..., 4) Bloch rows (1, x, y, z) of their answer-0 vectors.
 
-    Only the first row matters: the second is fixed up to a phase, which
-    no win probability sees.  The row's phase is chosen so that cos(t/2) >= 0.
+    A gate answers 0 on u, the conjugate of its first row,
+    u = (cos t/2, -e^{-i lam} sin t/2), whose Bloch vector
+    (2 Re(conj(u0) u1), 2 Im(conj(u0) u1), |u0|^2 - |u1|^2) is
+    (-sin t cos lam, sin t sin lam, cos t); phi does not enter.
     """
-    r0, r1 = gates[..., 0, 0], gates[..., 0, 1]
-    # -e^{i lam} has the phase of r1 * conj(r0); any lam will do when sin(t/2) = 0
-    turn = -r1 * np.where(r0 == 0, 1.0, r0.conj())
-    lam = np.where(turn == 0, 0.0, np.angle(turn))
-    theta = 2.0 * np.arctan2(np.abs(r1), np.abs(r0))
-    return np.stack([theta, np.zeros_like(theta), lam], axis=-1)
+    theta, lam = angles[..., 0], angles[..., 2]
+    sin = np.sin(theta)
+    return np.stack([np.ones_like(theta), -sin * np.cos(lam), sin * np.sin(lam), np.cos(theta)],
+                    axis=-1)
+
+
+def _angles_from_bloch(rows: np.ndarray) -> np.ndarray:
+    """(..., 4) Bloch rows -> (..., 3) angles (t, 0, lam) of gates that answer 0 on them.
+
+    The inverse of ``_bloch`` with phi = 0: t in [0, pi], and any lam will
+    do where sin t = 0.
+    """
+    x, y, z = rows[..., 1], rows[..., 2], rows[..., 3]
+    theta = np.arctan2(np.hypot(x, y), z)
+    return np.stack([theta, np.zeros_like(theta), np.arctan2(y, -x)], axis=-1)
 
 
 #: Rows of a see-saw pool: ``_see_saw`` runs at most this many restarts at
@@ -234,9 +241,12 @@ def _angles_from_gates(gates: np.ndarray) -> np.ndarray:
 #: search task's best responses run on full batches until its last
 #: restarts drain.  On see-saw traffic (the 300-function stratified
 #: subsample, seed 7, of the 2,191 classes, parity ``g``, 20 restarts, one
-#: worker; 2 vCPUs, numpy 2.4), pools of 40, 120 and 1280 rows took
-#: 1.22-1.30, 0.91-0.99 and 1.03-1.08 s on ``w4`` and 0.52-0.58, 0.43-0.54
-#: and 0.52-0.56 s on ``mp``.
+#: worker; 2 vCPUs, numpy 2.4; six runs), pools of 40, 120 and 1280 rows
+#: took 0.71-1.08, 0.52-0.69 and 0.33-0.51 s on ``w4`` and 0.26-0.41,
+#: 0.17-0.30 and 0.14-0.23 s on ``mp``.  A Bloch step's fixed cost
+#: outweighs its per-row cost, so larger pools tend to win, but not in
+#: every run: in ten paired runs 480 rows beat 120 in 8 on ``w4`` and in
+#: 10 on ``mp``.
 #: ``TestChunkedSearch`` needs a pool below 150 rows, so that its 10 games
 #: at 30 restarts fill more than two pools.
 _CHUNK_ROWS = 120
@@ -247,34 +257,22 @@ _CHUNK_ROWS = 120
 #: from the extrapolated point when the second rose by more than
 #: ``_TAIL_RATIO`` times the first.  The step length alpha is at most
 #: ``_ALPHA_CAP``; alpha = -1 gives the plain point.  With 0.3 and -1, at 20
-#: restarts and seeds 1-5 (2 vCPUs, numpy 2.4), the GHZ game took 10-13 pool
-#: sweeps instead of 10-24 on ``mp`` and ``c1``, and 42-70 instead of 298-472
-#: on ``l_a4`` at a = 100, where it now ends within 1.6e-6 of its long-run
-#: value instead of 2.3e-5; the ``l_a2_0_3p1`` sweep's a = 1 point took 40-61
-#: sweeps instead of 144-227.
+#: restarts and seeds 1-5, the GHZ game took 10-13 pool sweeps instead of
+#: 10-24 on ``mp`` and ``c1``, and 43-70 instead of 298-472 on ``l_a4`` at
+#: a = 100, where it now ends within 1.6e-6 of its long-run value instead
+#: of 2.3e-5; the ``l_a2_0_3p1`` sweep's a = 1 point took 40-61 sweeps
+#: instead of 144-227.
 _TAIL_RATIO = 0.3
 _ALPHA_CAP = -1.0
 
 
-def _bloch(gates: np.ndarray) -> np.ndarray:
-    """(..., 2, 2) gates -> (..., 3) Bloch vectors of their answer-0 vectors.
-
-    A gate answers 0 on u, the conjugate of its first row, so
-    x + iy = 2 conj(u0) u1 = 2 g00 conj(g01) and z = |g00|^2 - |g01|^2.
-    """
-    g00, g01 = gates[..., 0, 0], gates[..., 0, 1]
-    xy = 2.0 * g00 * g01.conj()
-    z = (g00.real**2 + g00.imag**2) - (g01.real**2 + g01.imag**2)
-    return np.stack([xy.real, xy.imag, z], axis=-1)
-
-
-def _extrapolated_gates(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """The SQUAREM-S3 point of three successive (T, n, 2, 3) Bloch iterates, as gates.
+def _extrapolated(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The SQUAREM-S3 point of three successive (T, n, 2, 4) Bloch rows, made unit.
 
     Over each row's 2n stacked Bloch vectors, r = x1 - x0, v = x2 - 2 x1 + x0,
     alpha = min(-|r| / |v|, ``_ALPHA_CAP``) and x' = x0 - 2 alpha r + alpha^2 v
-    (x' = x2 where v = 0).  ``_best_response_gates`` is scale-invariant, so x'
-    needs no renormalising: it becomes the gates that answer 0 on its direction.
+    (x' = x2 where v = 0).  Each Bloch vector of x' is then scaled to unit
+    length, and one of length 0 becomes +z, as in a best response.
     """
     rows = x0.shape[0]
     r, v = x1 - x0, x2 - 2.0 * x1 + x0
@@ -283,74 +281,67 @@ def _extrapolated_gates(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.nd
     rr = (flat_r @ flat_r.swapaxes(1, 2)).reshape(rows, 1, 1, 1)
     vv = (flat_v @ flat_v.swapaxes(1, 2)).reshape(rows, 1, 1, 1)
     alpha = np.minimum(-np.sqrt(rr / np.where(vv > 0, vv, np.inf)), _ALPHA_CAP)
-    x = x0 - 2.0 * alpha * r + alpha**2 * v
-    return _best_response_gates(x[..., 2], x[..., 0] - 1j * x[..., 1])
+    return _unit_bloch(x0 - 2.0 * alpha * r + alpha**2 * v)[0]
 
 
 def _see_saw(
-    kernel: GainKernel, gates: np.ndarray, game: np.ndarray, max_sweeps: int, tol: float,
+    kernel: GainKernel, starts: np.ndarray, game: np.ndarray, max_sweeps: int, tol: float,
     capacity: int = _CHUNK_ROWS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched see-saw ascent from (R, n, 2, 2, 2) start gates.
+    """Batched see-saw ascent from (R, n, 2, 4) start Bloch rows.
 
-    Returns each row's final gates and the see-saw's own gain of them
-    (from its stepped amplitudes, not re-evaluated).  Row r plays game
-    ``game[r]`` of the kernel, on that game's state.  A sweep replaces both
-    question bits' gates of player 1 by their best response
-    (``GainKernel.best_response``), then of player 2, and so on: 2n
-    updates, none of which can lower a row's gain.  A row stops when a
-    sweep raises its gain by less than ``tol`` or after ``max_sweeps``
-    sweeps of its own.
+    Returns each row's final Bloch rows and the see-saw's own gain of them
+    (from its last step, not re-evaluated).  Row r plays game ``game[r]``
+    of the kernel, on that game's state.  A sweep replaces both question
+    bits' rows of player 1 by their best response
+    (``GainKernel.bloch_response``), then of player 2, and so on: 2n
+    updates, none of which can lower a row's gain, and the last one gives
+    the sweep's gain.  A row stops when a sweep raises its gain by less
+    than ``tol`` or after ``max_sweeps`` sweeps of its own.
 
     A slow tail is accelerated by SQUAREM (Varadhan & Roland 2008) on the
-    Bloch vectors of each row's 2n answer-0 vectors (``_bloch``).  Each
-    row's sweeps, counted from its admission, run in cycles of three.  The
-    first two are plain, x0 -> x1 -> x2 with gains g0, g1, g2.  From the
-    second cycle on, if g2 - g1 > ``_TAIL_RATIO`` (g1 - g0), the row moves
-    to the extrapolated point x' (``_extrapolated_gates``) and the third
-    sweep runs from x' to x3; otherwise the third sweep is plain.  (The
-    first cycle runs from a random start, before any slow tail: on the
-    paper's games, trials there saved no sweeps.)  A row keeps x3 only if
-    g3 > g2, and otherwise goes back to x2's gates, amplitudes and gain
-    without stopping.  A trial sweep counts as a sweep.  Trial rows ride
-    the pool's regular sweep, so every best response runs on the whole
-    pool.
+    rows themselves.  Each row's sweeps, counted from its admission, run in
+    cycles of three.  The first two are plain, x0 -> x1 -> x2 with gains
+    g0, g1, g2.  From the second cycle on, if g2 - g1 > ``_TAIL_RATIO``
+    (g1 - g0), the row moves to the extrapolated point x'
+    (``_extrapolated``) and the third sweep runs from x' to x3; otherwise
+    the third sweep is plain.  (The first cycle runs from a random start,
+    before any slow tail: on the paper's games, trials there saved no
+    sweeps.)  A row keeps x3 only if g3 > g2, and otherwise goes back to x2
+    and its gain without stopping.  A trial sweep counts as a sweep.  Trial
+    rows ride the pool's regular sweep, so every best response runs on the
+    whole pool.
 
-    At most ``capacity`` rows run at once.  At each sweep boundary, where
-    every running row is back in layout 0, the rows that stopped leave and
-    the next waiting rows take their slots through ``amplitudes``.  Every
-    kernel step treats each row on its own, so a row's path does not
-    depend on the other rows it runs with, whatever their number.
+    At most ``capacity`` rows run at once.  At each sweep boundary the rows
+    that stopped leave and the next waiting rows take their slots, with
+    their start gains from ``GainKernel.bloch_gains``.  Every kernel step
+    treats each row on its own, so a row's path does not depend on the
+    other rows it runs with, whatever their number.
     """
-    total = gates.shape[0]
-
-    def start(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        amps = kernel.amplitudes(gates[rows], game[rows])
-        return gates[rows], amps, kernel.gains_of(amps, game[rows])
-
-    out, out_gains = np.empty_like(gates), np.empty(total)
+    total = starts.shape[0]
+    out, out_gains = np.empty_like(starts), np.empty(total)
     admitted = min(capacity, total)
     rows = np.arange(admitted)
-    live, amps, gains = start(rows)
+    live = starts[rows]
+    gains = kernel.bloch_gains(live, game[rows])
     sweeps = np.zeros(rows.size, dtype=int)
-    # per row: the rise of its last sweep and its gates one sweep back; the
+    # per row: the rise of its last sweep and its rows one sweep back; the
     # rows on trial, and the plain point x2 that each goes back to
     rise = np.zeros(rows.size)
     back1 = live.copy()
     trial = np.zeros(0, dtype=int)
-    plain_live = plain_amps = None
+    plain = None
     while rows.size:
         row_game = game[rows]
         back2, back1 = back1, live.copy()
         for k in range(kernel.n):
-            amps, live[:, k] = kernel.best_response(amps, live[:, k], k, row_game)
+            live[:, k], new_gains = kernel.bloch_response(live, k, row_game)
         sweeps += 1
-        new_gains = kernel.gains_of(amps, row_game)
         new_rise = new_gains - gains
         if trial.size:
             worse = ~(new_gains[trial] > gains[trial])
             back = trial[worse]
-            live[back], amps[back] = plain_live[worse], plain_amps[worse]
+            live[back] = plain[worse]
             # a failed trial is no sign that the row has converged
             new_gains[back], new_rise[back] = gains[back], np.inf
         stop = (sweeps >= max_sweeps) | (new_rise < tol)
@@ -363,21 +354,20 @@ def _see_saw(
         if slots.size:
             rows[slots] = np.arange(admitted, admitted + slots.size)
             admitted += slots.size
-            live[slots], amps[slots], gains[slots] = start(rows[slots])
+            live[slots] = starts[rows[slots]]
+            gains[slots] = kernel.bloch_gains(live[slots], game[rows[slots]])
             sweeps[slots] = 0
             stop[slots] = False
         if stop.any():
             keep = ~stop
-            rows, live, amps, gains, sweeps, rise, back1, back2, tail = (
-                rows[keep], live[keep], amps[keep], gains[keep], sweeps[keep], rise[keep],
+            rows, live, gains, sweeps, rise, back1, back2, tail = (
+                rows[keep], live[keep], gains[keep], sweeps[keep], rise[keep],
                 back1[keep], back2[keep], tail[keep],
             )
         trial = np.flatnonzero(tail)
         if trial.size:
-            plain_live, plain_amps = live[trial], amps[trial]
-            x0, x1, x2 = _bloch(np.stack([back2[trial], back1[trial], plain_live]))
-            live[trial] = _extrapolated_gates(x0, x1, x2)
-            amps[trial] = kernel.amplitudes(live[trial], game[rows[trial]])
+            plain = live[trial]
+            live[trial] = _extrapolated(back2[trial], back1[trial], plain)
     return out, out_gains
 
 
@@ -422,12 +412,12 @@ def _optimize_games(
             starts.extend(np.asarray(s, dtype=float).reshape(dim) for s in extra_starts[j])
             counts.append(cfg.restarts + len(extra_starts[j]))
         game = np.repeat(seesaw, counts)
-        start_gates = _build_gate_stack(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
+        start_rows = _bloch(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
         max_sweeps = -(-cfg.max_evals // (2 * kernel.n))
-        gates, row_gains = _see_saw(kernel, start_gates, game, max_sweeps, cfg.tol)
+        final, row_gains = _see_saw(kernel, start_rows, game, max_sweeps, cfg.tol)
         picks = [lo + int(np.argmax(row_gains[lo:lo + rows]))
                  for lo, rows in zip(np.cumsum([0] + counts[:-1]), counts)]
-        best[seesaw] = _angles_from_gates(gates[picks])
+        best[seesaw] = _angles_from_bloch(final[picks])
     gains = kernel.gains(best.reshape(count, -1), np.arange(count))
     return [(float(gain), QuantumStrategy(angles)) for gain, angles in zip(gains, best)]
 
@@ -445,7 +435,7 @@ def optimize_quantum(
     player's phase difference (``torus.optimize``), which returns
     equatorial gates and reaches the game's quantum value.  Every other
     game takes the multi-start see-saw: each restart draws a start
-    uniformly from [0, 4pi)^{6n}, turns it into gates and runs the see-saw
+    uniformly from [0, 4pi)^{6n}, turns it into Bloch rows and runs the see-saw
     of ``_see_saw``, with its SQUAREM step on slow tails; all restarts run
     as one batch.  A restart stops when one sweep (2n best-response
     updates) raises its gain by less than ``cfg.tol``, or after
@@ -464,10 +454,12 @@ def optimize_quantum(
 #: Start rows of one search task, at most, unless one game has more: a
 #: task's restarts share one see-saw pool, which runs part-empty only while
 #: the task's last restarts drain.  At the default 20 restarts a task holds
-#: 64 games; at n = 4 the task's start gates and results take about 2.7 KB
-#: a row, so a task holds about 3.5 MB whatever ``--restarts`` is.  On the
-#: ``w4`` traffic of ``_CHUNK_ROWS``, tasks of 120, 240 and 1280 rows took
-#: 1.00-1.03, 0.99-1.04 and 0.94-0.95 s.
+#: 64 games; at n = 4 the task's start angles, Bloch rows and results take
+#: about 1 KB a row, so a task holds about 1.3 MB whatever ``--restarts``
+#: is.  On the traffic of ``_CHUNK_ROWS`` (ten paired runs), tasks of 120,
+#: 240 and 1280 rows took 0.54-0.78, 0.47-0.73 and 0.45-0.68 s on ``w4``
+#: and 0.31-0.43, 0.30-0.37 and 0.25-0.31 s on ``mp``; 1280 was the faster
+#: in 9 and 7 of the ``w4`` pairs and in 10 and 9 of the ``mp`` ones.
 _TASK_ROWS = 1280
 
 

@@ -17,6 +17,7 @@ from qgames.boolfn import ANSWER_VARS, QUESTION_VARS, GameEquation, TruthTable, 
 from qgames.quantum import (
     FAMILY_PARAM_NAMES,
     FamilyId,
+    GainKernel,
     QuantumStrategy,
     StateVector,
     UnitaryParams,
@@ -30,6 +31,7 @@ from qgames.quantum import (
     random_family_params,
     win_probability,
 )
+from qgames.search import _bloch
 
 RNG = np.random.default_rng(421)
 
@@ -329,6 +331,47 @@ class TestWinProbability:
                 psi_p, strat_p, GameEquation(permute_table(f), permute_table(g))
             )
             assert base == pytest.approx(moved, abs=1e-10)
+
+
+class TestPauliForm:
+    """The see-saw's form in Bloch rows equals the amplitude kernel's win probability."""
+
+    @staticmethod
+    def assert_form_equals_gains(kernel, angles, game=None):
+        form = kernel.bloch_gains(_bloch(angles), game)
+        assert np.abs(form - kernel.gains(angles.reshape(angles.shape[0], -1), game)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_states_and_games(self, n):
+        rng = np.random.default_rng(200 + n)
+        size = 1 << (1 << n)
+        states = [random_state(n, rng) for _ in range(3)]
+        gs = [TruthTable(n, int(rng.integers(size))) for _ in range(2)]
+        # the third game shares the first one's g
+        eqs = [GameEquation(TruthTable(n, int(rng.integers(size))), g) for g in (*gs, gs[0])]
+        angles = rng.uniform(0.0, 4 * math.pi, (40, n, 2, 3))
+        game = rng.integers(0, 3, 40)
+        self.assert_form_equals_gains(GainKernel(states[0], eqs[0]), angles)
+        # per-row states, per-row equations, and both
+        for kernel in (GainKernel(states, eqs[0]), GainKernel(states[0], eqs), GainKernel(states, eqs)):
+            self.assert_form_equals_gains(kernel, angles, game)
+            self.assert_form_equals_gains(kernel, angles)
+
+    def test_the_w_game_and_an_xor_game_on_a_rotated_ghz_state(self):
+        rng = np.random.default_rng(210)
+        angles = rng.uniform(0.0, 4 * math.pi, (40, 4, 2, 3))
+        self.assert_form_equals_gains(GainKernel(make_named_state("w4"), w_game_equation()), angles)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        ghz = make_named_state("ghz4").tensor()
+        rotated = StateVector(np.tensordot(hadamard, ghz, axes=([1], [0])).reshape(-1))
+        self.assert_form_equals_gains(GainKernel(rotated, ghz_game_equation()), angles)
+
+    def test_tables_are_built_on_the_first_see_saw_use(self):
+        kernel = GainKernel(make_named_state("w4"), w_game_equation())
+        kernel.gains(np.zeros((1, 24)))
+        assert "_form" not in vars(kernel)
+        kernel.bloch_gains(_bloch(np.zeros((1, 4, 2, 3))))
+        assert "_form" in vars(kernel)
 
 
 class TestNamedStates:

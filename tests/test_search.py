@@ -45,7 +45,14 @@ from qgames.search import (
     stratified_subsample,
 )
 from qgames import search, torus
-from qgames.search import _CHUNK_ROWS, _optimize_games, _see_saw, _split_tasks
+from qgames.search import (
+    _CHUNK_ROWS,
+    _angles_from_bloch,
+    _bloch,
+    _optimize_games,
+    _see_saw,
+    _split_tasks,
+)
 
 
 def chsh_equation():
@@ -323,13 +330,13 @@ class TestOptimizeQuantum:
 
 def _spy_on_trials(monkeypatch) -> list[int]:
     """Count the rows of every SQUAREM trial point that ``_see_saw`` builds."""
-    trials, extrapolated = [], search._extrapolated_gates
+    trials, extrapolated = [], search._extrapolated
 
     def spy(x0, x1, x2):
         trials.append(x0.shape[0])
         return extrapolated(x0, x1, x2)
 
-    monkeypatch.setattr(search, "_extrapolated_gates", spy)
+    monkeypatch.setattr(search, "_extrapolated", spy)
     return trials
 
 
@@ -421,7 +428,7 @@ class TestSeeSaw:
 
 
 def _step_setup(n, seed, batch=6):
-    """A kernel on a random n-qubit state with three random games, and random gates."""
+    """A kernel on a random n-qubit state with three random games, and random start angles."""
     rng = np.random.default_rng(seed)
     psi = StateVector(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
     size = 1 << (1 << n)
@@ -429,24 +436,20 @@ def _step_setup(n, seed, batch=6):
         GameEquation(TruthTable(n, int(rng.integers(size))), TruthTable(n, int(rng.integers(size))))
         for _ in range(3)
     ]
-    gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (batch, n, 2, 3)))
-    return GainKernel(psi, eqs), gates, rng.integers(0, 3, batch), rng
+    angles = rng.uniform(0.0, 4 * math.pi, (batch, n, 2, 3))
+    return GainKernel(psi, eqs), angles, rng.integers(0, 3, batch), rng
 
 
-def _to_layout(amps, n, player):
-    """Layout-0 amplitudes (player 1's (question, answer) pair first) rotated to ``player``'s layout."""
-    pairs = amps.reshape((amps.shape[0],) + (4,) * n)
-    return pairs.transpose(0, *(1 + (player + j) % n for j in range(n))).reshape(amps.shape[0], -1)
-
-
-def _random_unitaries(rng, count):
-    return np.linalg.qr(rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))[0]
+def _gains(kernel, rows, game=None):
+    """The amplitude kernel's win probabilities of Bloch rows' strategies."""
+    return kernel.gains(_angles_from_bloch(rows).reshape(rows.shape[0], -1), game)
 
 
 class TestBestResponseStep:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_layout_zero_holds_every_question_answer_amplitude(self, n):
-        kernel, gates, _, _ = _step_setup(n, 30 + n)
+        kernel, angles, _, _ = _step_setup(n, 30 + n)
+        gates = _build_gate_stack(angles)
         amps = kernel.amplitudes(gates).reshape((-1,) + (2,) * (2 * n))
         for q in range(1 << n):
             bits = [(q >> (n - 1 - i)) & 1 for i in range(n)]
@@ -459,48 +462,77 @@ class TestBestResponseStep:
             # got's axes are the answer bits in player order
             assert np.abs(got - expect).max() < 1e-12
 
+    def test_bloch_rows_and_angles_convert_both_ways(self):
+        # a gate answers 0 on the conjugate of its first row, whatever its phi
+        rng = np.random.default_rng(36)
+        angles = rng.uniform(0.0, 4 * math.pi, (50, 3))
+        rows = _bloch(angles)
+        u = _build_gate_stack(angles)[:, 0].conj()
+        xy = 2.0 * u[:, 0].conj() * u[:, 1]
+        expect = np.stack([xy.real, xy.imag, np.abs(u[:, 0]) ** 2 - np.abs(u[:, 1]) ** 2], axis=-1)
+        assert np.all(rows[:, 0] == 1.0) and np.abs(rows[:, 1:] - expect).max() < 1e-12
+        back = _angles_from_bloch(rows)
+        assert np.all(back[:, 1] == 0.0) and np.abs(_bloch(back) - rows).max() < 1e-12
+
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_step_amplitudes_equal_fresh_amplitudes(self, n):
-        kernel, gates, game, _ = _step_setup(n, n)
+    def test_step_gains_equal_fresh_gains(self, n):
+        kernel, angles, game, _ = _step_setup(n, n)
+        rows = _bloch(angles)
         for player in range(n):
-            amps = _to_layout(kernel.amplitudes(gates), n, player)
-            stepped, new = kernel.best_response(amps, gates[:, player], player, game)
-            updated = gates.copy()
+            new, gains = kernel.bloch_response(rows, player, game)
+            updated = rows.copy()
             updated[:, player] = new
-            fresh = _to_layout(kernel.amplitudes(updated), n, (player + 1) % n)
-            assert np.abs(stepped - fresh).max() < 1e-12
+            assert (new[..., 1:] ** 2).sum(-1) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(gains - _gains(kernel, updated, game)).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_step_is_a_best_response_for_each_question_bit(self, n):
-        kernel, gates, game, rng = _step_setup(n, 10 + n)
+        kernel, angles, game, rng = _step_setup(n, 10 + n)
+        rows = _bloch(angles)
         for player in range(n):
-            before = kernel.gains_of(kernel.amplitudes(gates), game)
-            amps = _to_layout(kernel.amplitudes(gates), n, player)
-            _, new = kernel.best_response(amps, gates[:, player], player, game)
-            updated = gates.copy()
+            before = _gains(kernel, rows, game)
+            new, _ = kernel.bloch_response(rows, player, game)
+            updated = rows.copy()
             updated[:, player] = new
-            best = kernel.gains_of(kernel.amplitudes(updated), game)
+            best = _gains(kernel, updated, game)
             assert np.all(best >= before - 1e-12)
             for bit in (0, 1):
-                for u in _random_unitaries(rng, 40):
+                for tried_angles in rng.uniform(0.0, 4 * math.pi, (40, 3)):
                     tried = updated.copy()
-                    tried[:, player, bit] = u
-                    gains = kernel.gains_of(kernel.amplitudes(tried), game)
+                    tried[:, player, bit] = _bloch(tried_angles)
+                    gains = _gains(kernel, tried, game)
                     assert np.all(gains <= best + 1e-12)
 
+    def test_a_zero_coefficient_vector_gives_plus_z(self):
+        # the W game on ghz4 against Z-basis measurements: on many rows a
+        # player's coefficient vector is exactly 0, and every answer is as good
+        kernel = GainKernel(make_named_state("ghz4"), w_game_equation())
+        rows = np.zeros((256, 4, 2, 4))
+        rows[..., 0] = 1.0
+        rows[..., 3] = np.array(list(itertools.product([1.0, -1.0], repeat=8))).reshape(256, 4, 2)
+        for player in range(4):
+            v = kernel._response(rows, player, None)
+            zero = np.all(v[..., 1:] == 0.0, axis=-1)
+            assert zero.any() and not zero.all()
+            new, gains = kernel.bloch_response(rows, player, None)
+            assert np.array_equal(new[zero], np.tile([1.0, 0.0, 0.0, 1.0], (zero.sum(), 1)))
+            updated = rows.copy()
+            updated[:, player] = new
+            assert np.abs(gains - _gains(kernel, updated)).max() < 1e-12
+
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_see_saw_cap_of_s_sweeps_matches_steps_on_fresh_amplitudes(self, n):
-        kernel, gates, game, _ = _step_setup(n, 20 + n)
+    def test_see_saw_cap_of_s_sweeps_matches_steps_in_turn(self, n):
+        kernel, angles, game, _ = _step_setup(n, 20 + n)
+        starts = _bloch(angles)
         # a tol of -inf never stops a row early, so the cap alone ends the ascent;
         # SQUAREM trials start after sweep 5 at the earliest
-        expect = gates.copy()
+        expect = starts.copy()
         for cap in range(1, 4):
             for player in range(n):
-                amps = _to_layout(kernel.amplitudes(expect), n, player)
-                _, expect[:, player] = kernel.best_response(amps, expect[:, player], player, game)
-            got, gains = _see_saw(kernel, gates, game, cap, -np.inf)
+                expect[:, player], _ = kernel.bloch_response(expect, player, game)
+            got, gains = _see_saw(kernel, starts, game, cap, -np.inf)
             assert np.abs(got - expect).max() < 1e-9
-            assert np.abs(gains - kernel.gains_of(kernel.amplitudes(expect), game)).max() < 1e-12
+            assert np.abs(gains - _gains(kernel, expect, game)).max() < 1e-12
 
 
 class TestSeeSawPool:
@@ -524,69 +556,66 @@ class TestSeeSawPool:
             states.append(parse_state_literal(SLOW_TAIL))
             eqs.append(ghz_game_equation())
         kernel = GainKernel(states, eqs)
-        gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
+        starts = _bloch(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
         game = rng.integers(0, len(eqs), rows)
         trials = _spy_on_trials(monkeypatch)
         for cap in [*range(1, 8), 13, 600]:
-            whole = _see_saw(kernel, gates, game, cap, tol, capacity=rows)
-            pooled = _see_saw(kernel, gates, game, cap, tol, capacity=5)
+            whole = _see_saw(kernel, starts, game, cap, tol, capacity=rows)
+            pooled = _see_saw(kernel, starts, game, cap, tol, capacity=5)
             assert np.array_equal(pooled[0], whole[0]) and np.array_equal(pooled[1], whole[1])
         assert trials
 
-    def test_pool_stays_full_while_rows_wait(self):
-        # a row is admitted through ``amplitudes`` of its start gates; the other
-        # ``amplitudes`` calls are of SQUAREM trial points, of rows already in
+    def test_pool_stays_full_while_rows_wait(self, monkeypatch):
+        # a row is admitted through ``bloch_gains`` of its start rows, and only
+        # then; SQUAREM trial points replace rows already in
         rows, capacity = 40, 7
-        kernel, gates, game, _ = _step_setup(4, 50, batch=rows)
-        amplitudes, best_response = kernel.amplitudes, kernel.best_response
-        starts = {row.tobytes() for row in gates}
-        admitted, trials, sizes = [], [0], []
+        kernel, angles, game, _ = _step_setup(4, 50, batch=rows)
+        starts = _bloch(angles)
+        bloch_gains, bloch_response = kernel.bloch_gains, kernel.bloch_response
+        fresh_rows = {row.tobytes() for row in starts}
+        admitted, sizes = [], []
+        trials = _spy_on_trials(monkeypatch)
 
         def admit(batch, state=None):
-            fresh = [row.tobytes() in starts for row in batch]
-            if all(fresh):
-                admitted.extend(row.tobytes() for row in batch)
-            else:
-                assert not any(fresh)
-                trials[0] += batch.shape[0]
-            return amplitudes(batch, state)
+            assert all(row.tobytes() in fresh_rows for row in batch)
+            admitted.extend(row.tobytes() for row in batch)
+            return bloch_gains(batch, state)
 
-        def step(amps, *args):
-            sizes.append((amps.shape[0], len(admitted) < rows))
-            return best_response(amps, *args)
+        def step(batch, *args):
+            sizes.append((batch.shape[0], len(admitted) < rows))
+            return bloch_response(batch, *args)
 
-        kernel.amplitudes, kernel.best_response = admit, step
-        _see_saw(kernel, gates, game, 625, 1e-6, capacity=capacity)
-        assert sorted(admitted) == sorted(starts) and trials[0] > 0
+        kernel.bloch_gains, kernel.bloch_response = admit, step
+        _see_saw(kernel, starts, game, 625, 1e-6, capacity=capacity)
+        assert sorted(admitted) == sorted(fresh_rows) and sum(trials) > 0
         waiting = [size for size, rows_wait in sizes if rows_wait]
         assert len(waiting) > 4 and set(waiting) == {capacity}
 
 
-def _one_row_see_saw(kernel, gates, game, max_sweeps, tol, outcomes):
-    """``_see_saw`` for one (1, n, 2, 2, 2) row, written out sweep by sweep.
+def _one_row_see_saw(kernel, starts, game, max_sweeps, tol, outcomes):
+    """``_see_saw`` for one (1, n, 2, 4) row, written out sweep by sweep.
 
     Sweep s counts from 1.  After sweep s = 3c + 2, c >= 1, the row takes the
-    SQUAREM point of its gates after sweeps 3c, 3c + 1 and 3c + 2 when the last rise
+    SQUAREM point of its rows after sweeps 3c, 3c + 1 and 3c + 2 when the last rise
     is over ``_TAIL_RATIO`` times the one before and it has not stopped; the
     next sweep is kept only if it beats the plain point, and a trial that
-    fails never stops the row.  Returns the final gates and their gain;
+    fails never stops the row.  Returns the final rows and their gain;
     ``outcomes`` gets "kept" or "reverted" for each trial.
     """
-    live = gates.copy()
-    amps = kernel.amplitudes(live, game)
-    gains, iterates = [kernel.gains_of(amps, game)[0]], [live.copy()]
+    live = starts.copy()
+    gains, iterates = [kernel.bloch_gains(live, game)[0]], [live.copy()]
     plain = None
     while True:
         for k in range(kernel.n):
-            amps, live[:, k] = kernel.best_response(amps, live[:, k], k, game)
-        gain = kernel.gains_of(amps, game)[0]
+            live[:, k], gain = kernel.bloch_response(live, k, game)
+        gain = gain[0]
         failed = False
         if plain is not None:
-            if gain > plain[2]:
+            if gain > plain[1]:
                 outcomes.append("kept")
             else:
                 outcomes.append("reverted")
-                live, amps, gain, failed = *plain, True
+                live, gain, failed = *plain, True
             plain = None
         # ``gains`` holds the start's gain and one per earlier sweep
         if len(gains) >= max_sweeps or (gain - gains[-1] < tol and not failed):
@@ -596,9 +625,8 @@ def _one_row_see_saw(kernel, gates, game, max_sweeps, tol, outcomes):
         if (len(gains) - 1) % 3 == 2 and len(gains) > 4:
             g0, g1, g2 = gains[-3:]
             if g2 - g1 > search._TAIL_RATIO * (g1 - g0):
-                plain = (live, amps, gain)
-                live = search._extrapolated_gates(*search._bloch(np.stack(iterates[-3:])))
-                amps = kernel.amplitudes(live, game)
+                plain = (live, gain)
+                live = search._extrapolated(*iterates[-3:])
 
 
 class TestSquarem:
@@ -619,14 +647,14 @@ class TestSquarem:
             states.append(parse_state_literal(SLOW_TAIL))
             eqs.append(ghz_game_equation())
         kernel = GainKernel(states, eqs)
-        gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
+        starts = _bloch(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
         game = np.arange(rows) % len(eqs)
         outcomes = []
         for cap in (1, 2, 3, 4, 5, 6, 7, 13, 50):
-            pooled, pooled_gains = _see_saw(kernel, gates, game, cap, tol, capacity=3)
+            pooled, pooled_gains = _see_saw(kernel, starts, game, cap, tol, capacity=3)
             for r in range(rows):
                 one = slice(r, r + 1)
-                alone, gain = _one_row_see_saw(kernel, gates[one], game[one], cap, tol, outcomes)
+                alone, gain = _one_row_see_saw(kernel, starts[one], game[one], cap, tol, outcomes)
                 assert np.array_equal(pooled[one], alone) and pooled_gains[r] == gain
         # with no stop on the rise, rows sweep on at their optimum, where trials fail
         assert {"kept", "reverted"} <= set(outcomes) if tol == -np.inf else "kept" in outcomes
@@ -951,16 +979,16 @@ class TestOneEvaluation:
     def test_a_see_saw_gain_is_its_best_restart_evaluated_afresh(self, monkeypatch):
         returned, see_saw = [], search._see_saw
 
-        def spy(kernel, gates, game, *args, **kwargs):
-            final_gates, gains = see_saw(kernel, gates, game, *args, **kwargs)
-            returned.append((game, final_gates))
-            return final_gates, gains
+        def spy(kernel, starts, game, *args, **kwargs):
+            final, gains = see_saw(kernel, starts, game, *args, **kwargs)
+            returned.append((game, final))
+            return final, gains
 
         monkeypatch.setattr(search, "_see_saw", spy)
         states, eqs, seeds = self.mixed_games()
         results = _optimize_games(states, eqs, seeds, OptimizerConfig(restarts=5, seed=0))
-        ((game, final_gates),) = returned
-        angles = search._angles_from_gates(final_gates)
+        ((game, final),) = returned
+        angles = _angles_from_bloch(final)
         for j in np.unique(game):
             best = max(win_probability(states[j], QuantumStrategy(a), eqs[j])
                        for a in angles[game == j])
@@ -1264,7 +1292,8 @@ class TestRowIndependence:
         eqs = [ghz_game_equation(), w_game_equation(), parity]
         kernel = GainKernel(states, eqs)
         single = [GainKernel(psi, eq) for psi, eq in zip(states, eqs)]
-        gates = _build_gate_stack(rng.uniform(0.0, 4 * math.pi, (rows, 4, 2, 3)))
+        angles = rng.uniform(0.0, 4 * math.pi, (rows, 4, 2, 3))
+        gates, bloch = _build_gate_stack(angles), _bloch(angles)
         game = rng.integers(0, 3, rows)
         amps = kernel.amplitudes(gates, game)
         gains = kernel.gains_of(amps, game)
@@ -1275,17 +1304,22 @@ class TestRowIndependence:
             assert np.array_equal(single[game[r]].amplitudes(gates[one])[0], amps[r])
             assert kernel.gains_of(amps[one], game[one])[0] == gains[r]
             assert single[game[r]].gains_of(amps[one])[0] == gains[r]
+        start_gains = kernel.bloch_gains(bloch, game)
+        for r in range(rows):
+            one = slice(r, r + 1)
+            assert kernel.bloch_gains(bloch[one], game[one])[0] == start_gains[r]
+            assert single[game[r]].bloch_gains(bloch[one])[0] == start_gains[r]
         for player in range(4):
-            stepped, new = kernel.best_response(amps, gates[:, player], player, game)
+            new, stepped = kernel.bloch_response(bloch, player, game)
             for r in range(rows):
                 one = slice(r, r + 1)
-                alone, alone_new = kernel.best_response(amps[one], gates[one, player], player, game[one])
-                assert np.array_equal(alone[0], stepped[r])
+                alone_new, alone = kernel.bloch_response(bloch[one], player, game[one])
                 assert np.array_equal(alone_new[0], new[r])
-                alone, alone_new = single[game[r]].best_response(amps[one], gates[one, player], player)
-                assert np.array_equal(alone[0], stepped[r])
+                assert alone[0] == stepped[r]
+                alone_new, alone = single[game[r]].bloch_response(bloch[one], player)
                 assert np.array_equal(alone_new[0], new[r])
-            amps, gates[:, player] = stepped, new
+                assert alone[0] == stepped[r]
+            bloch[:, player] = new
 
     def test_kernel_takes_one_state_or_one_per_game(self):
         rng = np.random.default_rng(5)
