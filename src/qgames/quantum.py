@@ -204,6 +204,20 @@ def _form_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return tables
 
 
+def _bloch(angles: np.ndarray) -> np.ndarray:
+    """(..., 3) gate angles -> (..., 4) Bloch rows (1, x, y, z) of their answer-0 vectors.
+
+    A gate answers 0 on u, the conjugate of its first row,
+    u = (cos t/2, -e^{-i lam} sin t/2), whose Bloch vector
+    (2 Re(conj(u0) u1), 2 Im(conj(u0) u1), |u0|^2 - |u1|^2) is
+    (-sin t cos lam, sin t sin lam, cos t); phi does not enter.
+    """
+    theta, lam = angles[..., 0], angles[..., 2]
+    sin = np.sin(theta)
+    return np.stack([np.ones_like(theta), -sin * np.cos(lam), sin * np.sin(lam), np.cos(theta)],
+                    axis=-1)
+
+
 def _unit_bloch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(..., 4) rows (c, w) -> the rows (1, w / |w|), (1, 0, 0, 1) where w = 0, and |w|."""
     w = v[..., 1:]
@@ -219,34 +233,36 @@ def _unit_bloch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GainKernel:
     """Vectorized win probabilities and see-saw steps for batches of strategies.
 
-    One kernel holds the states and win masks of one or more games: one
-    state per game or one shared by every game, and likewise one equation
-    per game or one shared.  It keeps the equations' table entries,
-    ``f_values`` and ``g_values`` (one row each), and builds every win mask
-    from them in one comparison.  ``game`` is the (B,) index of each row's game,
-    which picks both its state and its win mask, and None means that every
-    row plays the first.  Every product is stacked per row, never one 2-D
-    product across rows, and no arithmetic reuses a temporary in place, so
-    a row's results do not depend on the other rows of its batch, bit for
-    bit, at any batch size.
+    One kernel holds one or more games: one state per game or one shared by
+    every game, and likewise one equation per game or one shared.  It keeps
+    the equations' table entries, ``f_values`` and ``g_values`` (one row
+    each).  ``game`` is the (B,) index of each row's game, which picks both
+    its state and its equation, and None means that every row plays the
+    first.  Every product is stacked per row, never one 2-D product across
+    rows, and no arithmetic reuses a temporary in place, so a row's results
+    do not depend on the other rows of its batch, bit for bit, at any batch
+    size.
 
-    ``gains`` evaluates gate angles.  Amplitudes of all (question, answer)
-    pairs are a (B, 4**n) array whose axes are each player's (question bit,
-    answer bit) pair, question bit first, player 1 outermost
-    (``amplitudes``); ``gains_of`` sums their squares over the win mask.
-
-    The see-saw works on Bloch rows instead: (B, n, 2, 4), per player k and
-    question bit q the row A_k^q = (1, r_k^q), where r_k^q is the Bloch
-    vector of the answer-0 vector.  Player k's answer projectors are
-    (I +- r_k^q . sigma) / 2, and [f(q) = g(a)] = 1 - f(q) + s_q g(a) with
-    s_q = 2 f(q) - 1, so the win probability is the multilinear form
+    Every win probability comes from one form in Bloch rows: (B, n, 2, 4),
+    per player k and question bit q the row A_k^q = (1, r_k^q), where
+    r_k^q is the Bloch vector of the answer-0 vector.  Player k's answer
+    projectors are (I +- r_k^q . sigma) / 2, and [f(q) = g(a)] =
+    1 - f(q) + s_q g(a) with s_q = 2 f(q) - 1, so the win probability is
+    the multilinear form
 
         c_f + 4**-n sum_q s_q sum_mu L[mu] prod_k A_k^{q_k}[mu_k],
 
     with c_f the share of questions where f is 0, mu over {I, X, Y, Z}**n,
     and L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, where
-    g-hat(S) = sum_a g(a) (-1)^{a . S}.  Its tables are built on the first
-    see-saw step (``_form``).
+    g-hat(S) = sum_a g(a) (-1)^{a . S}.  ``gains`` turns gate angles into
+    Bloch rows and evaluates the form; the see-saw steps on the rows.
+
+    Its tables are built once, in ``__init__``: ``pauli`` (n, D, 4**n)
+    holds 4**-n L of each distinct (g, state) pair, in each player's layout
+    (``_form_index``), and ``pair`` (G,) each game's pair; ``signs``
+    (n, G, 2, 2**(n-1)) holds s_q in each player's layout, and ``constant``
+    (G,) c_f.  A kernel whose games share one g and one state has one
+    pair, which every row broadcasts.
     """
 
     def __init__(
@@ -266,26 +282,10 @@ class GainKernel:
         self.states = np.stack([psi.amplitudes for psi in states])
         bits = np.array([(eq.f.bits, eq.g.bits) for eq in eqs])[:, :, None] >> np.arange(1 << n)
         self.f_values, self.g_values = bits[:, 0] & 1, bits[:, 1] & 1
-        # (G, 4**n): one win mask per game, f(q) == g(a) over (question, answer) pairs, as amplitudes
-        bits = (self.f_values[:, :, None] == self.g_values[:, None, :]).astype(float)
-        bits = bits.reshape((-1,) + (2,) * (2 * n))
-        order = (0, *(1 + k + n * a for k in range(n) for a in (0, 1)))
-        self.masks = bits.transpose(order).reshape(-1, 4**n)
-
-    @functools.cached_property
-    def _form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The Pauli form's tables, built on first use: only the see-saw reads them.
-
-        ``pauli`` (n, D, 4**n) holds 4**-n L of each distinct (g, state)
-        pair, in each player's layout (``_form_index``), and ``pair`` (G,)
-        each game's pair; ``signs`` (n, G, 2, 2**(n-1)) holds s_q in each
-        player's layout, and ``constant`` (G,) c_f.  A kernel whose games
-        share one g and one state has one pair, which every row broadcasts.
-        """
-        n, states = self.n, self.states
         walsh, support, paulis, questions = _form_index(n)
+        states = self.states
         # (S, 4**n): <psi| sigma_mu |psi>, each qubit's (i, j) pair of psi psi^dagger
-        # mapped to its Pauli index, one qubit per product as in ``amplitudes``
+        # mapped to its Pauli index, one qubit per product
         rho = (states[:, :, None] * states[:, None, :].conj()).reshape((-1,) + (2,) * (2 * n))
         t = rho.transpose(0, *(1 + k + n * side for k in range(n) for side in (0, 1)))
         for _ in range(n):
@@ -299,45 +299,24 @@ class GainKernel:
         g_hat = (keys[:, None] >> np.arange(1 << n) & 1) @ walsh
         form = g_hat[:, support] * expectations[keys >> (1 << n)] / 4**n
         signs = (2.0 * self.f_values - 1.0)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
-        constant = (1.0 - self.f_values).sum(axis=1) / (1 << n)
-        return (np.ascontiguousarray(form[:, paulis].swapaxes(0, 1)), pair.reshape(-1),
-                np.ascontiguousarray(signs.swapaxes(0, 1)), constant)
-
-    @property
-    def psi(self) -> np.ndarray:
-        """The first state's flat (2**n,) amplitudes: the state of a one-state kernel."""
-        return self.states[0]
+        self.pauli = np.ascontiguousarray(form[:, paulis].swapaxes(0, 1))
+        self.pair = pair.reshape(-1)
+        self.signs = np.ascontiguousarray(signs.swapaxes(0, 1))
+        self.constant = (1.0 - self.f_values).sum(axis=1) / (1 << n)
 
     @staticmethod
     def _per_row(tables: np.ndarray, index: np.ndarray | None) -> np.ndarray:
         """Each row's table out of (G, ...) tables; one table, or no index, broadcasts the first."""
         return tables[:1] if index is None or tables.shape[0] == 1 else tables[index]
 
-    def amplitudes(self, gates: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
-        """(B, n, 2, 2, 2) gates per (player, question bit) -> (B, 4**n) amplitudes, player 1 outermost."""
-        batch = gates.shape[0]
-        t = self._per_row(self.states, game)
-        # the last player first: each step's qubit is the last axis, and its pair goes first
-        for k in reversed(range(self.n)):
-            t = gates[:, k].reshape(batch, 4, 2) @ t.reshape(t.shape[0], -1, 2).swapaxes(1, 2)
-        return t.reshape(batch, -1)
-
-    def gains_of(self, amps: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
-        """(B, 4**n) amplitudes of ``amplitudes`` -> (B,) win probabilities."""
-        batch = amps.shape[0]
-        probs = (amps.real**2 + amps.imag**2).reshape(batch, 1, -1)
-        # one dot product per row, so that no row's sum depends on the others
-        wins = (probs @ self._per_row(self.masks, game)[:, :, None]).reshape(batch)
-        # rounding can put a sure win a few ulps above 1
-        return np.minimum(wins / (1 << self.n), 1.0)
-
     def gains(self, angle_batch: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, 6n) angle rows -> (B,) win probabilities."""
         batch = np.asarray(angle_batch, dtype=float)
         if batch.ndim != 2 or batch.shape[1] != 6 * self.n:
             raise ValueError(f"expected shape (B, {6 * self.n}), got {batch.shape}")
-        gates = _build_gate_stack(batch.reshape(batch.shape[0], self.n, 2, 3))
-        return self.gains_of(self.amplitudes(gates, game), game)
+        wins = self.bloch_gains(_bloch(batch.reshape(batch.shape[0], self.n, 2, 3)), game)
+        # rounding can put a sure win a few ulps above 1 and a sure loss below 0
+        return np.clip(wins, 0.0, 1.0)
 
     def _response(self, rows: np.ndarray, player: int, game: np.ndarray | None) -> np.ndarray:
         """(B, 2, 4): per question bit q of the player, the V[q] of c_f + sum_q V[q] . A^q.
@@ -348,17 +327,16 @@ class GainKernel:
         in turn: each product takes the last axis and puts its question bit
         first, which leaves (q_{k+1}, ..., q_{k-1}, mu_k) for the sign table.
         """
-        pauli, pair, signs, _ = self._form
-        t = self._per_row(pauli[player], pair[:1] if game is None else pair[game])
+        t = self._per_row(self.pauli[player], self.pair[:1] if game is None else self.pair[game])
         for j in range(player - 1, player - self.n, -1):
             t = rows[:, j] @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
-        return self._per_row(signs[player], game) @ t.reshape(t.shape[0], -1, 4)
+        return self._per_row(self.signs[player], game) @ t.reshape(t.shape[0], -1, 4)
 
     def bloch_gains(self, rows: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, n, 2, 4) Bloch rows -> (B,) win probabilities, by the Pauli form."""
         batch = rows.shape[0]
         dots = self._response(rows, 0, game).reshape(batch, 1, 8) @ rows[:, 0].reshape(batch, 8, 1)
-        return self._per_row(self._form[3], game) + dots.reshape(batch)
+        return self._per_row(self.constant, game) + dots.reshape(batch)
 
     def bloch_response(
         self, rows: np.ndarray, player: int, game: np.ndarray | None = None,
@@ -376,7 +354,7 @@ class GainKernel:
         v = self._response(rows, player, game)
         new, norm = _unit_bloch(v)
         top = v[..., 0] + norm
-        return new, self._per_row(self._form[3], game) + top[:, 0] + top[:, 1]
+        return new, self._per_row(self.constant, game) + top[:, 0] + top[:, 1]
 
 
 def win_probability(psi: StateVector, strategy: QuantumStrategy, eq: GameEquation) -> float:

@@ -13,13 +13,14 @@ Every reported quantum gain is the re-evaluated win probability of the
 returned strategy, so it is always an achievable lower bound.
 
 Batch searches play every function against one ``g`` on one state.  They
-split the functions into contiguous tasks, and each task runs the restarts
-of all its games through one refilled see-saw pool: a fixed number of
+split the functions into contiguous tasks.  Each task runs the restarts of
+all its see-saw games through one refilled see-saw pool: a fixed number of
 rows, each with its own game's sign table, where a row that stops makes room
-for the next waiting restart.  Worker processes take whole tasks.  Every
-game is seeded from (master seed, function index), and no game's result
-depends on the other games of its task, which makes results independent of
-worker count and schedule.
+for the next waiting restart.  Its games on the torus path never enter the
+pool.  Worker processes take whole tasks.  Every game is seeded from
+(master seed, function index), and no game's result depends on the other
+games of its task, which makes results independent of worker count and
+schedule.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .boolfn import GameEquation, TruthTable
 from . import torus
-from .quantum import FOUR_PI, GainKernel, QuantumStrategy, StateVector, _unit_bloch
+from .quantum import FOUR_PI, GainKernel, QuantumStrategy, StateVector, _bloch, _unit_bloch
 
 logger = logging.getLogger(__name__)
 
@@ -210,20 +211,6 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
 
 
 # --- Quantum search -------------------------------------------------------------
-
-def _bloch(angles: np.ndarray) -> np.ndarray:
-    """(..., 3) gate angles -> (..., 4) Bloch rows (1, x, y, z) of their answer-0 vectors.
-
-    A gate answers 0 on u, the conjugate of its first row,
-    u = (cos t/2, -e^{-i lam} sin t/2), whose Bloch vector
-    (2 Re(conj(u0) u1), 2 Im(conj(u0) u1), |u0|^2 - |u1|^2) is
-    (-sin t cos lam, sin t sin lam, cos t); phi does not enter.
-    """
-    theta, lam = angles[..., 0], angles[..., 2]
-    sin = np.sin(theta)
-    return np.stack([np.ones_like(theta), -sin * np.cos(lam), sin * np.sin(lam), np.cos(theta)],
-                    axis=-1)
-
 
 def _angles_from_bloch(rows: np.ndarray) -> np.ndarray:
     """(..., 4) Bloch rows -> (..., 3) angles (t, 0, lam) of gates that answer 0 on them.
@@ -476,7 +463,10 @@ def _run_task(
     start: int,
     functions: Sequence[TruthTable],
 ) -> list[GameResult]:
-    """The games of functions ``start``, ``start + 1``, ... against g, in one see-saw pool.
+    """The games of functions ``start``, ``start + 1``, ... against g, solved together.
+
+    One ``_optimize_games`` call runs them: its see-saw games share one
+    see-saw pool, and its torus games never enter it.
 
     A failure is raised again as a RuntimeError that names the task's
     function indices and seeds.
@@ -523,8 +513,9 @@ def search_space(
     """One GameResult per candidate f, in input order.
 
     The functions are split into contiguous tasks (``_split_tasks``), each
-    run in one see-saw pool; with ``workers`` > 1 the tasks are shared out
-    across processes.  Every game is seeded from (cfg.seed, index), and its
+    run by one ``_optimize_games`` call, whose see-saw games share one
+    see-saw pool; with ``workers`` > 1 the tasks are shared out across
+    processes.  Every game is seeded from (cfg.seed, index), and its
     result does not depend on the other games of its task, so the output
     is identical for any worker count.  ``progress`` (done, total) is
     called from the coordinating process once per game, as each task

@@ -21,6 +21,7 @@ from qgames.quantum import (
     QuantumStrategy,
     StateVector,
     UnitaryParams,
+    _bloch,
     apply_strategy,
     build_unitary,
     check_family_params,
@@ -31,7 +32,6 @@ from qgames.quantum import (
     random_family_params,
     win_probability,
 )
-from qgames.search import _bloch
 
 RNG = np.random.default_rng(421)
 
@@ -334,12 +334,19 @@ class TestWinProbability:
 
 
 class TestPauliForm:
-    """The see-saw's form in Bloch rows equals the amplitude kernel's win probability."""
+    """``gains`` and ``bloch_gains`` equal the kron oracle's win probability."""
 
     @staticmethod
-    def assert_form_equals_gains(kernel, angles, game=None):
-        form = kernel.bloch_gains(_bloch(angles), game)
-        assert np.abs(form - kernel.gains(angles.reshape(angles.shape[0], -1), game)).max() < 1e-12
+    def oracle(states, eqs, angles):
+        """(S, E, B): the oracle's win probability of each state, equation and angle row."""
+        return np.array([[[kron_win_probability(psi, QuantumStrategy(a), eq) for a in angles]
+                          for eq in eqs] for psi in states])
+
+    @staticmethod
+    def assert_equal_to(expect, kernel, angles, game=None):
+        gains = kernel.gains(angles.reshape(angles.shape[0], -1), game)
+        assert np.abs(gains - expect).max() < 1e-12
+        assert np.abs(kernel.bloch_gains(_bloch(angles), game) - expect).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_states_and_games(self, n):
@@ -351,27 +358,33 @@ class TestPauliForm:
         eqs = [GameEquation(TruthTable(n, int(rng.integers(size))), g) for g in (*gs, gs[0])]
         angles = rng.uniform(0.0, 4 * math.pi, (40, n, 2, 3))
         game = rng.integers(0, 3, 40)
-        self.assert_form_equals_gains(GainKernel(states[0], eqs[0]), angles)
+        oracle, rows = self.oracle(states, eqs, angles), np.arange(40)
+        self.assert_equal_to(oracle[0, 0], GainKernel(states[0], eqs[0]), angles)
         # per-row states, per-row equations, and both
-        for kernel in (GainKernel(states, eqs[0]), GainKernel(states[0], eqs), GainKernel(states, eqs)):
-            self.assert_form_equals_gains(kernel, angles, game)
-            self.assert_form_equals_gains(kernel, angles)
+        for kernel, state, eq in ((GainKernel(states, eqs[0]), game, 0),
+                                  (GainKernel(states[0], eqs), 0, game),
+                                  (GainKernel(states, eqs), game, game)):
+            self.assert_equal_to(oracle[state, eq, rows], kernel, angles, game)
+            self.assert_equal_to(oracle[0, 0], kernel, angles)
 
     def test_the_w_game_and_an_xor_game_on_a_rotated_ghz_state(self):
         rng = np.random.default_rng(210)
         angles = rng.uniform(0.0, 4 * math.pi, (40, 4, 2, 3))
-        self.assert_form_equals_gains(GainKernel(make_named_state("w4"), w_game_equation()), angles)
+        w4, w_eq = make_named_state("w4"), w_game_equation()
+        self.assert_equal_to(self.oracle([w4], [w_eq], angles)[0, 0], GainKernel(w4, w_eq), angles)
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         ghz = make_named_state("ghz4").tensor()
         rotated = StateVector(np.tensordot(hadamard, ghz, axes=([1], [0])).reshape(-1))
-        self.assert_form_equals_gains(GainKernel(rotated, ghz_game_equation()), angles)
+        expect = self.oracle([rotated], [ghz_game_equation()], angles)[0, 0]
+        self.assert_equal_to(expect, GainKernel(rotated, ghz_game_equation()), angles)
 
-    def test_tables_are_built_on_the_first_see_saw_use(self):
-        kernel = GainKernel(make_named_state("w4"), w_game_equation())
-        kernel.gains(np.zeros((1, 24)))
-        assert "_form" not in vars(kernel)
-        kernel.bloch_gains(_bloch(np.zeros((1, 4, 2, 3))))
-        assert "_form" in vars(kernel)
+    def test_a_sure_loss_is_exactly_0_and_a_sure_win_exactly_1(self):
+        # unclipped, the form gives -3.5e-66 for this sure loss
+        strategy = QuantumStrategy(np.tile([math.pi / 2, 0.0, 0.0], (4, 2, 1)))
+        parity = TruthTable.from_text("4:6996")
+        for f, expect in (("4:FFFF", 0.0), ("4:0000", 1.0)):
+            eq = GameEquation(TruthTable.from_text(f), parity)
+            assert win_probability(make_named_state("ghz4"), strategy, eq) == expect
 
 
 class TestNamedStates:

@@ -25,6 +25,7 @@ from qgames.quantum import (
     GainKernel,
     QuantumStrategy,
     StateVector,
+    _bloch,
     _build_gate_stack,
     make_family_state,
     make_named_state,
@@ -48,7 +49,6 @@ from qgames import search, torus
 from qgames.search import (
     _CHUNK_ROWS,
     _angles_from_bloch,
-    _bloch,
     _optimize_games,
     _see_saw,
     _split_tasks,
@@ -441,27 +441,11 @@ def _step_setup(n, seed, batch=6):
 
 
 def _gains(kernel, rows, game=None):
-    """The amplitude kernel's win probabilities of Bloch rows' strategies."""
+    """The kernel's win probabilities of Bloch rows' strategies, from their gate angles."""
     return kernel.gains(_angles_from_bloch(rows).reshape(rows.shape[0], -1), game)
 
 
 class TestBestResponseStep:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_layout_zero_holds_every_question_answer_amplitude(self, n):
-        kernel, angles, _, _ = _step_setup(n, 30 + n)
-        gates = _build_gate_stack(angles)
-        amps = kernel.amplitudes(gates).reshape((-1,) + (2,) * (2 * n))
-        for q in range(1 << n):
-            bits = [(q >> (n - 1 - i)) & 1 for i in range(n)]
-            op = np.ones((gates.shape[0], 1, 1))
-            for i, bit in enumerate(bits):
-                op = np.einsum("bij,bkl->bikjl", op, gates[:, i, bit]).reshape(
-                    gates.shape[0], 2 * op.shape[1], 2 * op.shape[2])
-            expect = (op @ kernel.psi).reshape((-1,) + (2,) * n)
-            got = amps[(slice(None), *(x for bit in bits for x in (bit, slice(None))))]
-            # got's axes are the answer bits in player order
-            assert np.abs(got - expect).max() < 1e-12
-
     def test_bloch_rows_and_angles_convert_both_ways(self):
         # a gate answers 0 on the conjugate of its first row, whatever its phi
         rng = np.random.default_rng(36)
@@ -875,7 +859,7 @@ class TestTorusPath:
 
 
 class TestTaskSetUp:
-    """A search task sets up all its games at once: classical values, torus path and masks."""
+    """A search task sets up all its games at once: classical values and the torus path."""
 
     @staticmethod
     def answer_sides(n):
@@ -932,21 +916,6 @@ class TestTaskSetUp:
         on, signs, chi = self.torus_games(phased, [complement], 1)
         assert on.tolist() == [True] and chi.tolist() == [pytest.approx(2.1, abs=1e-12)]
         assert signs[0].tolist() == [1.0 - 2.0 * (eq.f.value(q) ^ 1) for q in range(16)]
-
-    def test_masks_are_f_of_the_questions_equal_to_g_of_the_answers(self):
-        rng = np.random.default_rng(23)
-        eqs = [ghz_game_equation(), w_game_equation(),
-               *(GameEquation(TruthTable(4, int(f)), TruthTable(4, int(g)))
-                 for f, g in rng.integers(0, 1 << 16, (4, 2)))]
-        # layout 0: one (question bit, answer bit) axis pair per player, player 1 first
-        masks = GainKernel(make_named_state("ghz4"), eqs).masks.reshape((len(eqs),) + (2,) * 8)
-        for j, eq in enumerate(eqs):
-            for pairs in itertools.product((0, 1), repeat=8):
-                q, a = pairs[0::2], pairs[1::2]
-                assert masks[(j, *pairs)] == float(eq.f.evaluate(q) == eq.g.evaluate(a))
-        ((chsh_mask,),) = [GainKernel(make_named_state("epr"), chsh_equation()).masks]
-        assert chsh_mask.tolist() == [float((q1 & q2) == (a1 ^ a2)) for q1, a1, q2, a2
-                                      in itertools.product((0, 1), repeat=4)]
 
 
 class TestOneEvaluation:
@@ -1293,17 +1262,14 @@ class TestRowIndependence:
         kernel = GainKernel(states, eqs)
         single = [GainKernel(psi, eq) for psi, eq in zip(states, eqs)]
         angles = rng.uniform(0.0, 4 * math.pi, (rows, 4, 2, 3))
-        gates, bloch = _build_gate_stack(angles), _bloch(angles)
+        flat, bloch = angles.reshape(rows, -1), _bloch(angles)
         game = rng.integers(0, 3, rows)
-        amps = kernel.amplitudes(gates, game)
-        gains = kernel.gains_of(amps, game)
+        gains = kernel.gains(flat, game)
         for r in range(rows):
             one = slice(r, r + 1)
             # a game index into several games or a one-game kernel: the same bits
-            assert np.array_equal(kernel.amplitudes(gates[one], game[one])[0], amps[r])
-            assert np.array_equal(single[game[r]].amplitudes(gates[one])[0], amps[r])
-            assert kernel.gains_of(amps[one], game[one])[0] == gains[r]
-            assert single[game[r]].gains_of(amps[one])[0] == gains[r]
+            assert kernel.gains(flat[one], game[one])[0] == gains[r]
+            assert single[game[r]].gains(flat[one])[0] == gains[r]
         start_gains = kernel.bloch_gains(bloch, game)
         for r in range(rows):
             one = slice(r, r + 1)
@@ -1326,8 +1292,14 @@ class TestRowIndependence:
         eqs = [ghz_game_equation(), w_game_equation(), ghz_game_equation()]
         with pytest.raises(ValueError, match="2 states for 3 games"):
             GainKernel(_random_states(rng, 2), eqs)
-        assert GainKernel(_random_states(rng, 1), eqs).states.shape == (1, 16)
-        assert GainKernel(_random_states(rng, 2), eqs[0]).masks.shape == (1, 256)
+        # the form's tables: (n, pairs, 4**n) L, (games,) pairs, (n, games, 2, 2**(n-1)) signs
+        shared = GainKernel(_random_states(rng, 1), eqs)
+        assert shared.states.shape == (1, 16)
+        assert shared.pauli.shape == (4, 2, 256) and shared.pair[0] == shared.pair[2] != shared.pair[1]
+        assert shared.signs.shape == (4, 3, 2, 8) and shared.constant.shape == (3,)
+        per_state = GainKernel(_random_states(rng, 2), eqs[0])
+        assert per_state.pauli.shape == (4, 2, 256) and per_state.pair.tolist() == [0, 1]
+        assert per_state.signs.shape == (4, 1, 2, 8) and per_state.constant.shape == (1,)
 
     @pytest.mark.parametrize("rows, games, restarts, warmed", [
         (1, 1, 1, 0), (255, 15, 17, 0), (256, 15, 17, 1), (777, 37, 20, 37),
