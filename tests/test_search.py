@@ -446,6 +446,33 @@ def _gains(kernel, rows, game=None):
 
 
 class TestBestResponseStep:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_form_tables_hold_g_hat_times_each_pauli_expectation(self, n):
+        kernel, _, _, _ = _step_setup(n, 30 + n)
+        sigma = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                 np.diag([1.0, -1.0])]
+        (psi,) = kernel.states
+        for j, g in enumerate(kernel.g_values):
+            # L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, mu in player order, player 1 first
+            expect = np.empty((4,) * n)
+            for mu in itertools.product(range(4), repeat=n):
+                op = np.array([[1.0]])
+                for m in mu:
+                    op = np.kron(op, sigma[m])
+                support = sum((m != 0) << (n - 1 - k) for k, m in enumerate(mu))
+                g_hat = sum(g[a] * (-1) ** bin(a & support).count("1") for a in range(1 << n))
+                expect[mu] = g_hat * (psi.conj() @ op @ psi).real / 4**n
+            f = kernel.f_values[j]
+            # c_f, the share of questions where f is 0
+            assert kernel.constant[j] == ((1 << n) - f.sum()) / (1 << n)
+            for k in range(n):
+                # player k's layout: axes k, k+1, ..., n-1, 0, ..., k-1
+                order = [(k + i) % n for i in range(n)]
+                layout = expect.transpose(order).reshape(-1)
+                assert np.abs(kernel.pauli[k, kernel.pair[j]] - layout).max() < 1e-12
+                signs = (2.0 * f - 1.0).reshape((2,) * n).transpose(order).reshape(2, -1)
+                assert np.array_equal(kernel.signs[k, j], signs)
+
     def test_bloch_rows_and_angles_convert_both_ways(self):
         # a gate answers 0 on the conjugate of its first row, whatever its phi
         rng = np.random.default_rng(36)
@@ -916,6 +943,30 @@ class TestTaskSetUp:
         on, signs, chi = self.torus_games(phased, [complement], 1)
         assert on.tolist() == [True] and chi.tolist() == [pytest.approx(2.1, abs=1e-12)]
         assert signs[0].tolist() == [1.0 - 2.0 * (eq.f.value(q) ^ 1) for q in range(16)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_form_wins_where_f_of_the_questions_equals_g_of_the_answers(self, n):
+        rng = np.random.default_rng(23 + n)
+        eqs = [GameEquation(TruthTable(n, int(f)), g)
+               for f, g in zip(rng.integers(0, 1 << (1 << n), 4), self.answer_sides(n))]
+        eqs += {2: [chsh_equation()], 3: [], 4: [ghz_game_equation(), w_game_equation()]}[n]
+        rows = 32
+        flips = rng.integers(0, 2, (rows, n, 2))
+        # theta = 0 answers a qubit's basis value, theta = pi its complement
+        angles = np.zeros((rows, n, 2, 3))
+        angles[..., 0] = math.pi * flips
+        game = rng.integers(0, len(eqs), rows)
+        for x in range(1 << n):
+            # on the basis state |x>, player k answers x_k ^ flips[k, q_k], for sure
+            bits = [(x >> (n - 1 - k)) & 1 for k in range(n)]
+            kernel = GainKernel(StateVector(np.eye(1 << n)[x]), eqs)
+            gains = kernel.gains(angles.reshape(rows, -1), game)
+            for r in range(rows):
+                eq = eqs[game[r]]
+                wins = sum(eq.f.evaluate(q) == eq.g.evaluate(
+                               [bits[k] ^ flips[r, k, q[k]] for k in range(n)])
+                           for q in itertools.product((0, 1), repeat=n))
+                assert abs(gains[r] - wins / (1 << n)) < 1e-12
 
 
 class TestOneEvaluation:
