@@ -13,14 +13,13 @@ Every reported quantum gain is the re-evaluated win probability of the
 returned strategy, so it is always an achievable lower bound.
 
 Batch searches play every function against one ``g`` on one state.  They
-split the functions into contiguous tasks.  Each task runs the restarts of
-all its see-saw games through one refilled see-saw pool: a fixed number of
-rows, each with its own game's sign table, where a row that stops makes room
-for the next waiting restart.  Its games on the torus path never enter the
-pool.  Worker processes take whole tasks.  Every game is seeded from
-(master seed, function index), and no game's result depends on the other
-games of its task, which makes results independent of worker count and
-schedule.
+split the functions into contiguous tasks of at most ``_TASK_ROWS`` start
+rows, or of one game.  Each task runs the restarts of all its see-saw games
+as one block of rows in lockstep, each row with its own game's sign table;
+a row that stops leaves the block.  Its games on the torus path never enter
+the block.  Worker processes take whole tasks.  Every game is seeded from (master seed,
+function index), and no game's result depends on the other games of its
+task, which makes results independent of worker count and schedule.
 """
 
 from __future__ import annotations
@@ -223,20 +222,19 @@ def _angles_from_bloch(rows: np.ndarray) -> np.ndarray:
     return np.stack([theta, np.zeros_like(theta), np.arctan2(y, -x)], axis=-1)
 
 
-#: Rows of a see-saw pool: ``_see_saw`` runs at most this many restarts at
-#: once, and a restart that stops makes room for the next waiting one, so a
-#: search task's best responses run on full batches until its last
-#: restarts drain.  On see-saw traffic (the 300-function stratified
-#: subsample, seed 7, of the 2,191 classes, parity ``g``, 20 restarts, one
-#: worker; 2 vCPUs, numpy 2.4; six runs), pools of 40, 120 and 1280 rows
-#: took 0.71-1.08, 0.52-0.69 and 0.33-0.51 s on ``w4`` and 0.26-0.41,
-#: 0.17-0.30 and 0.14-0.23 s on ``mp``.  A Bloch step's fixed cost
-#: outweighs its per-row cost, so larger pools tend to win, but not in
-#: every run: in ten paired runs 480 rows beat 120 in 8 on ``w4`` and in
-#: 10 on ``mp``.
-#: ``TestChunkedSearch`` needs a pool below 150 rows, so that its 10 games
-#: at 30 restarts fill more than two pools.
-_CHUNK_ROWS = 120
+#: Rows of one see-saw block, at most: ``_optimize_games`` runs its see-saw
+#: rows in consecutive blocks of this many.  ``_split_tasks`` gives a search
+#: task at most this many start rows (or one game, if that has more), so a
+#: task is one block.  At the default 20 restarts a task holds 64 games; at
+#: n = 4 a block's start angles, Bloch rows and results take about 1 KB a
+#: row, so a block holds about 1.3 MB whatever ``--restarts`` or the number
+#: of games is.  On see-saw traffic (the 300-function stratified subsample,
+#: seed 7, of the 2,191 classes, parity ``g``, 20 restarts, one worker;
+#: 2 vCPUs, numpy 2.4; ten alternating runs), 640, 1280 and 2560 rows took
+#: medians of 0.61, 0.55 and 0.58 s on ``w4`` and 0.31, 0.27 and 0.28 s on
+#: ``mp``; 640 beat 1280 in 1 of 10 runs on each, 2560 in 1 on ``w4`` and
+#: 6 on ``mp``.
+_TASK_ROWS = 1280
 
 
 #: SQUAREM on the see-saw's slow tail (Varadhan & Roland, Scand. J. Stat. 35,
@@ -244,7 +242,7 @@ _CHUNK_ROWS = 120
 #: from the extrapolated point when the second rose by more than
 #: ``_TAIL_RATIO`` times the first.  The step length alpha is at most
 #: ``_ALPHA_CAP``; alpha = -1 gives the plain point.  With 0.3 and -1, at 20
-#: restarts and seeds 1-5, the GHZ game took 10-13 pool sweeps instead of
+#: restarts and seeds 1-5, the GHZ game took 10-13 sweeps instead of
 #: 10-24 on ``mp`` and ``c1``, and 43-70 instead of 298-472 on ``l_a4`` at
 #: a = 100, where it now ends within 1.6e-6 of its long-run value instead
 #: of 2.3e-5; the ``l_a2_0_3p1`` sweep's a = 1 point took 40-61 sweeps
@@ -273,7 +271,6 @@ def _extrapolated(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
 def _see_saw(
     kernel: GainKernel, starts: np.ndarray, game: np.ndarray, max_sweeps: int, tol: float,
-    capacity: int = _CHUNK_ROWS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched see-saw ascent from (R, n, 2, 4) start Bloch rows.
 
@@ -284,46 +281,40 @@ def _see_saw(
     (``GainKernel.bloch_response``), then of player 2, and so on: 2n
     updates, none of which can lower a row's gain, and the last one gives
     the sweep's gain.  A row stops when a sweep raises its gain by less
-    than ``tol`` or after ``max_sweeps`` sweeps of its own.
+    than ``tol`` or after ``max_sweeps`` sweeps.  The rows run in
+    lockstep: all start together, and a row that stops is written out and
+    leaves, so every live row has swept as often as the others.
 
     A slow tail is accelerated by SQUAREM (Varadhan & Roland 2008) on the
-    rows themselves.  Each row's sweeps, counted from its admission, run in
-    cycles of three.  The first two are plain, x0 -> x1 -> x2 with gains
-    g0, g1, g2.  From the second cycle on, if g2 - g1 > ``_TAIL_RATIO``
-    (g1 - g0), the row moves to the extrapolated point x'
-    (``_extrapolated``) and the third sweep runs from x' to x3; otherwise
-    the third sweep is plain.  (The first cycle runs from a random start,
-    before any slow tail: on the paper's games, trials there saved no
-    sweeps.)  A row keeps x3 only if g3 > g2, and otherwise goes back to x2
-    and its gain without stopping.  A trial sweep counts as a sweep.  Trial
-    rows ride the pool's regular sweep, so every best response runs on the
-    whole pool.
+    rows themselves.  The sweeps, counted from the start, run in cycles of
+    three.  The first two are plain, x0 -> x1 -> x2 with gains g0, g1, g2.
+    From the second cycle on, if g2 - g1 > ``_TAIL_RATIO`` (g1 - g0), the
+    row moves to the extrapolated point x' (``_extrapolated``) and the
+    third sweep runs from x' to x3; otherwise the third sweep is plain.
+    (The first cycle runs from a random start, before any slow tail: on
+    the paper's games, trials there saved no sweeps.)  A row keeps x3 only
+    if g3 > g2, and otherwise goes back to x2 and its gain without
+    stopping.  A trial sweep counts as a sweep, and trial rows ride the
+    regular sweep of all live rows.
 
-    At most ``capacity`` rows run at once.  At each sweep boundary the rows
-    that stopped leave and the next waiting rows take their slots, with
-    their start gains from ``GainKernel.bloch_gains``.  Every kernel step
-    treats each row on its own, so a row's path does not depend on the
-    other rows it runs with, whatever their number.
+    Every kernel step treats each row on its own, so a row's path does not
+    depend on the other rows it runs with, whatever their number.
     """
-    total = starts.shape[0]
-    out, out_gains = np.empty_like(starts), np.empty(total)
-    admitted = min(capacity, total)
-    rows = np.arange(admitted)
-    live = starts[rows]
-    gains = kernel.bloch_gains(live, game[rows])
-    sweeps = np.zeros(rows.size, dtype=int)
+    out, out_gains = np.empty_like(starts), np.empty(starts.shape[0])
+    rows = np.arange(starts.shape[0])
+    live = starts.copy()
+    gains = kernel.bloch_gains(live, game)
     # per row: the rise of its last sweep and its rows one sweep back; the
     # rows on trial, and the plain point x2 that each goes back to
     rise = np.zeros(rows.size)
     back1 = live.copy()
     trial = np.zeros(0, dtype=int)
     plain = None
-    while rows.size:
+    for sweep in range(1, max_sweeps + 1):
         row_game = game[rows]
         back2, back1 = back1, live.copy()
         for k in range(kernel.n):
             live[:, k], new_gains = kernel.bloch_response(live, k, row_game)
-        sweeps += 1
         new_rise = new_gains - gains
         if trial.size:
             worse = ~(new_gains[trial] > gains[trial])
@@ -331,27 +322,17 @@ def _see_saw(
             live[back] = plain[worse]
             # a failed trial is no sign that the row has converged
             new_gains[back], new_rise[back] = gains[back], np.inf
-        stop = (sweeps >= max_sweeps) | (new_rise < tol)
+        stop = (new_rise < tol) | (sweep == max_sweeps)
+        out[rows[stop]], out_gains[rows[stop]] = live[stop], new_gains[stop]
         # a cycle is two plain sweeps and one that may start from x'; the first
         # cycle, not yet on the tail, is all plain
-        tail = (sweeps % 3 == 2) & (sweeps > 3) & (new_rise > _TAIL_RATIO * rise) & ~stop
-        out[rows[stop]], out_gains[rows[stop]] = live[stop], new_gains[stop]
-        gains, rise = new_gains, new_rise
-        slots = np.flatnonzero(stop)[:total - admitted]
-        if slots.size:
-            rows[slots] = np.arange(admitted, admitted + slots.size)
-            admitted += slots.size
-            live[slots] = starts[rows[slots]]
-            gains[slots] = kernel.bloch_gains(live[slots], game[rows[slots]])
-            sweeps[slots] = 0
-            stop[slots] = False
-        if stop.any():
-            keep = ~stop
-            rows, live, gains, sweeps, rise, back1, back2, tail = (
-                rows[keep], live[keep], gains[keep], sweeps[keep], rise[keep],
-                back1[keep], back2[keep], tail[keep],
-            )
-        trial = np.flatnonzero(tail)
+        tail = (sweep % 3 == 2 and sweep > 3) & (new_rise > _TAIL_RATIO * rise)
+        keep = ~stop
+        rows, live, gains, rise, back1, back2 = (
+            rows[keep], live[keep], new_gains[keep], new_rise[keep], back1[keep], back2[keep])
+        if not rows.size:
+            break
+        trial = np.flatnonzero(tail[keep])
         if trial.size:
             plain = live[trial]
             live[trial] = _extrapolated(back2[trial], back1[trial], plain)
@@ -374,11 +355,13 @@ def _optimize_games(
     The input picks each game's path.  An XOR game on a GHZ-type state
     (``torus.xor_games``) takes the torus path, ``torus.optimize``,
     which reads only ``cfg.restarts``; ``max_evals`` and ``tol`` are see-saw
-    settings.  Every other game runs through one see-saw pool.  Each solver
-    picks a game's best start by its own score (the torus value, the
-    see-saw's gain), and one kernel call then evaluates every game's
-    returned angles afresh: that is the game's gain.  Each game's result is
-    bit-identical to running it alone.
+    settings.  Every other game takes the see-saw: the restarts of all of
+    them, in game order, run in consecutive blocks of at most
+    ``_TASK_ROWS`` rows, so a block may split a game.  Each solver picks a
+    game's best start by its own score (the torus value, the see-saw's
+    gain), and one kernel call then evaluates every game's returned angles
+    afresh: that is the game's gain.  Each game's result is bit-identical
+    to running it alone.
     """
     count = len(seeds)
     extra_starts = extra_starts or [()] * count
@@ -401,7 +384,11 @@ def _optimize_games(
         game = np.repeat(seesaw, counts)
         start_rows = _bloch(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
         max_sweeps = -(-cfg.max_evals // (2 * kernel.n))
-        final, row_gains = _see_saw(kernel, start_rows, game, max_sweeps, cfg.tol)
+        final, row_gains = np.empty_like(start_rows), np.empty(game.size)
+        for lo in range(0, game.size, _TASK_ROWS):
+            block = slice(lo, lo + _TASK_ROWS)
+            final[block], row_gains[block] = _see_saw(
+                kernel, start_rows[block], game[block], max_sweeps, cfg.tol)
         picks = [lo + int(np.argmax(row_gains[lo:lo + rows]))
                  for lo, rows in zip(np.cumsum([0] + counts[:-1]), counts)]
         best[seesaw] = _angles_from_bloch(final[picks])
@@ -422,33 +409,21 @@ def optimize_quantum(
     player's phase difference (``torus.optimize``), which returns
     equatorial gates and reaches the game's quantum value.  Every other
     game takes the multi-start see-saw: each restart draws a start
-    uniformly from [0, 4pi)^{6n}, turns it into Bloch rows and runs the see-saw
-    of ``_see_saw``, with its SQUAREM step on slow tails; all restarts run
-    as one batch.  A restart stops when one sweep (2n best-response
-    updates) raises its gain by less than ``cfg.tol``, or after
-    ceil(``cfg.max_evals`` / 2n) sweeps.  ``extra_starts`` adds
-    warm starts after the random restarts (used for sweep chaining).  The
-    returned angles have phi = 0, and the returned gain is the win
-    probability of the returned strategy, re-evaluated from its angles,
-    never taken from the optimizer state.
+    uniformly from [0, 4pi)^{6n}, turns it into Bloch rows and runs the
+    see-saw of ``_see_saw``, with its SQUAREM step on slow tails; the
+    restarts run in lockstep, in blocks of at most ``_TASK_ROWS``.  A
+    restart stops when one sweep (2n best-response updates) raises its
+    gain by less than ``cfg.tol``, or after ceil(``cfg.max_evals`` / 2n)
+    sweeps.  ``extra_starts`` adds warm starts after the random restarts
+    (used for sweep chaining).  The returned angles have phi = 0, and the
+    returned gain is the win probability of the returned strategy,
+    re-evaluated from its angles, never taken from the optimizer state.
     """
     cfg = cfg or OptimizerConfig()
     return _optimize_games(psi, eq, [cfg.seed], cfg, [extra_starts])[0]
 
 
 # --- Batch search over a function space ------------------------------------------
-
-#: Start rows of one search task, at most, unless one game has more: a
-#: task's restarts share one see-saw pool, which runs part-empty only while
-#: the task's last restarts drain.  At the default 20 restarts a task holds
-#: 64 games; at n = 4 the task's start angles, Bloch rows and results take
-#: about 1 KB a row, so a task holds about 1.3 MB whatever ``--restarts``
-#: is.  On the traffic of ``_CHUNK_ROWS`` (ten paired runs), tasks of 120,
-#: 240 and 1280 rows took 0.54-0.78, 0.47-0.73 and 0.45-0.68 s on ``w4``
-#: and 0.31-0.43, 0.30-0.37 and 0.25-0.31 s on ``mp``; 1280 was the faster
-#: in 9 and 7 of the ``w4`` pairs and in 10 and 9 of the ``mp`` ones.
-_TASK_ROWS = 1280
-
 
 def derive_task_seed(master_seed: int, index: int) -> int:
     """Stable per-task seed; independent of execution order and worker count."""
@@ -465,8 +440,9 @@ def _run_task(
 ) -> list[GameResult]:
     """The games of functions ``start``, ``start + 1``, ... against g, solved together.
 
-    One ``_optimize_games`` call runs them: its see-saw games share one
-    see-saw pool, and its torus games never enter it.
+    One ``_optimize_games`` call runs them: the restarts of its see-saw
+    games form one block (unless one game has more than ``_TASK_ROWS``),
+    and its torus games never enter it.
 
     A failure is raised again as a RuntimeError that names the task's
     function indices and seeds.
@@ -513,8 +489,8 @@ def search_space(
     """One GameResult per candidate f, in input order.
 
     The functions are split into contiguous tasks (``_split_tasks``), each
-    run by one ``_optimize_games`` call, whose see-saw games share one
-    see-saw pool; with ``workers`` > 1 the tasks are shared out across
+    run by one ``_optimize_games`` call, whose see-saw restarts form one
+    block of rows; with ``workers`` > 1 the tasks are shared out across
     processes.  Every game is seeded from (cfg.seed, index), and its
     result does not depend on the other games of its task, so the output
     is identical for any worker count.  ``progress`` (done, total) is

@@ -5,9 +5,9 @@ complex values enter through the fixed parameters), optimizes the quantum
 strategy with a per-point derived seed, and records the gain.  Along the
 primary axis the previous point's best angles are added as one extra warm
 start, which removes optimizer noise from landscape plots; rows of a 2D
-sweep are independent chains.  A sweep runs in one process: step i of every
-chain runs through one see-saw pool, each chain on its own state (a GHZ-type
-point of an XOR game takes the torus path instead).
+sweep are independent chains.  A sweep runs in one process: the see-saw
+rows of step i of every chain run together in lockstep, each chain on its
+own state (a GHZ-type point of an XOR game takes the torus path instead).
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the gain landscape on the grid, in deterministic raster order.
 
     Each value of the second axis (one chain for a 1D sweep) is a
-    warm-start chain along the primary axis.  Step i of every chain runs
-    through one see-saw pool, each chain on its own state, in this process;
+    warm-start chain along the primary axis.  Step i of every chain is one
+    ``_optimize_games`` call, each chain on its own state, in this process;
     a point's result does not depend on the other chains of its step.
     Degenerate grid points (zero state) are recorded as invalid and
     skipped: their chain carries its warm start on to its next point.
@@ -200,7 +200,9 @@ def family_report(
     phase), not the family's supremum; that may need parameters outside
     the support, as the GHZ limits of L_abc2, L_a2b2 and L_a2_0_3p1 do.
 
-    All draws run through one see-saw pool, each on its own state.
+    All draws are one ``_optimize_games`` call, each on its own state; its
+    see-saw rows run in blocks of at most ``_TASK_ROWS``, so the see-saw's
+    working arrays stay bounded at any number of draws.
     Parameter-free families are evaluated once; their average is reported
     as not applicable (None).
     """

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import GameEquation
-from .quantum import TWO_PI, StateVector
+from .quantum import TWO_PI, StateVector, _form_index
 
 #: Coordinate-ascent sweeps that every torus start takes, then Newton steps
 #: that each game's ``_POLISHED`` starts of largest swept |S| take.
@@ -198,7 +198,7 @@ def _walsh_vertex(signs: np.ndarray) -> np.ndarray:
     n = signs.shape[1].bit_length() - 1
     # (n, 2**n): row k is player k's bit of every question
     bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    walsh = signs @ (1.0 - 2.0 * ((bits.T @ bits) % 2))
+    walsh = signs @ _form_index(n)[0]
     return np.pi * bits[:, np.abs(walsh).argmax(axis=1)].T
 
 

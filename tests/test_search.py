@@ -47,7 +47,6 @@ from qgames.search import (
 )
 from qgames import search, torus
 from qgames.search import (
-    _CHUNK_ROWS,
     _angles_from_bloch,
     _optimize_games,
     _see_saw,
@@ -546,61 +545,32 @@ class TestBestResponseStep:
             assert np.abs(gains - _gains(kernel, expect, game)).max() < 1e-12
 
 
-class TestSeeSawPool:
-    """A pool smaller than its rows refills them at sweep boundaries and changes no bit."""
+class TestLockstep:
+    """``_see_saw`` runs all its rows together from sweep 1, and a row that stops leaves."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("tol", [-np.inf, 1e-6])
-    def test_refilled_pool_equals_one_batch(self, n, tol, monkeypatch):
-        # rows on their own games, each game on its own state; a tol of -inf
-        # stops rows on the cap alone.  At n = 4 a fourth game is the slow
-        # tail's, whose rows take SQUAREM trials at the larger caps
-        rng = np.random.default_rng(40 + n)
-        rows = 12
-        states = _random_states(rng, 3, n)
-        eqs = [
-            GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))),
-                         TruthTable(n, int(rng.integers(1 << (1 << n)))))
-            for _ in range(3)
-        ]
-        if n == 4:
-            states.append(parse_state_literal(SLOW_TAIL))
-            eqs.append(ghz_game_equation())
-        kernel = GainKernel(states, eqs)
-        starts = _bloch(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
-        game = rng.integers(0, len(eqs), rows)
-        trials = _spy_on_trials(monkeypatch)
-        for cap in [*range(1, 8), 13, 600]:
-            whole = _see_saw(kernel, starts, game, cap, tol, capacity=rows)
-            pooled = _see_saw(kernel, starts, game, cap, tol, capacity=5)
-            assert np.array_equal(pooled[0], whole[0]) and np.array_equal(pooled[1], whole[1])
-        assert trials
-
-    def test_pool_stays_full_while_rows_wait(self, monkeypatch):
-        # a row is admitted through ``bloch_gains`` of its start rows, and only
-        # then; SQUAREM trial points replace rows already in
-        rows, capacity = 40, 7
-        kernel, angles, game, _ = _step_setup(4, 50, batch=rows)
+    def test_rows_start_together_and_only_leave(self):
+        kernel, angles, game, _ = _step_setup(4, 50, batch=150)
         starts = _bloch(angles)
         bloch_gains, bloch_response = kernel.bloch_gains, kernel.bloch_response
-        fresh_rows = {row.tobytes() for row in starts}
-        admitted, sizes = [], []
-        trials = _spy_on_trials(monkeypatch)
+        started, sizes = [], []
 
-        def admit(batch, state=None):
-            assert all(row.tobytes() in fresh_rows for row in batch)
-            admitted.extend(row.tobytes() for row in batch)
-            return bloch_gains(batch, state)
+        def start(batch, *args):
+            started.append(batch.shape[0])
+            return bloch_gains(batch, *args)
 
         def step(batch, *args):
-            sizes.append((batch.shape[0], len(admitted) < rows))
+            sizes.append(batch.shape[0])
             return bloch_response(batch, *args)
 
-        kernel.bloch_gains, kernel.bloch_response = admit, step
-        _see_saw(kernel, starts, game, 625, 1e-6, capacity=capacity)
-        assert sorted(admitted) == sorted(fresh_rows) and sum(trials) > 0
-        waiting = [size for size, rows_wait in sizes if rows_wait]
-        assert len(waiting) > 4 and set(waiting) == {capacity}
+        kernel.bloch_gains, kernel.bloch_response = start, step
+        _see_saw(kernel, starts, game, 625, 1e-6)
+        # one start-gain call for every row, then one batch per sweep, all four
+        # players' steps on the same rows
+        assert started == [150]
+        sweeps = sizes[::4]
+        assert sizes == [size for size in sweeps for _ in range(4)]
+        assert sweeps[0] == 150 and all(a >= b > 0 for a, b in zip(sweeps, sweeps[1:]))
+        assert sweeps[-1] < 150 and len(sweeps) < 625
 
 
 def _one_row_see_saw(kernel, starts, game, max_sweeps, tol, outcomes):
@@ -641,11 +611,11 @@ def _one_row_see_saw(kernel, starts, game, max_sweeps, tol, outcomes):
 
 
 class TestSquarem:
-    """Each row of the pool follows the SQUAREM cycle of ``_see_saw``'s docstring."""
+    """Each row of a batch follows the SQUAREM cycle of ``_see_saw``'s docstring."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("tol", [-np.inf, 1e-6])
-    def test_pool_rows_equal_the_cycle_written_out(self, n, tol):
+    def test_batch_rows_equal_the_cycle_written_out(self, n, tol):
         rng = np.random.default_rng(70 + n)
         rows = 8
         states = [*_random_states(rng, 2, n), hadamard_rotated(make_named_state(f"ghz{n}"))]
@@ -662,11 +632,11 @@ class TestSquarem:
         game = np.arange(rows) % len(eqs)
         outcomes = []
         for cap in (1, 2, 3, 4, 5, 6, 7, 13, 50):
-            pooled, pooled_gains = _see_saw(kernel, starts, game, cap, tol, capacity=3)
+            batch, batch_gains = _see_saw(kernel, starts, game, cap, tol)
             for r in range(rows):
                 one = slice(r, r + 1)
                 alone, gain = _one_row_see_saw(kernel, starts[one], game[one], cap, tol, outcomes)
-                assert np.array_equal(pooled[one], alone) and pooled_gains[r] == gain
+                assert np.array_equal(batch[one], alone) and batch_gains[r] == gain
         # with no stop on the rise, rows sweep on at their optimum, where trials fail
         assert {"kept", "reverted"} <= set(outcomes) if tol == -np.inf else "kept" in outcomes
 
@@ -874,6 +844,16 @@ class TestTorusPath:
         angles = torus.optimize(signs, np.zeros(1), [DEFAULT_SEED], 20, [()])
         gain = 0.5 + self.torus_value(signs, angles)[0] / 2 ** (n + 1)
         assert abs(gain - TSIRELSON) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_walsh_vertex_is_the_first_vertex_of_largest_walsh_coefficient(self, n):
+        # random sign vectors tie often at small n, so the first maximizer is checked too
+        signs = 1.0 - 2.0 * np.random.default_rng(n).integers(0, 2, (12, 1 << n))
+        for row, vertex in zip(signs, torus._walsh_vertex(signs)):
+            values = [abs(sum(s * (-1) ** bin(q & m).count("1") for q, s in enumerate(row)))
+                      for m in range(1 << n)]
+            m = values.index(max(values))
+            assert vertex.tolist() == [math.pi * (m >> (n - 1 - k) & 1) for k in range(n)]
 
     def test_a_torus_strategy_projects_back_onto_its_deltas(self):
         # warm starts enter the torus path as the deltas of their gates
@@ -1197,13 +1177,13 @@ class TestSplitTasks:
 
 
 @pytest.fixture(scope="module")
-def chunked_run():
-    # 30 restarts put 4 games in a chunk, so these 10 functions span 3 chunks
+def see_saw_run():
+    # at one worker these 10 games at 30 restarts are one task, so one block of rows
     space = list(reduce_function_space(4, require_all_relevant=True))
     tables = stratified_subsample(space, 10, 3)
     g = parse_table("a^b^c^d", ANSWER_VARS[4])
     cfg = OptimizerConfig(restarts=30, seed=5)
-    assert len(tables) > 2 * (_CHUNK_ROWS // cfg.restarts)
+    assert _split_tasks(len(tables), 1, cfg.restarts) == [(0, len(tables))]
     return space, tables, g, see_saw_state("ghz4"), cfg
 
 
@@ -1246,28 +1226,28 @@ class TestPlayerPermutationInvariance:
             assert max(gains) - min(gains) <= cfg.tol
 
 
-class TestChunkedSearch:
-    def test_each_game_matches_the_game_run_alone(self, chunked_run):
-        _, tables, g, psi, cfg = chunked_run
+class TestSeeSawSearch:
+    def test_each_game_matches_the_game_run_alone(self, see_saw_run):
+        _, tables, g, psi, cfg = see_saw_run
         results = search_space(g, psi, cfg, tables, workers=1, state_descriptor="ghz4")
         for index, (f, result) in enumerate(zip(tables, results)):
             alone = _alone(f, g, psi, cfg, index, "ghz4")
             assert result.to_json_dict() == alone.to_json_dict()
             assert result.quantum_gain == win_probability(psi, result.quantum_strategy, result.equation)
 
-    def test_a_game_does_not_depend_on_its_neighbours(self, chunked_run):
-        space, tables, g, psi, cfg = chunked_run
+    def test_a_game_does_not_depend_on_its_neighbours(self, see_saw_run):
+        space, tables, g, psi, cfg = see_saw_run
         others = stratified_subsample(space, 10, 4)
         assert all(a != b for a, b in zip(tables, others))
         base = search_space(g, psi, cfg, tables, workers=1)
-        # every game keeps its index (and so its seed) but gets new chunk neighbours
+        # every game keeps its index (and so its seed) but gets new task neighbours
         for keep in (0, 5, 9):
             mixed = [t if i == keep else o for i, (t, o) in enumerate(zip(tables, others))]
             moved = search_space(g, psi, cfg, mixed, workers=1)
             assert moved[keep].to_json_dict() == base[keep].to_json_dict()
 
-    def test_a_game_does_not_depend_on_its_place_in_the_batch(self, chunked_run):
-        _, tables, g, psi, cfg = chunked_run
+    def test_a_game_does_not_depend_on_its_place_in_the_batch(self, see_saw_run):
+        _, tables, g, psi, cfg = see_saw_run
         eqs = [GameEquation(t, g) for t in tables[:5]]
         seeds = [11, 12, 13, 14, 15]
         alone = [_optimize_games(psi, [eq], [seed], cfg)[0] for eq, seed in zip(eqs, seeds)]
@@ -1277,8 +1257,8 @@ class TestChunkedSearch:
                 assert gain == alone[i][0]
                 assert np.array_equal(strategy.angles, alone[i][1].angles)
 
-    def test_worker_count_and_progress_over_several_chunks(self, chunked_run):
-        _, tables, g, psi, cfg = chunked_run
+    def test_worker_count_and_progress_over_several_tasks(self, see_saw_run):
+        _, tables, g, psi, cfg = see_saw_run
         lines, seen = {}, {}
         for workers in (1, 2):
             seen[workers] = []
@@ -1354,6 +1334,8 @@ class TestRowIndependence:
 
     @pytest.mark.parametrize("rows, games, restarts, warmed", [
         (1, 1, 1, 0), (255, 15, 17, 0), (256, 15, 17, 1), (777, 37, 20, 37),
+        # the largest block a search task runs
+        (1280, 64, 20, 0),
     ])
     def test_optimize_games_equal_games_run_alone(self, rows, games, restarts, warmed):
         # as in a sweep step: one game on each row's own state, the first
@@ -1370,6 +1352,32 @@ class TestRowIndependence:
             alone_gain, alone = _optimize_games(states[j], eq, [seeds[j]], cfg, [warm[j]])[0]
             assert gain == alone_gain
             assert np.array_equal(strategy.angles, alone.angles)
+
+    @pytest.mark.parametrize("task_rows, blocks", [(1, [1] * 22), (7, [7, 7, 7, 1]), (11, [11, 11])])
+    def test_blocks_that_split_games_change_no_bit(self, task_rows, blocks, monkeypatch):
+        # 5 games of 4 restarts and 2 warm starts, 22 rows, each game on its own
+        # state: small blocks split games, and the last block may be short
+        rng = np.random.default_rng(26)
+        states = _random_states(rng, 5)
+        eqs = [ghz_game_equation(), w_game_equation()] * 2 + [ghz_game_equation()]
+        seeds = [int(s) for s in rng.integers(0, 2**31, 5)]
+        warm = [[rng.uniform(0.0, 4 * math.pi, 24)] if j in (1, 3) else [] for j in range(5)]
+        cfg = OptimizerConfig(restarts=4, max_evals=400, seed=0)
+        whole = _optimize_games(states, eqs, seeds, cfg, warm)
+        sizes = []
+        see_saw = search._see_saw
+
+        def spy(kernel, starts, *args):
+            sizes.append(starts.shape[0])
+            return see_saw(kernel, starts, *args)
+
+        monkeypatch.setattr(search, "_see_saw", spy)
+        monkeypatch.setattr(search, "_TASK_ROWS", task_rows)
+        split = _optimize_games(states, eqs, seeds, cfg, warm)
+        assert sizes == blocks
+        for (gain, strategy), (split_gain, split_strategy) in zip(whole, split):
+            assert split_gain == gain
+            assert np.array_equal(split_strategy.angles, strategy.angles)
 
 
 class TestSeeds:
