@@ -218,6 +218,17 @@ def _bloch(angles: np.ndarray) -> np.ndarray:
                     axis=-1)
 
 
+def _angles_from_bloch(rows: np.ndarray) -> np.ndarray:
+    """(..., 4) Bloch rows -> (..., 3) angles (t, 0, lam) of gates that answer 0 on them.
+
+    The inverse of ``_bloch`` with phi = 0: t in [0, pi], and any lam will
+    do where sin t = 0.
+    """
+    x, y, z = rows[..., 1], rows[..., 2], rows[..., 3]
+    theta = np.arctan2(np.hypot(x, y), z)
+    return np.stack([theta, np.zeros_like(theta), np.arctan2(y, -x)], axis=-1)
+
+
 def _unit_bloch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(..., 4) rows (c, w) -> the rows (1, w / |w|), (1, 0, 0, 1) where w = 0, and |w|."""
     w = v[..., 1:]
@@ -233,15 +244,16 @@ def _unit_bloch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GainKernel:
     """Vectorized win probabilities and see-saw steps for batches of strategies.
 
-    One kernel holds one or more games: one state per game or one shared by
-    every game, and likewise one equation per game or one shared.  It keeps
-    the equations' table entries, ``f_values`` and ``g_values`` (one row
-    each).  ``game`` is the (B,) index of each row's game, which picks both
-    its state and its equation, and None means that every row plays the
-    first.  Every product is stacked per row, never one 2-D product across
-    rows, and no arithmetic reuses a temporary in place, so a row's results
-    do not depend on the other rows of its batch, bit for bit, at any batch
-    size.
+    One kernel holds one or more games that share one answer side g: one
+    state per game or one shared by every game, and likewise one question
+    side f per game or one shared.  Games with different g raise
+    ValueError.  It keeps the table entries ``f_values`` (one row per f)
+    and ``g_values`` (g's one row).  ``game`` is the (B,) index of each
+    row's game, which picks both its state and its f, and None means that
+    every row plays the first.  Every product is stacked per row, never one
+    2-D product across rows, and no arithmetic reuses a temporary in place,
+    so a row's results do not depend on the other rows of its batch, bit
+    for bit, at any batch size.
 
     Every win probability comes from one form in Bloch rows: (B, n, 2, 4),
     per player k and question bit q the row A_k^q = (1, r_k^q), where
@@ -257,12 +269,12 @@ class GainKernel:
     g-hat(S) = sum_a g(a) (-1)^{a . S}.  ``gains`` turns gate angles into
     Bloch rows and evaluates the form; the see-saw steps on the rows.
 
-    Its tables are built once, in ``__init__``: ``pauli`` (n, D, 4**n)
-    holds 4**-n L of each distinct (g, state) pair, in each player's layout
-    (``_form_index``), and ``pair`` (G,) each game's pair; ``signs``
-    (n, G, 2, 2**(n-1)) holds s_q in each player's layout, and ``constant``
-    (G,) c_f.  A kernel whose games share one g and one state has one
-    pair, which every row broadcasts.
+    Its tables are built once, in ``__init__``, from g-hat once: ``pauli``
+    (n, S, 4**n) holds 4**-n L of each state, in each player's layout
+    (``_form_index``); ``signs`` (n, F, 2, 2**(n-1)) holds s_q of each f in
+    each player's layout, and ``constant`` (F,) c_f.  Each row reads its
+    game's entry of every table (``_per_row``), and a table of one entry
+    broadcasts it to every row.
     """
 
     def __init__(
@@ -278,29 +290,22 @@ class GainKernel:
         for eq in eqs:
             if n != eq.arity:
                 raise ValueError(f"state has {n} qubits but the equation arity is {eq.arity}")
-        # (G, 2**n): one row per game, or one shared; states of other sizes do not stack
-        self.states = np.stack([psi.amplitudes for psi in states])
-        bits = np.array([(eq.f.bits, eq.g.bits) for eq in eqs])[:, :, None] >> np.arange(1 << n)
-        self.f_values, self.g_values = bits[:, 0] & 1, bits[:, 1] & 1
+        if len({eq.g for eq in eqs}) > 1:
+            raise ValueError("a kernel's games share one g; run each g in its own kernel")
+        # (S, 2**n): one row per game, or one shared; states of other sizes do not stack
+        states = self.states = np.stack([psi.amplitudes for psi in states])
+        self.f_values = np.array([eq.f.bits for eq in eqs])[:, None] >> np.arange(1 << n) & 1
+        self.g_values = eqs[0].g.values()
         walsh, support, paulis, questions = _form_index(n)
-        states = self.states
         # (S, 4**n): <psi| sigma_mu |psi>, each qubit's (i, j) pair of psi psi^dagger
         # mapped to its Pauli index, one qubit per product
         rho = (states[:, :, None] * states[:, None, :].conj()).reshape((-1,) + (2,) * (2 * n))
         t = rho.transpose(0, *(1 + k + n * side for k in range(n) for side in (0, 1)))
         for _ in range(n):
             t = _PAULI @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
-        expectations = t.reshape(-1, 4**n).real
-        # each game's (state, g) pair as one key: the state's index above g's table bits
-        codes = self.g_values @ (1 << np.arange(1 << n))
-        games = np.arange(max(len(states), len(codes)))
-        keys, pair = np.unique(games % len(states) << (1 << n) | codes[games % len(codes)],
-                               return_inverse=True)
-        g_hat = (keys[:, None] >> np.arange(1 << n) & 1) @ walsh
-        form = g_hat[:, support] * expectations[keys >> (1 << n)] / 4**n
+        form = (self.g_values @ walsh)[support] * t.reshape(-1, 4**n).real / 4**n
         signs = (2.0 * self.f_values - 1.0)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
         self.pauli = np.ascontiguousarray(form[:, paulis].swapaxes(0, 1))
-        self.pair = pair.reshape(-1)
         self.signs = np.ascontiguousarray(signs.swapaxes(0, 1))
         self.constant = (1.0 - self.f_values).sum(axis=1) / (1 << n)
 
@@ -327,7 +332,7 @@ class GainKernel:
         in turn: each product takes the last axis and puts its question bit
         first, which leaves (q_{k+1}, ..., q_{k-1}, mu_k) for the sign table.
         """
-        t = self._per_row(self.pauli[player], self.pair[:1] if game is None else self.pair[game])
+        t = self._per_row(self.pauli[player], game)
         for j in range(player - 1, player - self.n, -1):
             t = rows[:, j] @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
         return self._per_row(self.signs[player], game) @ t.reshape(t.shape[0], -1, 4)

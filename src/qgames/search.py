@@ -37,7 +37,8 @@ import numpy as np
 
 from .boolfn import GameEquation, TruthTable
 from . import torus
-from .quantum import FOUR_PI, GainKernel, QuantumStrategy, StateVector, _bloch, _unit_bloch
+from .quantum import FOUR_PI, GainKernel, QuantumStrategy, StateVector
+from .quantum import _angles_from_bloch, _bloch, _unit_bloch
 
 logger = logging.getLogger(__name__)
 
@@ -211,17 +212,6 @@ def classical_best(eq: GameEquation) -> tuple[float, list[ClassicalStrategy]]:
 
 # --- Quantum search -------------------------------------------------------------
 
-def _angles_from_bloch(rows: np.ndarray) -> np.ndarray:
-    """(..., 4) Bloch rows -> (..., 3) angles (t, 0, lam) of gates that answer 0 on them.
-
-    The inverse of ``_bloch`` with phi = 0: t in [0, pi], and any lam will
-    do where sin t = 0.
-    """
-    x, y, z = rows[..., 1], rows[..., 2], rows[..., 3]
-    theta = np.arctan2(np.hypot(x, y), z)
-    return np.stack([theta, np.zeros_like(theta), np.arctan2(y, -x)], axis=-1)
-
-
 #: Rows of one see-saw block, at most: ``_optimize_games`` runs its see-saw
 #: rows in consecutive blocks of this many.  ``_split_tasks`` gives a search
 #: task at most this many start rows (or one game, if that has more), so a
@@ -349,8 +339,9 @@ def _optimize_games(
     """``optimize_quantum`` for several games: the best strategy of each and its gain.
 
     Game j plays ``eqs[j]`` on ``states[j]``; a single state or equation is
-    shared by every game.  It draws its starts from ``seeds[j]`` and adds
-    the warm starts ``extra_starts[j]`` after them.
+    shared by every game, and the equations share one g (ValueError
+    otherwise: one ``GainKernel`` holds every game).  It draws its starts
+    from ``seeds[j]`` and adds the warm starts ``extra_starts[j]`` after them.
 
     The input picks each game's path.  An XOR game on a GHZ-type state
     (``torus.xor_games``) takes the torus path, ``torus.optimize``,

@@ -70,26 +70,26 @@ def xor_games(states: np.ndarray, f: np.ndarray, g: np.ndarray,
     the state is GHZ-type: exactly two non-zero amplitudes, of equal
     modulus, on |0...0> and |1...1>, with any relative phase chi.  Then
     s_q = (-1)^(f(q) ^ c), with c = 1 for the complement.  ``states``
-    (S, 2**n) and table entries ``f``, ``g`` (E, 2**n) hold one row per
-    game or one shared, as in ``GainKernel``: each state is read once.
+    (S, 2**n) and table entries ``f`` (F, 2**n) hold one row per game or
+    one shared, and ``g`` (2**n,) is every game's one answer side, as in
+    ``GainKernel``: each state is read once, and g is tested once.
     """
-    n = f.shape[1].bit_length() - 1
+    n = g.size.bit_length() - 1
     ends = states[:, [0, -1]]
     ghz = ((np.count_nonzero(states, axis=1) == 2) & ends.all(axis=1)
            & (np.abs(np.abs(ends[:, 0]) - np.abs(ends[:, 1])) <= 1e-12))
     # g ^ parity is one constant, c, exactly when g is parity or its complement
     flip = g ^ ((_parity_bits(n) >> np.arange(1 << n)) & 1)
-    xor = (flip == flip[:, :1]).all(axis=1)
     game = np.arange(count)
-    on = ghz[game % len(ghz)] & xor[game % len(xor)]
-    signs = 1.0 - 2.0 * (f ^ flip[:, :1])
+    on = ghz[game % len(ghz)] & (flip == flip[0]).all()
+    signs = 1.0 - 2.0 * (f ^ flip[0])
     chi = np.angle(ends[:, 1] * ends[:, 0].conj())
     return on, signs[game[on] % len(signs)], chi[game[on] % len(chi)]
 
 
 def signs_and_phase(psi: StateVector, eq: GameEquation) -> tuple[np.ndarray, float] | None:
-    """The signs s_q of one game and the phase chi of its state, or None: ``xor_games`` of one."""
-    on, signs, chi = xor_games(psi.amplitudes[None], eq.f.values()[None], eq.g.values()[None], 1)
+    """The signs s_q of one game and its state's phase chi, or None: ``xor_games`` with g's row."""
+    on, signs, chi = xor_games(psi.amplitudes[None], eq.f.values()[None], eq.g.values(), 1)
     return (signs[0], float(chi[0])) if on[0] else None
 
 

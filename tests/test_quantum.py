@@ -353,19 +353,20 @@ class TestPauliForm:
         rng = np.random.default_rng(200 + n)
         size = 1 << (1 << n)
         states = [random_state(n, rng) for _ in range(3)]
-        gs = [TruthTable(n, int(rng.integers(size))) for _ in range(2)]
-        # the third game shares the first one's g
-        eqs = [GameEquation(TruthTable(n, int(rng.integers(size))), g) for g in (*gs, gs[0])]
         angles = rng.uniform(0.0, 4 * math.pi, (40, n, 2, 3))
         game = rng.integers(0, 3, 40)
-        oracle, rows = self.oracle(states, eqs, angles), np.arange(40)
-        self.assert_equal_to(oracle[0, 0], GainKernel(states[0], eqs[0]), angles)
-        # per-row states, per-row equations, and both
-        for kernel, state, eq in ((GainKernel(states, eqs[0]), game, 0),
-                                  (GainKernel(states[0], eqs), 0, game),
-                                  (GainKernel(states, eqs), game, game)):
-            self.assert_equal_to(oracle[state, eq, rows], kernel, angles, game)
-            self.assert_equal_to(oracle[0, 0], kernel, angles)
+        rows = np.arange(40)
+        # two random g, each in its own kernels, with three random f each
+        for g in [TruthTable(n, int(rng.integers(size))) for _ in range(2)]:
+            eqs = [GameEquation(TruthTable(n, int(rng.integers(size))), g) for _ in range(3)]
+            oracle = self.oracle(states, eqs, angles)
+            self.assert_equal_to(oracle[0, 0], GainKernel(states[0], eqs[0]), angles)
+            # per-row states, per-row equations, and both
+            for kernel, state, eq in ((GainKernel(states, eqs[0]), game, 0),
+                                      (GainKernel(states[0], eqs), 0, game),
+                                      (GainKernel(states, eqs), game, game)):
+                self.assert_equal_to(oracle[state, eq, rows], kernel, angles, game)
+                self.assert_equal_to(oracle[0, 0], kernel, angles)
 
     def test_the_w_game_and_an_xor_game_on_a_rotated_ghz_state(self):
         rng = np.random.default_rng(210)

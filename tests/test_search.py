@@ -25,6 +25,7 @@ from qgames.quantum import (
     GainKernel,
     QuantumStrategy,
     StateVector,
+    _angles_from_bloch,
     _bloch,
     _build_gate_stack,
     make_family_state,
@@ -47,7 +48,6 @@ from qgames.search import (
 )
 from qgames import search, torus
 from qgames.search import (
-    _angles_from_bloch,
     _optimize_games,
     _see_saw,
     _split_tasks,
@@ -427,14 +427,13 @@ class TestSeeSaw:
 
 
 def _step_setup(n, seed, batch=6):
-    """A kernel on a random n-qubit state with three random games, and random start angles."""
+    """A kernel on a random n-qubit state with three random f against one random g, and
+    random start angles."""
     rng = np.random.default_rng(seed)
     psi = StateVector(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
     size = 1 << (1 << n)
-    eqs = [
-        GameEquation(TruthTable(n, int(rng.integers(size))), TruthTable(n, int(rng.integers(size))))
-        for _ in range(3)
-    ]
+    g = TruthTable(n, int(rng.integers(size)))
+    eqs = [GameEquation(TruthTable(n, int(rng.integers(size))), g) for _ in range(3)]
     angles = rng.uniform(0.0, 4 * math.pi, (batch, n, 2, 3))
     return GainKernel(psi, eqs), angles, rng.integers(0, 3, batch), rng
 
@@ -451,24 +450,26 @@ class TestBestResponseStep:
         sigma = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                  np.diag([1.0, -1.0])]
         (psi,) = kernel.states
-        for j, g in enumerate(kernel.g_values):
-            # L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, mu in player order, player 1 first
-            expect = np.empty((4,) * n)
-            for mu in itertools.product(range(4), repeat=n):
-                op = np.array([[1.0]])
-                for m in mu:
-                    op = np.kron(op, sigma[m])
-                support = sum((m != 0) << (n - 1 - k) for k, m in enumerate(mu))
-                g_hat = sum(g[a] * (-1) ** bin(a & support).count("1") for a in range(1 << n))
-                expect[mu] = g_hat * (psi.conj() @ op @ psi).real / 4**n
-            f = kernel.f_values[j]
+        g = kernel.g_values
+        # L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, mu in player order, player 1 first
+        expect = np.empty((4,) * n)
+        for mu in itertools.product(range(4), repeat=n):
+            op = np.array([[1.0]])
+            for m in mu:
+                op = np.kron(op, sigma[m])
+            support = sum((m != 0) << (n - 1 - k) for k, m in enumerate(mu))
+            g_hat = sum(g[a] * (-1) ** bin(a & support).count("1") for a in range(1 << n))
+            expect[mu] = g_hat * (psi.conj() @ op @ psi).real / 4**n
+        # one row of L per state, whatever the number of f
+        assert kernel.pauli.shape == (n, 1, 4**n) and kernel.signs.shape == (n, 3, 2, 1 << (n - 1))
+        # player k's layout: axes k, k+1, ..., n-1, 0, ..., k-1
+        orders = [[(k + i) % n for i in range(n)] for k in range(n)]
+        for k, order in enumerate(orders):
+            assert np.abs(kernel.pauli[k, 0] - expect.transpose(order).reshape(-1)).max() < 1e-12
+        for j, f in enumerate(kernel.f_values):
             # c_f, the share of questions where f is 0
             assert kernel.constant[j] == ((1 << n) - f.sum()) / (1 << n)
-            for k in range(n):
-                # player k's layout: axes k, k+1, ..., n-1, 0, ..., k-1
-                order = [(k + i) % n for i in range(n)]
-                layout = expect.transpose(order).reshape(-1)
-                assert np.abs(kernel.pauli[k, kernel.pair[j]] - layout).max() < 1e-12
+            for k, order in enumerate(orders):
                 signs = (2.0 * f - 1.0).reshape((2,) * n).transpose(order).reshape(2, -1)
                 assert np.array_equal(kernel.signs[k, j], signs)
 
@@ -619,24 +620,25 @@ class TestSquarem:
         rng = np.random.default_rng(70 + n)
         rows = 8
         states = [*_random_states(rng, 2, n), hadamard_rotated(make_named_state(f"ghz{n}"))]
-        eqs = [GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))),
-                            TruthTable(n, int(rng.integers(1 << (1 << n))))) for _ in range(2)]
-        # an XOR game on a rotated GHZ state, which the see-saw plays
-        parity = TruthTable(n, 0x6996 & ((1 << (1 << n)) - 1))
-        eqs.append(GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))), parity))
-        if n == 4:
-            states.append(parse_state_literal(SLOW_TAIL))
-            eqs.append(ghz_game_equation())
-        kernel = GainKernel(states, eqs)
         starts = _bloch(rng.uniform(0.0, 4 * math.pi, (rows, n, 2, 3)))
-        game = np.arange(rows) % len(eqs)
+        # the same starts against a random g, then parity: each game on the rotated
+        # GHZ state is then an XOR game, which the see-saw plays
+        parity = TruthTable(n, 0x6996 & ((1 << (1 << n)) - 1))
         outcomes = []
-        for cap in (1, 2, 3, 4, 5, 6, 7, 13, 50):
-            batch, batch_gains = _see_saw(kernel, starts, game, cap, tol)
-            for r in range(rows):
-                one = slice(r, r + 1)
-                alone, gain = _one_row_see_saw(kernel, starts[one], game[one], cap, tol, outcomes)
-                assert np.array_equal(batch[one], alone) and batch_gains[r] == gain
+        for g in (TruthTable(n, int(rng.integers(1 << (1 << n)))), parity):
+            eqs = [GameEquation(TruthTable(n, int(rng.integers(1 << (1 << n)))), g) for _ in range(3)]
+            kernel_states = states
+            if n == 4 and g == parity:
+                kernel_states = [*states, parse_state_literal(SLOW_TAIL)]
+                eqs.append(ghz_game_equation())
+            kernel = GainKernel(kernel_states, eqs)
+            game = np.arange(rows) % len(eqs)
+            for cap in (1, 2, 3, 4, 5, 6, 7, 13, 50):
+                batch, batch_gains = _see_saw(kernel, starts, game, cap, tol)
+                for r in range(rows):
+                    one = slice(r, r + 1)
+                    alone, gain = _one_row_see_saw(kernel, starts[one], game[one], cap, tol, outcomes)
+                    assert np.array_equal(batch[one], alone) and batch_gains[r] == gain
         # with no stop on the rise, rows sweep on at their optimum, where trials fail
         assert {"kept", "reverted"} <= set(outcomes) if tol == -np.inf else "kept" in outcomes
 
@@ -718,21 +720,29 @@ class TestTorusPath:
             assert gain == win_probability(psi, strategy, game)
 
     def test_mixed_games_equal_games_run_alone(self):
+        # torus and see-saw games in one call, per g: parity, its complement and the W game's
         rng = np.random.default_rng(12)
         ghz4, eq, w_eq = make_named_state("ghz4"), ghz_game_equation(), w_game_equation()
-        other = GameEquation(TruthTable(4, int(rng.integers(1 << 16))), eq.g.complement())
-        states = [ghz4, _random_states(rng, 1)[0], ghz4, _ghz(4, 1.3), see_saw_state("ghz4"), ghz4]
-        eqs = [eq, eq, w_eq, other, eq, other]
-        seeds = [int(s) for s in rng.integers(0, 2**31, len(states))]
-        warm = [[rng.uniform(0.0, 4 * math.pi, 24)] if j % 2 else [] for j in range(len(states))]
+        fs = [TruthTable(4, int(bits)) for bits in rng.integers(0, 1 << 16, 3)]
+        complement = [GameEquation(f, eq.g.complement()) for f in fs[:2]]
+        cases = [
+            ([ghz4, _random_states(rng, 1)[0], see_saw_state("ghz4"), _ghz(4, 1.3)],
+             [eq, eq, eq, GameEquation(fs[2], eq.g)], [True, False, False, True]),
+            ([_ghz(4, 1.3), ghz4, _random_states(rng, 1)[0]], [*complement, complement[0]],
+             [True, True, False]),
+            ([ghz4, make_named_state("w4")], [w_eq, GameEquation(fs[0], w_eq.g)], [False, False]),
+        ]
         cfg = OptimizerConfig(restarts=6, seed=0)
-        assert [torus.signs_and_phase(psi, e) is not None for psi, e in zip(states, eqs)] == [
-            True, False, False, True, False, True]
-        batch = _optimize_games(states, eqs, seeds, cfg, warm)
-        for j, (gain, strategy) in enumerate(batch):
-            alone_gain, alone = _optimize_games(states[j], eqs[j], [seeds[j]], cfg, [warm[j]])[0]
-            assert gain == alone_gain
-            assert np.array_equal(strategy.angles, alone.angles)
+        for states, eqs, on_torus in cases:
+            seeds = [int(s) for s in rng.integers(0, 2**31, len(states))]
+            warm = [[rng.uniform(0.0, 4 * math.pi, 24)] if j % 2 else [] for j in range(len(states))]
+            assert [torus.signs_and_phase(psi, e) is not None
+                    for psi, e in zip(states, eqs)] == on_torus
+            batch = _optimize_games(states, eqs, seeds, cfg, warm)
+            for j, (gain, strategy) in enumerate(batch):
+                alone_gain, alone = _optimize_games(states[j], eqs[j], [seeds[j]], cfg, [warm[j]])[0]
+                assert gain == alone_gain
+                assert np.array_equal(strategy.angles, alone.angles)
 
     @pytest.mark.parametrize("n, rows", [(2, 300), (3, 257), (4, 1), (4, 2), (4, 255), (4, 256),
                                          (4, 777)])
@@ -900,13 +910,22 @@ class TestTaskSetUp:
         # a sweep batch: one equation, a family state per game, GHZ-type at a = d, b = c = 0
         family = [make_family_state(FamilyId.G_ABCD, {"a": a, "b": b, "c": 0, "d": 1})
                   for a, b in ((1, 0), (0.5, 0), (1, 0.5), (1, 0), (-1, 0))]
+        # each case's games share one g: parity, its complement or the W game's
+        mixed = [phased, w4, _ghz(4, 0.8), _random_states(rng, 1)[0]]
         cases = [
-            (ghz4, [GameEquation(f, eq.g) for f in fs] + [complement, w_eq]),
-            (phased, [GameEquation(f, g) for f, g in zip(fs, [eq.g, complement.g] * 3)]),
-            (w4, [eq, complement, w_eq]),
+            (ghz4, [GameEquation(f, eq.g) for f in fs] + [eq]),
+            (ghz4, [complement] + [GameEquation(f, complement.g) for f in fs]),
+            (ghz4, w_eq),
+            (phased, [GameEquation(f, eq.g) for f in fs]),
+            (phased, [GameEquation(f, complement.g) for f in fs]),
+            (w4, [eq, GameEquation(fs[0], eq.g)]),
+            (w4, complement),
+            (w4, w_eq),
             (family, eq),
-            (family, [complement, w_eq, eq, complement, eq]),
-            ([phased, w4, _ghz(4, 0.8), _random_states(rng, 1)[0]], [eq, eq, complement, eq]),
+            (family, [GameEquation(f, complement.g) for f in fs[:5]]),
+            (family, [w_eq] + [GameEquation(f, w_eq.g) for f in fs[:4]]),
+            (mixed, [eq, eq, GameEquation(fs[0], eq.g), eq]),
+            (mixed, [GameEquation(f, complement.g) for f in fs[:4]]),
             (phased, complement),
         ]
         for states, eqs in cases:
@@ -927,26 +946,28 @@ class TestTaskSetUp:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_the_form_wins_where_f_of_the_questions_equals_g_of_the_answers(self, n):
         rng = np.random.default_rng(23 + n)
-        eqs = [GameEquation(TruthTable(n, int(f)), g)
-               for f, g in zip(rng.integers(0, 1 << (1 << n), 4), self.answer_sides(n))]
-        eqs += {2: [chsh_equation()], 3: [], 4: [ghz_game_equation(), w_game_equation()]}[n]
+        paper = {2: [chsh_equation()], 3: [], 4: [ghz_game_equation(), w_game_equation()]}[n]
         rows = 32
-        flips = rng.integers(0, 2, (rows, n, 2))
-        # theta = 0 answers a qubit's basis value, theta = pi its complement
-        angles = np.zeros((rows, n, 2, 3))
-        angles[..., 0] = math.pi * flips
-        game = rng.integers(0, len(eqs), rows)
-        for x in range(1 << n):
-            # on the basis state |x>, player k answers x_k ^ flips[k, q_k], for sure
-            bits = [(x >> (n - 1 - k)) & 1 for k in range(n)]
-            kernel = GainKernel(StateVector(np.eye(1 << n)[x]), eqs)
-            gains = kernel.gains(angles.reshape(rows, -1), game)
-            for r in range(rows):
-                eq = eqs[game[r]]
-                wins = sum(eq.f.evaluate(q) == eq.g.evaluate(
-                               [bits[k] ^ flips[r, k, q[k]] for k in range(n)])
-                           for q in itertools.product((0, 1), repeat=n))
-                assert abs(gains[r] - wins / (1 << n)) < 1e-12
+        # per answer side, a kernel of three random f and the paper's games with that g
+        for g in self.answer_sides(n):
+            eqs = [GameEquation(TruthTable(n, int(f)), g) for f in rng.integers(0, 1 << (1 << n), 3)]
+            eqs += [eq for eq in paper if eq.g == g]
+            flips = rng.integers(0, 2, (rows, n, 2))
+            # theta = 0 answers a qubit's basis value, theta = pi its complement
+            angles = np.zeros((rows, n, 2, 3))
+            angles[..., 0] = math.pi * flips
+            game = rng.integers(0, len(eqs), rows)
+            for x in range(1 << n):
+                # on the basis state |x>, player k answers x_k ^ flips[k, q_k], for sure
+                bits = [(x >> (n - 1 - k)) & 1 for k in range(n)]
+                kernel = GainKernel(StateVector(np.eye(1 << n)[x]), eqs)
+                gains = kernel.gains(angles.reshape(rows, -1), game)
+                for r in range(rows):
+                    eq = eqs[game[r]]
+                    wins = sum(eq.f.evaluate(q) == eq.g.evaluate(
+                                   [bits[k] ^ flips[r, k, q[k]] for k in range(n)])
+                               for q in itertools.product((0, 1), repeat=n))
+                    assert abs(gains[r] - wins / (1 << n)) < 1e-12
 
 
 class TestOneEvaluation:
@@ -959,7 +980,7 @@ class TestOneEvaluation:
         eq = ghz_game_equation()
         states = [make_named_state("ghz4"), _random_states(rng, 1)[0], make_named_state("w4"),
                   _ghz(4, 1.3), see_saw_state("ghz4")]
-        eqs = [eq, eq, w_game_equation(), eq, eq]
+        eqs = [eq, eq, GameEquation(w_game_equation().f, eq.g), eq, eq]
         return states, eqs, [int(s) for s in rng.integers(0, 2**31, len(states))]
 
     def test_one_gains_call_with_one_row_per_game(self, monkeypatch):
@@ -1283,13 +1304,16 @@ class TestRowIndependence:
     rounded differently from the same rows run alone.
     """
 
+    @pytest.mark.parametrize("g", ["a^b^c^d", "!abcd + a!bcd + ab!cd + abc!d"])
     @pytest.mark.parametrize("rows", [1, 255, 256, 777])
-    def test_kernel_rows_equal_single_row_runs(self, rows):
+    def test_kernel_rows_equal_single_row_runs(self, rows, g):
         rng = np.random.default_rng(rows)
-        # three games, each on its own state
+        # three games against one g, each on its own state: the GHZ game's, the W game's
+        # and wxyz as f
         states = _random_states(rng, 3)
-        parity = GameEquation(parse_table("wxyz", QUESTION_VARS[4]), parse_table("a^b^c^d", ANSWER_VARS[4]))
-        eqs = [ghz_game_equation(), w_game_equation(), parity]
+        answers = parse_table(g, ANSWER_VARS[4])
+        eqs = [GameEquation(eq.f, answers) for eq in (ghz_game_equation(), w_game_equation())]
+        eqs.append(GameEquation(parse_table("wxyz", QUESTION_VARS[4]), answers))
         kernel = GainKernel(states, eqs)
         single = [GainKernel(psi, eq) for psi, eq in zip(states, eqs)]
         angles = rng.uniform(0.0, 4 * math.pi, (rows, 4, 2, 3))
@@ -1320,17 +1344,50 @@ class TestRowIndependence:
 
     def test_kernel_takes_one_state_or_one_per_game(self):
         rng = np.random.default_rng(5)
-        eqs = [ghz_game_equation(), w_game_equation(), ghz_game_equation()]
+        eq = ghz_game_equation()
+        eqs = [eq, GameEquation(w_game_equation().f, eq.g), eq]
         with pytest.raises(ValueError, match="2 states for 3 games"):
             GainKernel(_random_states(rng, 2), eqs)
-        # the form's tables: (n, pairs, 4**n) L, (games,) pairs, (n, games, 2, 2**(n-1)) signs
+        # the form's tables: (n, states, 4**n) L, (n, games, 2, 2**(n-1)) signs
         shared = GainKernel(_random_states(rng, 1), eqs)
-        assert shared.states.shape == (1, 16)
-        assert shared.pauli.shape == (4, 2, 256) and shared.pair[0] == shared.pair[2] != shared.pair[1]
+        assert shared.states.shape == (1, 16) and shared.g_values.shape == (16,)
+        assert shared.pauli.shape == (4, 1, 256)
         assert shared.signs.shape == (4, 3, 2, 8) and shared.constant.shape == (3,)
-        per_state = GainKernel(_random_states(rng, 2), eqs[0])
-        assert per_state.pauli.shape == (4, 2, 256) and per_state.pair.tolist() == [0, 1]
+        per_state = GainKernel(_random_states(rng, 2), eq)
+        assert per_state.pauli.shape == (4, 2, 256)
         assert per_state.signs.shape == (4, 1, 2, 8) and per_state.constant.shape == (1,)
+
+    def test_a_kernel_plays_one_g(self):
+        rng = np.random.default_rng(6)
+        eqs = [ghz_game_equation(), w_game_equation()]
+        with pytest.raises(ValueError, match="share one g"):
+            GainKernel(_random_states(rng, 1), eqs)
+        with pytest.raises(ValueError, match="share one g"):
+            GainKernel(_random_states(rng, 2), eqs)
+        with pytest.raises(ValueError, match="share one g"):
+            _optimize_games(_random_states(rng, 2), eqs, [1, 2], OptimizerConfig(restarts=2))
+        # the same f and g as a different object is the same g
+        twin = GameEquation(eqs[1].f, TruthTable.from_text(eqs[0].g.to_text()))
+        assert GainKernel(_random_states(rng, 1), [eqs[0], twin]).pauli.shape == (4, 1, 256)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pauli_has_one_row_per_state_and_one_state_broadcasts_it(self, n):
+        rng = np.random.default_rng(40 + n)
+        g = TruthTable(n, torus._parity_bits(n))
+        eqs = [GameEquation(TruthTable(n, int(f)), g) for f in rng.integers(0, 1 << (1 << n), 3)]
+        states = _random_states(rng, 3, n)
+        per_state = GainKernel(states, eqs)
+        assert per_state.pauli.shape == (n, 3, 4**n)
+        for j, psi in enumerate(states):
+            assert np.array_equal(per_state.pauli[:, j], GainKernel(psi, eqs[j]).pauli[:, 0])
+        # one state: its one row, read by every game's rows, gives each game's own gains
+        shared = GainKernel(states[0], eqs)
+        assert shared.pauli.shape == (n, 1, 4**n)
+        angles = rng.uniform(0.0, 4 * math.pi, (12, 6 * n))
+        game = np.arange(12) % 3
+        gains = shared.gains(angles, game)
+        for j, eq in enumerate(eqs):
+            assert np.array_equal(gains[game == j], GainKernel(states[0], eq).gains(angles[game == j]))
 
     @pytest.mark.parametrize("rows, games, restarts, warmed", [
         (1, 1, 1, 0), (255, 15, 17, 0), (256, 15, 17, 1), (777, 37, 20, 37),
@@ -1359,7 +1416,8 @@ class TestRowIndependence:
         # state: small blocks split games, and the last block may be short
         rng = np.random.default_rng(26)
         states = _random_states(rng, 5)
-        eqs = [ghz_game_equation(), w_game_equation()] * 2 + [ghz_game_equation()]
+        eq = ghz_game_equation()
+        eqs = [eq, GameEquation(w_game_equation().f, eq.g)] * 2 + [eq]
         seeds = [int(s) for s in rng.integers(0, 2**31, 5)]
         warm = [[rng.uniform(0.0, 4 * math.pi, 24)] if j in (1, 3) else [] for j in range(5)]
         cfg = OptimizerConfig(restarts=4, max_evals=400, seed=0)
