@@ -247,13 +247,12 @@ class GainKernel:
     One kernel holds one or more games that share one answer side g: one
     state per game or one shared by every game, and likewise one question
     side f per game or one shared.  Games with different g raise
-    ValueError.  It keeps the table entries ``f_values`` (one row per f)
-    and ``g_values`` (g's one row).  ``game`` is the (B,) index of each
-    row's game, which picks both its state and its f, and None means that
-    every row plays the first.  Every product is stacked per row, never one
-    2-D product across rows, and no arithmetic reuses a temporary in place,
-    so a row's results do not depend on the other rows of its batch, bit
-    for bit, at any batch size.
+    ValueError.  ``game`` is the (B,) index of each row's game, which
+    picks both its state and its f, and None means that every row plays
+    the first.  Every product is stacked per row, never one 2-D product
+    across rows, and no arithmetic reuses a temporary in place, so a row's
+    results do not depend on the other rows of its batch, bit for bit, at
+    any batch size.
 
     Every win probability comes from one form in Bloch rows: (B, n, 2, 4),
     per player k and question bit q the row A_k^q = (1, r_k^q), where
@@ -269,12 +268,14 @@ class GainKernel:
     g-hat(S) = sum_a g(a) (-1)^{a . S}.  ``gains`` turns gate angles into
     Bloch rows and evaluates the form; the see-saw steps on the rows.
 
-    Its tables are built once, in ``__init__``, from g-hat once: ``pauli``
-    (n, S, 4**n) holds 4**-n L of each state, in each player's layout
-    (``_form_index``); ``signs`` (n, F, 2, 2**(n-1)) holds s_q of each f in
-    each player's layout, and ``constant`` (F,) c_f.  Each row reads its
-    game's entry of every table (``_per_row``), and a table of one entry
-    broadcasts it to every row.
+    Its tables are built once, in ``__init__``, and the torus path reads
+    its games from them too: ``g_hat`` (2**n,) holds g-hat(S), exact
+    integers, at the bit mask S of the players in the order of answers;
+    ``pauli`` (n, S, 4**n) holds 4**-n L of each state, in each player's
+    layout (``_form_index``); ``signs`` (n, F, 2, 2**(n-1)) holds s_q of
+    each f in each player's layout, and ``constant`` (F,) c_f.  Each row
+    reads its game's entry of every table (``_per_row``), and a table of
+    one entry broadcasts it to every row.
     """
 
     def __init__(
@@ -294,20 +295,20 @@ class GainKernel:
             raise ValueError("a kernel's games share one g; run each g in its own kernel")
         # (S, 2**n): one row per game, or one shared; states of other sizes do not stack
         states = self.states = np.stack([psi.amplitudes for psi in states])
-        self.f_values = np.array([eq.f.bits for eq in eqs])[:, None] >> np.arange(1 << n) & 1
-        self.g_values = eqs[0].g.values()
+        f_values = np.array([eq.f.bits for eq in eqs])[:, None] >> np.arange(1 << n) & 1
         walsh, support, paulis, questions = _form_index(n)
+        self.g_hat = eqs[0].g.values() @ walsh
         # (S, 4**n): <psi| sigma_mu |psi>, each qubit's (i, j) pair of psi psi^dagger
         # mapped to its Pauli index, one qubit per product
         rho = (states[:, :, None] * states[:, None, :].conj()).reshape((-1,) + (2,) * (2 * n))
         t = rho.transpose(0, *(1 + k + n * side for k in range(n) for side in (0, 1)))
         for _ in range(n):
             t = _PAULI @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
-        form = (self.g_values @ walsh)[support] * t.reshape(-1, 4**n).real / 4**n
-        signs = (2.0 * self.f_values - 1.0)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
+        form = self.g_hat[support] * t.reshape(-1, 4**n).real / 4**n
+        signs = (2.0 * f_values - 1.0)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
         self.pauli = np.ascontiguousarray(form[:, paulis].swapaxes(0, 1))
         self.signs = np.ascontiguousarray(signs.swapaxes(0, 1))
-        self.constant = (1.0 - self.f_values).sum(axis=1) / (1 << n)
+        self.constant = (1.0 - f_values).sum(axis=1) / (1 << n)
 
     @staticmethod
     def _per_row(tables: np.ndarray, index: np.ndarray | None) -> np.ndarray:

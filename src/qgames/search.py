@@ -343,21 +343,22 @@ def _optimize_games(
     otherwise: one ``GainKernel`` holds every game).  It draws its starts
     from ``seeds[j]`` and adds the warm starts ``extra_starts[j]`` after them.
 
-    The input picks each game's path.  An XOR game on a GHZ-type state
-    (``torus.xor_games``) takes the torus path, ``torus.optimize``,
-    which reads only ``cfg.restarts``; ``max_evals`` and ``tol`` are see-saw
-    settings.  Every other game takes the see-saw: the restarts of all of
-    them, in game order, run in consecutive blocks of at most
-    ``_TASK_ROWS`` rows, so a block may split a game.  Each solver picks a
-    game's best start by its own score (the torus value, the see-saw's
-    gain), and one kernel call then evaluates every game's returned angles
-    afresh: that is the game's gain.  Each game's result is bit-identical
-    to running it alone.
+    The input picks each game's path.  An XOR game on a GHZ-type state,
+    which ``torus.xor_games`` reads off the kernel's g-hat, signs and
+    states, takes the torus path, ``torus.optimize``, which reads only
+    ``cfg.restarts``; ``max_evals`` and ``tol`` are see-saw settings.
+    Every other game takes the see-saw: the restarts of all of them, in
+    game order, run in consecutive blocks of at most ``_TASK_ROWS`` rows,
+    so a block may split a game.  Each solver picks a game's best start by
+    its own score (the torus value, the see-saw's gain), the first of the
+    largest (``torus._leading``), and one kernel call then evaluates every
+    game's returned angles afresh: that is the game's gain.  Each game's
+    result is bit-identical to running it alone.
     """
     count = len(seeds)
     extra_starts = extra_starts or [()] * count
     kernel = GainKernel(states, eqs)
-    on, signs, chi = torus.xor_games(kernel.states, kernel.f_values, kernel.g_values, count)
+    on, signs, chi = torus.xor_games(kernel, count)
     on_torus, seesaw = np.flatnonzero(on), np.flatnonzero(~on)
     dim = 6 * kernel.n
     best = np.empty((count, kernel.n, 2, 3))
@@ -380,9 +381,7 @@ def _optimize_games(
             block = slice(lo, lo + _TASK_ROWS)
             final[block], row_gains[block] = _see_saw(
                 kernel, start_rows[block], game[block], max_sweeps, cfg.tol)
-        picks = [lo + int(np.argmax(row_gains[lo:lo + rows]))
-                 for lo, rows in zip(np.cumsum([0] + counts[:-1]), counts)]
-        best[seesaw] = _angles_from_bloch(final[picks])
+        best[seesaw] = _angles_from_bloch(final[torus._leading(game, row_gains, 1)])
     gains = kernel.gains(best.reshape(count, -1), np.arange(count))
     return [(float(gain), QuantumStrategy(angles)) for gain, angles in zip(gains, best)]
 

@@ -18,7 +18,8 @@ alpha_k(1) - alpha_k(0).  The classical value is the same maximum over
 delta in {0, pi}^n, the largest Walsh coefficient.  Neither closed form
 holds for any other g, such as the W game's, nor on other states.
 
-``xor_games`` says which games are such games, and ``optimize``
+``xor_games`` says which games of a ``GainKernel`` are such games, from
+the kernel's own tables (its states, g-hat and signs), and ``optimize``
 finds the best delta of each and returns its equatorial strategy: a few
 coordinate sweeps from every start, then Newton steps from each game's
 best few.
@@ -31,20 +32,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import GameEquation
-from .quantum import TWO_PI, StateVector, _form_index
+from .quantum import TWO_PI, GainKernel, _form_index
 
 #: Coordinate-ascent sweeps that every torus start takes, then Newton steps
 #: that each game's ``_POLISHED`` starts of largest swept |S| take.
 _SWEEPS = 4
 _NEWTON_STEPS = 5
 _POLISHED = 4
-
-
-@functools.cache
-def _parity_bits(n: int) -> int:
-    """The table of a1 ^ ... ^ an."""
-    return sum(1 << a for a in range(1 << n) if bin(a).count("1") % 2)
 
 
 @functools.cache
@@ -62,35 +56,30 @@ def _supersets(n: int) -> np.ndarray:
     return table
 
 
-def xor_games(states: np.ndarray, f: np.ndarray, g: np.ndarray,
-              count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def xor_games(kernel: GainKernel, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (count,) torus mask, and the (T, 2**n) signs s_q and (T,) phases chi of its games.
 
-    A game takes the torus path when ``g`` is parity or its complement and
-    the state is GHZ-type: exactly two non-zero amplitudes, of equal
-    modulus, on |0...0> and |1...1>, with any relative phase chi.  Then
-    s_q = (-1)^(f(q) ^ c), with c = 1 for the complement.  ``states``
-    (S, 2**n) and table entries ``f`` (F, 2**n) hold one row per game or
-    one shared, and ``g`` (2**n,) is every game's one answer side, as in
-    ``GainKernel``: each state is read once, and g is tested once.
+    A game of ``kernel`` takes the torus path when its g is parity or its
+    complement and its state is GHZ-type: exactly two non-zero amplitudes,
+    of equal modulus, on |0...0> and |1...1>, with any relative phase chi.
+    The kernel's g-hat tells the g: parity's is 2**(n-1) on the empty set,
+    -2**(n-1) on the set of all players and 0 elsewhere, its complement's
+    +2**(n-1) on both, and no other g has g-hat 0 off those two sets with
+    g-hat(all players) != 0.  Then s_q = (-1)^(f(q) ^ c), with c = 1 for
+    the complement, which is sign(g-hat(all players)) times the kernel's
+    signs 2 f(q) - 1.  Each state is read once, and g is tested once.
     """
-    n = g.size.bit_length() - 1
+    states, g_hat = kernel.states, kernel.g_hat
     ends = states[:, [0, -1]]
     ghz = ((np.count_nonzero(states, axis=1) == 2) & ends.all(axis=1)
            & (np.abs(np.abs(ends[:, 0]) - np.abs(ends[:, 1])) <= 1e-12))
-    # g ^ parity is one constant, c, exactly when g is parity or its complement
-    flip = g ^ ((_parity_bits(n) >> np.arange(1 << n)) & 1)
+    xor = g_hat[-1] != 0 and not g_hat[1:-1].any()
     game = np.arange(count)
-    on = ghz[game % len(ghz)] & (flip == flip[0]).all()
-    signs = 1.0 - 2.0 * (f ^ flip[0])
+    on = ghz[game % len(ghz)] & xor
+    # player 0's layout of the kernel's signs is the order of questions
+    signs = np.sign(g_hat[-1]) * kernel.signs[0].reshape(-1, g_hat.size)
     chi = np.angle(ends[:, 1] * ends[:, 0].conj())
     return on, signs[game[on] % len(signs)], chi[game[on] % len(chi)]
-
-
-def signs_and_phase(psi: StateVector, eq: GameEquation) -> tuple[np.ndarray, float] | None:
-    """The signs s_q of one game and its state's phase chi, or None: ``xor_games`` with g's row."""
-    on, signs, chi = xor_games(psi.amplitudes[None], eq.f.values()[None], eq.g.values(), 1)
-    return (signs[0], float(chi[0])) if on[0] else None
 
 
 def _terms(signs: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -426,14 +426,20 @@ class TestSeeSaw:
         assert np.abs(before - after).max() <= 1e-15
 
 
-def _step_setup(n, seed, batch=6):
-    """A kernel on a random n-qubit state with three random f against one random g, and
-    random start angles."""
+def _step_games(n, seed):
+    """A random n-qubit state, three random f against one random g, and the generator
+    that drew them."""
     rng = np.random.default_rng(seed)
     psi = StateVector(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
     size = 1 << (1 << n)
     g = TruthTable(n, int(rng.integers(size)))
     eqs = [GameEquation(TruthTable(n, int(rng.integers(size))), g) for _ in range(3)]
+    return psi, eqs, rng
+
+
+def _step_setup(n, seed, batch=6):
+    """A kernel on ``_step_games``'s state and games, and random start angles."""
+    psi, eqs, rng = _step_games(n, seed)
     angles = rng.uniform(0.0, 4 * math.pi, (batch, n, 2, 3))
     return GainKernel(psi, eqs), angles, rng.integers(0, 3, batch), rng
 
@@ -446,11 +452,16 @@ def _gains(kernel, rows, game=None):
 class TestBestResponseStep:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_form_tables_hold_g_hat_times_each_pauli_expectation(self, n):
-        kernel, _, _, _ = _step_setup(n, 30 + n)
+        state, eqs, _ = _step_games(n, 30 + n)
+        kernel = GainKernel(state, eqs)
         sigma = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                  np.diag([1.0, -1.0])]
         (psi,) = kernel.states
-        g = kernel.g_values
+        g = eqs[0].g.values()
+        # g-hat(S) = sum_a g(a) (-1)^{|a & S|}, S a bit mask of players in the order of answers
+        g_hat = [sum(g[a] * (-1) ** bin(a & support).count("1") for a in range(1 << n))
+                 for support in range(1 << n)]
+        assert kernel.g_hat.tolist() == g_hat
         # L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, mu in player order, player 1 first
         expect = np.empty((4,) * n)
         for mu in itertools.product(range(4), repeat=n):
@@ -458,15 +469,14 @@ class TestBestResponseStep:
             for m in mu:
                 op = np.kron(op, sigma[m])
             support = sum((m != 0) << (n - 1 - k) for k, m in enumerate(mu))
-            g_hat = sum(g[a] * (-1) ** bin(a & support).count("1") for a in range(1 << n))
-            expect[mu] = g_hat * (psi.conj() @ op @ psi).real / 4**n
+            expect[mu] = g_hat[support] * (psi.conj() @ op @ psi).real / 4**n
         # one row of L per state, whatever the number of f
         assert kernel.pauli.shape == (n, 1, 4**n) and kernel.signs.shape == (n, 3, 2, 1 << (n - 1))
         # player k's layout: axes k, k+1, ..., n-1, 0, ..., k-1
         orders = [[(k + i) % n for i in range(n)] for k in range(n)]
         for k, order in enumerate(orders):
             assert np.abs(kernel.pauli[k, 0] - expect.transpose(order).reshape(-1)).max() < 1e-12
-        for j, f in enumerate(kernel.f_values):
+        for j, f in enumerate(eq.f.values() for eq in eqs):
             # c_f, the share of questions where f is 0
             assert kernel.constant[j] == ((1 << n) - f.sum()) / (1 << n)
             for k, order in enumerate(orders):
@@ -653,6 +663,16 @@ def _ghz(n, phase=0.0):
     return StateVector(amps)
 
 
+def _parity(n):
+    """The answer side a1 ^ ... ^ an."""
+    return parse_table("^".join(ANSWER_VARS[n]), ANSWER_VARS[n])
+
+
+def _on_torus(psi, eq):
+    """Whether the one game ``eq`` on ``psi`` takes the torus path."""
+    return bool(torus.xor_games(GainKernel(psi, eq), 1)[0][0])
+
+
 class TestTorusPath:
     """XOR games on GHZ-type states take the closed-form ascent over the phase torus."""
 
@@ -676,7 +696,7 @@ class TestTorusPath:
                  for f in stratified_subsample(list(reduce_function_space(4)), 12, 1729)]
         rng = np.random.default_rng(18)
         for n in (2, 3):
-            g = TruthTable(n, torus._parity_bits(n))
+            g = _parity(n)
             for k, bits in enumerate(rng.integers(0, 1 << (1 << n), 10)):
                 games.append((n, GameEquation(TruthTable(n, int(bits)), g if k % 2 else g.complement())))
         for n, eq in games:
@@ -716,7 +736,7 @@ class TestTorusPath:
             rows.clear()
             gain, strategy = optimize_quantum(psi, game, OptimizerConfig(restarts=4, seed=1))
             assert (rows == []) == on_torus
-            assert (torus.signs_and_phase(psi, game) is not None) == on_torus
+            assert _on_torus(psi, game) == on_torus
             assert gain == win_probability(psi, strategy, game)
 
     def test_mixed_games_equal_games_run_alone(self):
@@ -736,8 +756,7 @@ class TestTorusPath:
         for states, eqs, on_torus in cases:
             seeds = [int(s) for s in rng.integers(0, 2**31, len(states))]
             warm = [[rng.uniform(0.0, 4 * math.pi, 24)] if j % 2 else [] for j in range(len(states))]
-            assert [torus.signs_and_phase(psi, e) is not None
-                    for psi, e in zip(states, eqs)] == on_torus
+            assert [_on_torus(psi, e) for psi, e in zip(states, eqs)] == on_torus
             batch = _optimize_games(states, eqs, seeds, cfg, warm)
             for j, (gain, strategy) in enumerate(batch):
                 alone_gain, alone = _optimize_games(states[j], eqs[j], [seeds[j]], cfg, [warm[j]])[0]
@@ -776,25 +795,26 @@ class TestTorusPath:
         assert [len(space) for space in spaces] == [20, 300]
         for space in spaces:
             n = space[0].arity
-            g, psi = TruthTable(n, torus._parity_bits(n)), _ghz(n)
-            games = [torus.signs_and_phase(psi, GameEquation(f, g)) for f in space]
-            signs, chi = np.array([s for s, _ in games]), np.array([c for _, c in games])
-            seeds = [derive_task_seed(seed, j) for j in range(len(games))]
-            few = torus.optimize(signs, chi, seeds, 20, [()] * len(games))
+            kernel = GainKernel(_ghz(n), [GameEquation(f, _parity(n)) for f in space])
+            on, signs, chi = torus.xor_games(kernel, len(space))
+            assert on.all()
+            seeds = [derive_task_seed(seed, j) for j in range(len(space))]
+            few = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
             with monkeypatch.context() as polish_all:
                 polish_all.setattr(torus, "_POLISHED", 10**6)
-                every = torus.optimize(signs, chi, seeds, 20, [()] * len(games))
+                every = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
             # |S| <= 2**n; as win probabilities, 1/2 + |S| / 2**(n+1)
             assert np.abs(self.torus_value(signs, few) - self.torus_value(signs, every)).max() <= 1e-12
 
     @pytest.mark.parametrize("restarts, warm", [(1, 0), (2, 1)])
     def test_games_with_at_most_polished_starts_polish_all_of_them(self, restarts, warm, monkeypatch):
         rng = np.random.default_rng(restarts)
-        games = [torus.signs_and_phase(_ghz(4, 0.4), GameEquation(
-            TruthTable(4, int(bits)), ghz_game_equation().g)) for bits in rng.integers(0, 1 << 16, 30)]
-        signs, chi = np.array([s for s, _ in games]), np.array([c for _, c in games])
-        seeds = [int(s) for s in rng.integers(0, 2**31, len(games))]
-        extras = [[rng.uniform(0.0, 4 * math.pi, 24) for _ in range(warm)] for _ in games]
+        eqs = [GameEquation(TruthTable(4, int(bits)), ghz_game_equation().g)
+               for bits in rng.integers(0, 1 << 16, 30)]
+        on, signs, chi = torus.xor_games(GainKernel(_ghz(4, 0.4), eqs), len(eqs))
+        assert on.all()
+        seeds = [int(s) for s in rng.integers(0, 2**31, len(eqs))]
+        extras = [[rng.uniform(0.0, 4 * math.pi, 24) for _ in range(warm)] for _ in eqs]
         assert restarts + 1 + warm <= torus._POLISHED
         few = torus.optimize(signs, chi, seeds, restarts, extras)
         monkeypatch.setattr(torus, "_POLISHED", 10**6)
@@ -883,7 +903,7 @@ class TestTaskSetUp:
         """Parity, the W game's g (exactly n - 1 answers 1) and two seeded random g."""
         rng = np.random.default_rng(n)
         w = sum(1 << a for a in range(1 << n) if bin(a).count("1") == n - 1)
-        return [TruthTable(n, torus._parity_bits(n)), TruthTable(n, w),
+        return [_parity(n), TruthTable(n, w),
                 *(TruthTable(n, int(bits)) for bits in rng.integers(0, 1 << (1 << n), 2))]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -898,8 +918,7 @@ class TestTaskSetUp:
 
     @staticmethod
     def torus_games(states, eqs, count):
-        kernel = GainKernel(states, eqs)
-        return torus.xor_games(kernel.states, kernel.f_values, kernel.g_values, count)
+        return torus.xor_games(GainKernel(states, eqs), count)
 
     def test_torus_games_equal_games_classified_alone(self):
         rng = np.random.default_rng(22)
@@ -931,17 +950,41 @@ class TestTaskSetUp:
         for states, eqs in cases:
             count = max(len(x) if isinstance(x, list) else 1 for x in (states, eqs))
             on, signs, chi = self.torus_games(states, eqs, count)
-            alone = [torus.signs_and_phase(states[j] if isinstance(states, list) else states,
-                                           eqs[j] if isinstance(eqs, list) else eqs)
+            alone = [self.torus_games(states[j] if isinstance(states, list) else states,
+                                      eqs[j] if isinstance(eqs, list) else eqs, 1)
                      for j in range(count)]
-            assert on.tolist() == [game is not None for game in alone]
-            on_torus = [game for game in alone if game is not None]
-            assert np.array_equal(signs, np.array([s for s, _ in on_torus]).reshape(-1, 16))
-            assert chi.tolist() == [c for _, c in on_torus]
+            assert on.tolist() == [bool(game[0][0]) for game in alone]
+            on_torus = [game for game in alone if game[0][0]]
+            assert np.array_equal(signs, np.array([s[0] for _, s, _ in on_torus]).reshape(-1, 16))
+            assert chi.tolist() == [c[0] for _, _, c in on_torus]
         # s_q = (-1)^(f(q) ^ c) and chi, written out, for the phased state and parity's complement
         on, signs, chi = self.torus_games(phased, [complement], 1)
         assert on.tolist() == [True] and chi.tolist() == [pytest.approx(2.1, abs=1e-12)]
         assert signs[0].tolist() == [1.0 - 2.0 * (eq.f.value(q) ^ 1) for q in range(16)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_torus_path_takes_the_g_whose_xor_with_parity_is_constant(self, n):
+        # every answer side at n = 2 and 3; parity, its complement and 200 seeded g at n = 4
+        rng = np.random.default_rng(29 + n)
+        parity = [bin(a).count("1") % 2 for a in range(1 << n)]
+        if n < 4:
+            sides = [TruthTable(n, bits) for bits in range(1 << (1 << n))]
+        else:
+            sides = [_parity(n), _parity(n).complement(),
+                     *(TruthTable(n, int(bits)) for bits in rng.integers(0, 1 << 16, 200))]
+        assert len(sides) == {2: 16, 3: 256, 4: 202}[n]
+        psi = _ghz(n, 0.9)
+        for g in sides:
+            eqs = [GameEquation(TruthTable(n, int(f)), g) for f in rng.integers(0, 1 << (1 << n), 3)]
+            on, signs, chi = torus.xor_games(GainKernel(psi, eqs), len(eqs))
+            flips = {g.value(a) ^ parity[a] for a in range(1 << n)}
+            assert on.tolist() == [len(flips) == 1] * len(eqs), g.to_text()
+            if len(flips) == 1:
+                (c,) = flips
+                # s_q = (-1)^(f(q) ^ c), written out
+                assert signs.tolist() == [[(-1.0) ** (eq.f.value(q) ^ c) for q in range(1 << n)]
+                                          for eq in eqs]
+                assert chi.tolist() == [pytest.approx(0.9, abs=1e-12)] * len(eqs)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_the_form_wins_where_f_of_the_questions_equals_g_of_the_answers(self, n):
@@ -992,7 +1035,7 @@ class TestOneEvaluation:
 
         monkeypatch.setattr(GainKernel, "gains", spy)
         states, eqs, seeds = self.mixed_games()
-        assert [torus.signs_and_phase(psi, e) is not None for psi, e in zip(states, eqs)] == [
+        assert [_on_torus(psi, e) for psi, e in zip(states, eqs)] == [
             True, False, False, True, False]
         _optimize_games(states, eqs, seeds, OptimizerConfig(restarts=5, seed=0))
         assert calls == [(5, [0, 1, 2, 3, 4])]
@@ -1350,7 +1393,7 @@ class TestRowIndependence:
             GainKernel(_random_states(rng, 2), eqs)
         # the form's tables: (n, states, 4**n) L, (n, games, 2, 2**(n-1)) signs
         shared = GainKernel(_random_states(rng, 1), eqs)
-        assert shared.states.shape == (1, 16) and shared.g_values.shape == (16,)
+        assert shared.states.shape == (1, 16) and shared.g_hat.shape == (16,)
         assert shared.pauli.shape == (4, 1, 256)
         assert shared.signs.shape == (4, 3, 2, 8) and shared.constant.shape == (3,)
         per_state = GainKernel(_random_states(rng, 2), eq)
@@ -1373,7 +1416,7 @@ class TestRowIndependence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pauli_has_one_row_per_state_and_one_state_broadcasts_it(self, n):
         rng = np.random.default_rng(40 + n)
-        g = TruthTable(n, torus._parity_bits(n))
+        g = _parity(n)
         eqs = [GameEquation(TruthTable(n, int(f)), g) for f in rng.integers(0, 1 << (1 << n), 3)]
         states = _random_states(rng, 3, n)
         per_state = GainKernel(states, eqs)

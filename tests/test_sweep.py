@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qgames.boolfn import ANSWER_VARS, QUESTION_VARS, GameEquation, parse_table
-from qgames.quantum import FamilyId, make_family_state, make_named_state
+from qgames.quantum import FamilyId, GainKernel, make_family_state, make_named_state
 from qgames import torus
 from qgames.search import OptimizerConfig, derive_task_seed, optimize_quantum
 from qgames.sweep import FamilyReport, SweepAxis, SweepSpec, family_report, run_sweep
@@ -222,8 +222,8 @@ class TestRunSweep:
             config=FAST,
         )
         result = run_sweep(spec)
-        on_torus = [torus.signs_and_phase(make_family_state(FamilyId.G_ABCD, {
-            "a": a, "b": b, "c": 0.0, "d": 1.0}), spec.equation) is not None
+        on_torus = [bool(torus.xor_games(GainKernel(make_family_state(FamilyId.G_ABCD, {
+            "a": a, "b": b, "c": 0.0, "d": 1.0}), spec.equation), 1)[0][0])
             for a, b in (p.coords for p in result.points)]
         assert on_torus == [False, False, True, False, False, False]
         assert result.points[2].gain == pytest.approx(TSIRELSON, abs=1e-12)
