@@ -17,8 +17,8 @@ Conventions
   numerically smallest table in the class.
 - Every class query runs on one bitwise kernel, ``_negate_inputs`` and
   ``_relevant``, which takes one table (an int) or many at once (an integer
-  array).  ``_canonical_all`` caches each arity's read-only class
-  table; ``canonical_representative`` and ``reduce_function_space`` read it.
+  array).  ``_orbit_min`` finds canonical forms on it: of one table for
+  ``canonical_representative``, of the whole space for ``reduce_function_space``.
 """
 
 from __future__ import annotations
@@ -299,25 +299,20 @@ def input_negation_variants(t: TruthTable) -> set[TruthTable]:
 
 def canonical_representative(t: TruthTable, include_output_flip: bool = False) -> TruthTable:
     """Numerically smallest table over the input-negation (and output-flip) orbit."""
-    return TruthTable(t.arity, int(_canonical_all(t.arity, include_output_flip)[t.bits]))
+    return TruthTable(t.arity, _orbit_min(t.bits, t.arity, include_output_flip))
 
 
-@functools.cache
-def _canonical_all(arity: int, include_output_flip: bool) -> np.ndarray:
-    """Canonical representative of every function, indexed by table value (read-only)."""
-    size = 1 << arity
-    values = np.arange(1 << size, dtype=np.uint32)
-    # one block, not a running minimum: freeing 4 MB here raises glibc's mmap
-    # threshold, and a later search then ran about 15% faster (arity 4)
-    variants = np.empty((size, values.size), dtype=np.uint32)
-    for mask in range(size):
-        variants[mask] = _negate_inputs(values, arity, mask)
-    canon = variants.min(axis=0)
+def _orbit_min(bits, arity: int, include_output_flip: bool):
+    """The smallest table in each orbit: input-negation variants (and their complements)."""
+    smaller, larger = (np.minimum, np.maximum) if isinstance(bits, np.ndarray) else (min, max)
+    low = high = bits
+    for mask in range(1, 1 << arity):
+        variant = _negate_inputs(bits, arity, mask)
+        low, high = smaller(low, variant), larger(high, variant)
     if include_output_flip:
         # a complement is full - v, so the smallest is full minus the largest variant
-        canon = np.minimum(canon, np.uint32((1 << size) - 1) - variants.max(axis=0))
-    canon.flags.writeable = False
-    return canon
+        low = smaller(low, (1 << (1 << arity)) - 1 - high)
+    return low
 
 
 @dataclass(frozen=True)
@@ -346,6 +341,7 @@ class ReducedSpace:
         return dict(self.stages)
 
 
+@functools.cache
 def reduce_function_space(
     arity: int,
     require_all_relevant: bool = True,
@@ -356,14 +352,16 @@ def reduce_function_space(
     Deduplicates by input negation, optionally folds complements together,
     and optionally keeps only classes in which every variable is relevant
     (relevance is a class invariant, so it is tested on representatives).
+    The result is cached on the arguments as passed: a repeated call returns
+    the same immutable ``ReducedSpace``.
     """
     if arity not in SUPPORTED_ARITIES:
         raise ValueError(f"arity must be one of {SUPPORTED_ARITIES}, got {arity}")
     full_count = 1 << (1 << arity)
     stages = [("full_space", full_count),
               ("after_output_flip", full_count // 2 if include_output_flip else full_count)]
-    canon = _canonical_all(arity, include_output_flip)
-    reps = np.flatnonzero(canon == np.arange(canon.size))  # each class's own canonical form
+    values = np.arange(full_count, dtype=np.uint32)
+    reps = np.flatnonzero(_orbit_min(values, arity, include_output_flip) == values)
     stages.append(("after_variant_dedup", int(reps.size)))
     if require_all_relevant:
         reps = reps[np.logical_and.reduce([_relevant(reps, arity, k) for k in range(arity)])]

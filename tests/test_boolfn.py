@@ -34,6 +34,19 @@ from qgames.boolfn import (
 XOR4 = 0x6996
 
 
+def orbit_min_by_index(bits, arity, flip):
+    """The smallest variant of a table, by brute force over index permutations.
+
+    Negating the inputs in ``mask`` maps table index i to i ^ mask; with the
+    flip, the complements of the variants join the orbit.
+    """
+    size = 1 << arity
+    variants = [sum(((bits >> (i ^ mask)) & 1) << i for i in range(size)) for mask in range(size)]
+    if flip:
+        variants += [((1 << size) - 1) ^ v for v in variants]
+    return min(variants)
+
+
 def oracle_table(arity, fn):
     """Independent tabulation: big-endian index -> bit, via a Python lambda."""
     bits = 0
@@ -215,6 +228,25 @@ class TestCanonical:
         for variant in input_negation_variants(t):
             assert canonical_representative(variant) == rep
 
+    @pytest.mark.parametrize("arity", (2, 3))
+    @pytest.mark.parametrize("flip", (False, True))
+    def test_every_function_against_index_permutations(self, arity, flip):
+        for bits in range(1 << (1 << arity)):
+            rep = canonical_representative(TruthTable(arity, bits), flip)
+            assert rep == TruthTable(arity, orbit_min_by_index(bits, arity, flip))
+
+    @pytest.mark.parametrize("arity", (5, 6))
+    @pytest.mark.parametrize("flip", (False, True))
+    def test_one_table_form_past_the_supported_arities(self, arity, flip):
+        # 32- and 64-bit tables stay Python ints: on numpy 2.4,
+        # np.minimum((1 << 64) - 1, (1 << 63) + 5) raises OverflowError
+        rng = random.Random(arity)
+        size = 1 << arity
+        for bits in [0, (1 << size) - 1, 1 << (size - 1)] + [rng.getrandbits(size) for _ in range(30)]:
+            low = boolfn._orbit_min(bits, arity, flip)
+            assert type(low) is int
+            assert low == orbit_min_by_index(bits, arity, flip)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -356,8 +388,17 @@ class TestReduce:
     @pytest.mark.parametrize("relevant", [True, False])
     @pytest.mark.parametrize("flip", [True, False])
     def test_equals_a_sort_based_reference(self, arity, relevant, flip):
-        # the classes as the distinct canonical forms, sorted by np.unique
-        reps = np.unique(boolfn._canonical_all(arity, flip)).tolist()
+        # the classes as the distinct canonical forms, sorted by np.unique; a
+        # variant is an index permutation: negating mask's inputs maps i to i ^ mask
+        size = 1 << arity
+        index = np.arange(size)
+        table_bits = (np.arange(1 << size)[:, None] >> index) & 1
+        variants = np.stack([(table_bits[:, index ^ mask] << index).sum(axis=1)
+                             for mask in range(size)])
+        canon = variants.min(axis=0)
+        if flip:
+            canon = np.minimum(canon, (((1 << size) - 1) ^ variants).min(axis=0))
+        reps = np.unique(canon).tolist()
         full = 1 << (1 << arity)
         stages = [("full_space", full), ("after_output_flip", full // 2 if flip else full),
                   ("after_variant_dedup", len(reps)), ("after_relevance_filter", None)]
@@ -374,6 +415,12 @@ class TestReduce:
         b = reduce_function_space(3, True, True)
         assert list(a) == list(b)
 
+    def test_second_call_returns_the_same_object(self):
+        for args in [(4,), (3, True, False), (2, False, True)]:
+            assert reduce_function_space(*args) is reduce_function_space(*args)
+
     def test_rejects_unsupported_arity(self):
-        with pytest.raises(ValueError):
-            reduce_function_space(5)
+        # an error is not cached: the second call raises too
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                reduce_function_space(5)
