@@ -26,7 +26,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import re
 import sys
 import time
@@ -55,6 +54,7 @@ from .search import (
     optimize_quantum,
     search_space,
     stratified_subsample,
+    usable_cpus,
 )
 from .sweep import SweepAxis, SweepSpec, run_sweep
 
@@ -95,8 +95,8 @@ _OPTIMIZED = (*_GAMES, "sweep")
 #: Every setting, by config key; its flag is the key with ``-`` for ``_``.
 _SETTINGS = {
     "seed": _Setting(int, _OPTIMIZER.seed, help=f"master seed (default {_OPTIMIZER.seed})"),
-    "workers": _Setting(int, os.cpu_count() or 1,
-                        help="worker processes for batch searches (default: cpu count)"),
+    "workers": _Setting(int, usable_cpus(),
+                        help="worker processes for batch searches (default: usable CPUs)"),
     "output_dir": _Setting(str, "runs", help="run-record directory (default ./runs)"),
     "config": _Setting(str, help="JSON config file mirroring the flags"),
     "arity": _Setting(int, 4, ("reduce",), choices=SUPPORTED_ARITIES),
@@ -149,8 +149,7 @@ def _read_json(path: str, what: str):
 
 
 def load_run_record(path: str | Path) -> RunRecord:
-    data = json.loads(Path(path).read_text())
-    return RunRecord(**data)
+    return RunRecord(**json.loads(Path(path).read_text()))
 
 
 def load_results_jsonl(path: str | Path) -> tuple[list[GameResult], dict | None]:
@@ -260,7 +259,6 @@ def _cmd_eval(args, run: _Run) -> None:
     psi = parse_state_literal(args.state)
     eq = GameEquation(_parse_side(args.f, psi.n, "f"), _parse_side(args.g, psi.n, "g"))
     cfg = _optimizer_config(args)
-    t0 = time.perf_counter()  # the game's own time, for the result's elapsed_ms
     classical = quantum = gap = strategy = None
     if args.mode in ("classical", "both"):
         classical, _ = classical_best(eq)
@@ -268,8 +266,7 @@ def _cmd_eval(args, run: _Run) -> None:
         quantum, strategy = optimize_quantum(psi, eq, cfg)
     if args.mode == "both":
         gap = quantum - classical
-    result = GameResult(eq, classical, quantum, strategy, gap, args.state, cfg.seed,
-                        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    result = GameResult(eq, classical, quantum, strategy, gap, args.state, cfg.seed)
     text = _dumps(result.to_json_dict(), indent=2)
     run.write("result.json", text + "\n")
     print(text)
@@ -301,9 +298,8 @@ def _run_search(args) -> tuple[list[GameResult], dict]:
     cfg = _optimizer_config(args)
     if args.sample is not None:
         tables = stratified_subsample(tables, args.sample, cfg.seed)
-    results = search_space(
-        g, psi, cfg, tables, workers=args.workers, state_descriptor=args.state
-    )
+    results = search_space(g, psi, cfg, tables, workers=args.workers,
+                           state_descriptor=args.state)
     ranked = sorted(results, key=lambda r: -r.gap)
     try:
         avg = average_gap(results)

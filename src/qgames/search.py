@@ -119,7 +119,6 @@ class GameResult:
     gap: float | None
     state: str
     seed: int
-    elapsed_ms: float | None = None
 
     def to_json_dict(self) -> dict:
         strategy = None
@@ -134,7 +133,6 @@ class GameResult:
             "strategy": strategy,
             "state": self.state,
             "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
         }
 
     @classmethod
@@ -144,7 +142,7 @@ class GameResult:
             strategy = QuantumStrategy(np.array(record["strategy"]["angles"]))
         eq = GameEquation(TruthTable.from_text(record["f"]), TruthTable.from_text(record["g"]))
         return cls(eq, record["classical"], record["quantum"], strategy, record["gap"],
-                   record["state"], record["seed"], record.get("elapsed_ms"))
+                   record["state"], record["seed"])
 
 
 # --- Classical search -----------------------------------------------------------
@@ -415,8 +413,13 @@ def optimize_quantum(
 
 # --- Batch search over a function space ------------------------------------------
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def derive_task_seed(master_seed: int, index: int) -> int:
-    """Stable per-task seed; independent of execution order and worker count."""
+    """Stable per-game seed (``index``: function or grid point); same for any split or order."""
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
 
 
@@ -491,7 +494,7 @@ def search_space(
         raise ValueError(f"g has arity {g.arity} but the state has {psi.n} qubits")
     tables = list(functions)
     total = len(tables)
-    workers = workers or os.cpu_count() or 1
+    workers = workers or usable_cpus()
     ranges = _split_tasks(total, workers, cfg.restarts)
     starts = [lo for lo, _ in ranges]
     parts = [tables[lo:hi] for lo, hi in ranges]

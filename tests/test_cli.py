@@ -13,7 +13,10 @@ import qgames
 from qgames import cli
 from qgames.cli import USAGE_ERROR, VALIDATION_ERROR, load_results_jsonl, load_run_record, main
 from qgames.quantum import StateVector, parse_state_literal
-from qgames.search import DEFAULT_SEED, OptimizerConfig
+from qgames.search import DEFAULT_SEED, GameResult, OptimizerConfig, usable_cpus
+
+#: The keys of one game's record in ``result.json`` and ``results.jsonl``.
+RESULT_KEYS = {"f", "g", "classical", "quantum", "gap", "strategy", "state", "seed"}
 
 
 @pytest.fixture
@@ -141,6 +144,33 @@ class TestEval:
         assert record.subcommand == "eval"
         assert record.outputs == [str(run_dirs[0] / "result.json")]
         assert (run_dirs[0] / "result.json").exists()
+
+    def test_rerun_is_byte_identical(self, out, capsys):
+        argv = ("eval", "--state", "w4", "--f", "wx+wy+wz+xy+xz+yz",
+                "--g", "!abcd + a!bcd + ab!cd + abc!d", "--seed", "5", "--restarts", "4")
+        for name in ("a", "b"):
+            assert run_cli(*argv, "--output-dir", str(out / name)) == 0
+        capsys.readouterr()
+        assert set(json.loads(_eval_result(out / "a"))) == RESULT_KEYS
+        assert _eval_result(out / "a") == _eval_result(out / "b")
+
+    @pytest.mark.parametrize("elapsed_ms", (None, 12.0))
+    def test_records_with_the_old_timing_key_still_load(self, out, capsys, elapsed_ms):
+        # files written while a game's record held its wall time, ``elapsed_ms``
+        assert run_cli("eval", "--state", "epr", "--f", "xy", "--g", "a^b",
+                       "--output-dir", str(out / "runs")) == 0
+        record = read_stdout(capsys)
+        old = record | {"elapsed_ms": elapsed_ms}
+        result_json = out / "result.json"
+        result_json.write_text(json.dumps(old, indent=2) + "\n")
+        results_jsonl = out / "results.jsonl"
+        summary = {"count": 1, "game_score": 1.0}
+        results_jsonl.write_text(json.dumps(old) + "\n" + json.dumps(summary) + "\n")
+        (from_jsonl,), loaded_summary = load_results_jsonl(results_jsonl)
+        assert loaded_summary == summary
+        from_json = GameResult.from_json_dict(json.loads(result_json.read_text()))
+        for result in (from_jsonl, from_json):
+            assert result.to_json_dict() == record
 
     def test_unknown_flag_is_usage_error(self, out):
         with pytest.raises(SystemExit) as err:
@@ -312,8 +342,9 @@ class TestSearchAndScore:
         results, summary = load_results_jsonl(results_path)
         assert summary["count"] == len(results) == 3
         assert summary["top_gaps"][0]["gap"] == pytest.approx(0.1036, abs=2e-3)
-        for r in results:
-            assert r.elapsed_ms is None  # timing excluded for byte-determinism
+        # results files hold no timing, so that they are byte-deterministic
+        lines = [json.loads(line) for line in results_path.read_text().splitlines()]
+        assert all(set(line) == RESULT_KEYS for line in lines[:-1])
 
     def test_worker_count_invariance(self, out, functions_file, capsys):
         a = out / "w1.jsonl"
@@ -682,7 +713,7 @@ class TestSettings:
         seed, workers, output_dir, value = {
             "flag": (7, 1, tmp_path / "flag-runs", flag_value),
             "config": (8, 3, tmp_path / "config-runs", config_value),
-            "default": (DEFAULT_SEED, os.cpu_count() or 1, tmp_path / "runs", default),
+            "default": (DEFAULT_SEED, usable_cpus(), tmp_path / "runs", default),
         }[layer]
         (run_dir,) = output_dir.iterdir()
         record = load_run_record(run_dir / "record.json")
@@ -707,11 +738,9 @@ class TestSettings:
 
 
 def _eval_result(run_dir):
-    """The ``result.json`` of the one run under ``run_dir``, without its timing."""
+    """The bytes of the ``result.json`` of the one run under ``run_dir``."""
     (path,) = run_dir.glob("*/result.json")
-    record = json.loads(path.read_text())
-    record.pop("elapsed_ms")
-    return record
+    return path.read_bytes()
 
 
 class TestParserReuse:

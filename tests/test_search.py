@@ -5,6 +5,7 @@ import itertools
 import json
 import logging
 import math
+import os
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -45,6 +46,7 @@ from qgames.search import (
     optimize_quantum,
     search_space,
     stratified_subsample,
+    usable_cpus,
 )
 from qgames import search, torus
 from qgames.search import (
@@ -1159,7 +1161,7 @@ class TestSearchSpace:
         # results files hold no timing, so that they are byte-deterministic
         space, psi, g, cfg = small_run
         results = search_space(g, psi, cfg, space, workers=1)
-        assert all(r.to_json_dict()["elapsed_ms"] is None for r in results)
+        assert not any("elapsed_ms" in r.to_json_dict() for r in results)
 
     def test_chsh_appears_as_the_top_gap(self, small_run):
         space, psi, g, cfg = small_run
@@ -1206,6 +1208,19 @@ class TestSearchSpace:
         assert f"master seed {cfg.seed}, game seeds [{derive_task_seed(cfg.seed, 1)}]" in message
         assert "overflow in the kernel" in message
         assert isinstance(err.value.__cause__, FloatingPointError)
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_mask_not_the_machine(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert usable_cpus() == 1
+
+    @pytest.mark.parametrize("count, expected", ((3, 3), (None, 1)))
+    def test_falls_back_to_the_cpu_count(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert usable_cpus() == expected
 
 
 class TestSplitTasks:
@@ -1534,12 +1549,12 @@ class TestGameResultJson:
         result = GameResult(
             equation=eq, classical_gain=0.75,
             quantum_gain=gain, quantum_strategy=strategy, gap=gain - 0.75,
-            state="epr", seed=9, elapsed_ms=12.0,
+            state="epr", seed=9,
         )
         record = result.to_json_dict()
-        assert record["elapsed_ms"] == 12.0
+        assert "elapsed_ms" not in record
         rebuilt = GameResult.from_json_dict(record)
-        assert rebuilt.elapsed_ms == 12.0
+        assert rebuilt.to_json_dict() == record
         assert rebuilt.equation == eq
         assert rebuilt.quantum_gain == gain
         assert np.allclose(rebuilt.quantum_strategy.angles, strategy.reduced_angles())
