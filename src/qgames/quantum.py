@@ -180,28 +180,36 @@ _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
 @functools.cache
+def _walsh(n: int) -> np.ndarray:
+    """(2**n, 2**n) (-1)^{|a & S|} at [a, S], so g @ walsh is g-hat (read-only)."""
+    index = np.arange(1 << n)
+    parity = np.zeros((1 << n, 1 << n), dtype=int)
+    for bit in range(n):
+        parity ^= (index[:, None] & index[None, :]) >> bit & 1
+    walsh = 1 - 2 * parity
+    walsh.flags.writeable = False
+    return walsh
+
+
+@functools.cache
 def _form_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per n, the index tables of the Pauli form (read-only).
 
-    - ``walsh`` (2**n, 2**n): (-1)^{|a & S|} at [a, S], so g @ walsh is g-hat;
+    - ``walsh`` (2**n, 2**n): ``_walsh(n)``;
     - ``support`` (4**n,): for each Pauli index mu in player order, the set S
       of the players with mu_k != 0, as a bit mask in the order of answers;
     - ``paulis`` (n, 4**n) and ``questions`` (n, 2**n): player k's layouts,
       axes k, k+1, ..., n-1, 0, ..., k-1, as indices into player order.
     """
     index = np.arange(1 << n)
-    parity = np.zeros((1 << n, 1 << n), dtype=int)
-    for bit in range(n):
-        parity ^= (index[:, None] & index[None, :]) >> bit & 1
     mu = np.arange(4**n)
     support = sum(((mu >> 2 * (n - 1 - k) & 3) != 0) << (n - 1 - k) for k in range(n))
     axes = [[(k + j) % n for j in range(n)] for k in range(n)]
     paulis = np.stack([mu.reshape((4,) * n).transpose(order).reshape(-1) for order in axes])
     questions = np.stack([index.reshape((2,) * n).transpose(order).reshape(-1) for order in axes])
-    tables = (1 - 2 * parity, support, paulis, questions)
-    for table in tables:
+    for table in (support, paulis, questions):
         table.flags.writeable = False
-    return tables
+    return _walsh(n), support, paulis, questions
 
 
 def _bloch(angles: np.ndarray) -> np.ndarray:

@@ -92,8 +92,8 @@ class OptimizerConfig:
     trial point counts like any other, and is tested against ``tol`` too
     unless its trial failed.  The torus path
     (XOR games on GHZ-type states) reads ``restarts`` and the seed only:
-    every start takes a fixed number of sweeps, and each game's few best
-    starts a fixed number of Newton steps.
+    every start takes a fixed number of sweeps, and each game's best
+    swept start (its few best at n >= 5) a fixed number of Newton steps.
     """
 
     restarts: int = 20

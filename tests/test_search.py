@@ -29,6 +29,8 @@ from qgames.quantum import (
     _angles_from_bloch,
     _bloch,
     _build_gate_stack,
+    _form_index,
+    _walsh,
     make_family_state,
     make_named_state,
     parse_state_literal,
@@ -789,37 +791,58 @@ class TestTorusPath:
         questions = np.array(list(itertools.product((0, 1), repeat=n)))
         return np.abs((signs * np.exp(1j * (delta @ questions.T))).sum(axis=1))
 
+    def heavy_reference_deviation(self, space, seed, monkeypatch):
+        """Largest |S| difference, over ``space`` on GHZ with parity g and with its complement,
+        between the torus budget and a heavy reference: 10 sweeps, every start polished,
+        10 Newton steps."""
+        n = space[0].arity
+        deviation = 0.0
+        for g in (_parity(n), _parity(n).complement()):
+            kernel = GainKernel(_ghz(n), [GameEquation(f, g) for f in space])
+            on, signs, chi = torus.xor_games(kernel, len(space))
+            assert on.all()
+            seeds = [derive_task_seed(seed, j) for j in range(len(space))]
+            budget = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
+            with monkeypatch.context() as heavy:
+                heavy.setattr(torus, "_budget", lambda n: (10, 10**6))
+                heavy.setattr(torus, "_NEWTON_STEPS", 10)
+                reference = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
+            # |S| <= 2**n; as win probabilities, 1/2 + |S| / 2**(n+1)
+            deviation = max(deviation, np.abs(self.torus_value(signs, budget)
+                                              - self.torus_value(signs, reference)).max())
+        return deviation
+
     @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
-    def test_polishing_the_best_starts_reaches_polishing_every_start(self, seed, monkeypatch):
-        # the 20 classes at n = 3 and the criterion-7 subsample at n = 4, parity g, on GHZ
+    def test_the_budget_meets_a_heavy_reference(self, seed, monkeypatch):
+        # the 20 classes at n = 3 and the criterion-7 subsample at n = 4: two sweeps and
+        # each game's one best swept start polished
         spaces = [list(reduce_function_space(3)),
                   stratified_subsample(list(reduce_function_space(4)), 300, DEFAULT_SEED)]
         assert [len(space) for space in spaces] == [20, 300]
         for space in spaces:
-            n = space[0].arity
-            kernel = GainKernel(_ghz(n), [GameEquation(f, _parity(n)) for f in space])
-            on, signs, chi = torus.xor_games(kernel, len(space))
-            assert on.all()
-            seeds = [derive_task_seed(seed, j) for j in range(len(space))]
-            few = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
-            with monkeypatch.context() as polish_all:
-                polish_all.setattr(torus, "_POLISHED", 10**6)
-                every = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
-            # |S| <= 2**n; as win probabilities, 1/2 + |S| / 2**(n+1)
-            assert np.abs(self.torus_value(signs, few) - self.torus_value(signs, every)).max() <= 1e-12
+            assert self.heavy_reference_deviation(space, seed, monkeypatch) <= 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+    def test_the_budget_meets_a_heavy_reference_on_the_full_space(self, seed, monkeypatch):
+        space = list(reduce_function_space(4))
+        assert len(space) == 2191
+        assert self.heavy_reference_deviation(space, seed, monkeypatch) <= 1e-12
 
     @pytest.mark.parametrize("restarts, warm", [(1, 0), (2, 1)])
     def test_games_with_at_most_polished_starts_polish_all_of_them(self, restarts, warm, monkeypatch):
+        # at n = 5, where a game polishes more than one start: raw sign vectors, since
+        # the game equations stop at four players
+        n = 5
         rng = np.random.default_rng(restarts)
-        eqs = [GameEquation(TruthTable(4, int(bits)), ghz_game_equation().g)
-               for bits in rng.integers(0, 1 << 16, 30)]
-        on, signs, chi = torus.xor_games(GainKernel(_ghz(4, 0.4), eqs), len(eqs))
-        assert on.all()
-        seeds = [int(s) for s in rng.integers(0, 2**31, len(eqs))]
-        extras = [[rng.uniform(0.0, 4 * math.pi, 24) for _ in range(warm)] for _ in eqs]
-        assert restarts + 1 + warm <= torus._POLISHED
+        signs = 1.0 - 2.0 * rng.integers(0, 2, (30, 1 << n))
+        chi = rng.uniform(0.0, 2 * math.pi, len(signs))
+        seeds = [int(s) for s in rng.integers(0, 2**31, len(signs))]
+        extras = [[rng.uniform(0.0, 4 * math.pi, n * 6) for _ in range(warm)] for _ in signs]
+        sweeps, polished = torus._budget(n)
+        assert 1 < restarts + 1 + warm <= polished
         few = torus.optimize(signs, chi, seeds, restarts, extras)
-        monkeypatch.setattr(torus, "_POLISHED", 10**6)
+        monkeypatch.setattr(torus, "_budget", lambda n: (sweeps, 10**6))
         assert np.array_equal(few, torus.optimize(signs, chi, seeds, restarts, extras))
 
     @pytest.mark.slow
@@ -850,7 +873,7 @@ class TestTorusPath:
                                for lo, hi in zip(bounds[:-1], bounds[1:])])
 
     # 12 games of 21 starts (20 restarts and the vertex); warm starts on some games, as in
-    # a sweep step; 1 or 2 restarts, so that some games have fewer starts than _POLISHED
+    # a sweep step; 1 or 2 restarts, so that some games have fewer starts than n >= 5 polishes
     @pytest.mark.parametrize("counts", [[21] * 12, [21, 22, 21, 21, 23, 22, 21],
                                         [2, 3, 2, 4, 5, 2, 3], [3, 21, 2, 7]])
     @pytest.mark.parametrize("ties", [False, True])
@@ -859,11 +882,12 @@ class TestTorusPath:
         game = np.repeat(np.arange(len(counts)), counts)
         # swept |S| values; with ties, few distinct values, so that most rows tie
         value = rng.integers(0, 3, game.size) * 1.0 if ties else rng.uniform(0.0, 16.0, game.size)
-        polished = torus._leading(game, value, torus._POLISHED)
-        assert np.array_equal(polished, self.leading_by_loop(counts, value, torus._POLISHED))
+        keep = torus._budget(5)[1]
+        polished = torus._leading(game, value, keep)
+        assert np.array_equal(polished, self.leading_by_loop(counts, value, keep))
         # each game's best polished start: the first of largest |S|, as argmax picks
         total = rng.integers(0, 2, polished.size) * 1.0 if ties else rng.uniform(0.0, 16.0, polished.size)
-        kept = [min(count, torus._POLISHED) for count in counts]
+        kept = [min(count, keep) for count in counts]
         bounds = np.cumsum([0] + kept)
         best = [lo + int(np.argmax(total[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
         assert torus._leading(game[polished], total, 1).tolist() == best
@@ -886,6 +910,14 @@ class TestTorusPath:
                       for m in range(1 << n)]
             m = values.index(max(values))
             assert vertex.tolist() == [math.pi * (m >> (n - 1 - k) & 1) for k in range(n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_walsh_table_is_one_read_only_table(self, n):
+        # the Pauli form's g-hat and the torus path's Walsh vertex read the same table
+        walsh = _walsh(n)
+        assert walsh is _form_index(n)[0] and not walsh.flags.writeable
+        assert walsh.tolist() == [[(-1) ** bin(a & m).count("1") for m in range(1 << n)]
+                                  for a in range(1 << n)]
 
     def test_a_torus_strategy_projects_back_onto_its_deltas(self):
         # warm starts enter the torus path as the deltas of their gates
