@@ -192,10 +192,9 @@ def _walsh(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _form_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _form_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per n, the index tables of the Pauli form (read-only).
 
-    - ``walsh`` (2**n, 2**n): ``_walsh(n)``;
     - ``support`` (4**n,): for each Pauli index mu in player order, the set S
       of the players with mu_k != 0, as a bit mask in the order of answers;
     - ``paulis`` (n, 4**n) and ``questions`` (n, 2**n): player k's layouts,
@@ -209,7 +208,7 @@ def _form_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     questions = np.stack([index.reshape((2,) * n).transpose(order).reshape(-1) for order in axes])
     for table in (support, paulis, questions):
         table.flags.writeable = False
-    return _walsh(n), support, paulis, questions
+    return support, paulis, questions
 
 
 def _bloch(angles: np.ndarray) -> np.ndarray:
@@ -304,8 +303,8 @@ class GainKernel:
         # (S, 2**n): one row per game, or one shared; states of other sizes do not stack
         states = self.states = np.stack([psi.amplitudes for psi in states])
         f_values = np.array([eq.f.bits for eq in eqs])[:, None] >> np.arange(1 << n) & 1
-        walsh, support, paulis, questions = _form_index(n)
-        self.g_hat = eqs[0].g.values() @ walsh
+        support, paulis, questions = _form_index(n)
+        self.g_hat = eqs[0].g.values() @ _walsh(n)
         # (S, 4**n): <psi| sigma_mu |psi>, each qubit's (i, j) pair of psi psi^dagger
         # mapped to its Pauli index, one qubit per product
         rho = (states[:, :, None] * states[:, None, :].conj()).reshape((-1,) + (2,) * (2 * n))

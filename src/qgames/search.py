@@ -93,7 +93,7 @@ class OptimizerConfig:
     unless its trial failed.  The torus path
     (XOR games on GHZ-type states) reads ``restarts`` and the seed only:
     every start takes a fixed number of sweeps, and each game's best
-    swept start (its few best at n >= 5) a fixed number of Newton steps.
+    swept start a fixed number of Newton steps.
     """
 
     restarts: int = 20
@@ -379,7 +379,7 @@ def _optimize_games(
             block = slice(lo, lo + _TASK_ROWS)
             final[block], row_gains[block] = _see_saw(
                 kernel, start_rows[block], game[block], max_sweeps, cfg.tol)
-        best[seesaw] = _angles_from_bloch(final[torus._leading(game, row_gains, 1)])
+        best[seesaw] = _angles_from_bloch(final[torus._leading(game, row_gains)])
     gains = kernel.gains(best.reshape(count, -1), np.arange(count))
     return [(float(gain), QuantumStrategy(angles)) for gain, angles in zip(gains, best)]
 

@@ -22,7 +22,7 @@ holds for any other g, such as the W game's, nor on other states.
 the kernel's own tables (its states, g-hat and signs), and ``optimize``
 finds the best delta of each and returns its equatorial strategy: a few
 coordinate sweeps from every start, then Newton steps from each game's
-best swept start (its best few at n >= 5).
+best swept start.
 """
 
 from __future__ import annotations
@@ -34,21 +34,13 @@ import numpy as np
 
 from .quantum import TWO_PI, GainKernel, _walsh
 
-#: Damped Newton steps that each polished start takes (``_polish``).
+#: Coordinate-ascent sweeps that every torus start takes, then Newton steps
+#: that each game's start of largest swept |S| takes.  Together they meet a
+#: heavy reference (10 sweeps, every start polished, 10 Newton steps) within
+#: 1e-12 on every three- and four-player class, with parity g and with its
+#: complement.
+_SWEEPS = 2
 _NEWTON_STEPS = 5
-
-
-def _budget(n: int) -> tuple[int, int]:
-    """(coordinate-ascent sweeps of every start, starts polished per game) at n players.
-
-    A game polishes its starts of largest swept |S|.  At n <= 4 two sweeps
-    and one polished start meet a heavy reference (10 sweeps, every start
-    polished, 10 Newton steps) within 1e-12 on every three- and
-    four-player class, with parity g and with its complement; at n >= 5,
-    on random sign vectors, that budget ends up to 2e-2 below four sweeps
-    and four polished starts, which stay there.
-    """
-    return (2, 1) if n <= 4 else (4, 4)
 
 
 @functools.cache
@@ -127,7 +119,7 @@ def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _sweep(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_budget(n)``'s coordinate-ascent sweeps of |S(delta)| from (R, n) starts.
+    """``_SWEEPS`` coordinate-ascent sweeps of |S(delta)| from (R, n) starts.
 
     Returns the deltas and their terms, turned in place.  A coordinate step writes
     S = A + e^{i delta_k} B, with A the terms where player k has question
@@ -143,7 +135,7 @@ def _sweep(signs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     columns = [supersets[:, [0, 1 << (n - 1 - k)]] for k in range(n)]
     delta = delta.copy()
     terms = _terms(signs, delta)
-    for _ in range(_budget(n)[0]):
+    for _ in range(_SWEEPS):
         for k in range(n):
             total, ones = (terms[:, None, :] @ columns[k])[:, 0].T
             step = np.angle((total - ones) * ones.conj())
@@ -229,15 +221,15 @@ def _angles(delta: np.ndarray, total: np.ndarray, chi: np.ndarray) -> np.ndarray
     return angles
 
 
-def _leading(game: np.ndarray, value: np.ndarray, keep: int) -> np.ndarray:
-    """Indices, in row order, of each game's ``keep`` rows of largest ``value`` (all, if fewer).
+def _leading(game: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Index of each game's row of largest ``value``, in game order.
 
     ``game`` does not decrease.  Of rows of equal value, the earlier leads:
-    the sort is stable, and it keeps the games in place, so entry i of
-    ``order`` is a row of game[i], at place i - (game[i]'s first row).
+    the sort is stable, and it keeps the games in place, so each game's
+    first row is also the first entry of its block in ``order``.
     """
     order = np.lexsort((-value, game))
-    return np.sort(order[np.arange(game.size) - np.searchsorted(game, game) < keep])
+    return order[np.arange(game.size) == np.searchsorted(game, game)]
 
 
 def optimize(
@@ -252,10 +244,9 @@ def optimize(
     ``signs`` (G, 2**n) and ``chi`` (G,) are ``xor_games`` results.  Game j
     starts from ``restarts`` deltas drawn uniformly from [0, 2pi)^n by
     ``seeds[j]``, then from its best Walsh vertex, then from the deltas of
-    its warm starts.  Every start takes ``_sweep``; then the game's
-    starts of largest swept |S|, as many as ``_budget(n)`` polishes, take
-    ``_polish``, and its strategy is that of the polished start with the
-    largest |S|: at n <= 4, of its one polished start.
+    its warm starts.  Every start takes ``_sweep``; then the game's start
+    of largest swept |S| takes ``_polish``, and its strategy is that of
+    the polished start.
     """
     n = signs.shape[1].bit_length() - 1
     warm = np.array([len(extras) for extras in extra_starts], dtype=int)
@@ -271,10 +262,6 @@ def optimize(
         angles = np.array([start for extras in extra_starts for start in extras], dtype=float)
         delta[place > restarts] = _delta_of(angles.reshape(-1, n, 2, 3))
     delta, terms = _sweep(signs[game], delta)
-    keep = _budget(n)[1]
-    polished = _leading(game, np.abs(terms.sum(axis=1)), keep)
-    delta, total = _polish(signs[game[polished]], delta[polished], terms[polished])
-    if keep > 1:
-        best = _leading(game[polished], np.abs(total), 1)
-        delta, total = delta[best], total[best]
+    best = _leading(game, np.abs(terms.sum(axis=1)))
+    delta, total = _polish(signs, delta[best], terms[best])
     return _angles(delta, total, chi)

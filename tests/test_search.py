@@ -29,7 +29,6 @@ from qgames.quantum import (
     _angles_from_bloch,
     _bloch,
     _build_gate_stack,
-    _form_index,
     _walsh,
     make_family_state,
     make_named_state,
@@ -791,10 +790,10 @@ class TestTorusPath:
         questions = np.array(list(itertools.product((0, 1), repeat=n)))
         return np.abs((signs * np.exp(1j * (delta @ questions.T))).sum(axis=1))
 
-    def heavy_reference_deviation(self, space, seed, monkeypatch):
+    def heavy_reference_deviation(self, space, seed, monkeypatch, restarts=20):
         """Largest |S| difference, over ``space`` on GHZ with parity g and with its complement,
-        between the torus budget and a heavy reference: 10 sweeps, every start polished,
-        10 Newton steps."""
+        between ``torus.optimize`` and a heavy reference from the same starts: 10 sweeps,
+        every start polished, 10 Newton steps."""
         n = space[0].arity
         deviation = 0.0
         for g in (_parity(n), _parity(n).complement()):
@@ -802,20 +801,24 @@ class TestTorusPath:
             on, signs, chi = torus.xor_games(kernel, len(space))
             assert on.all()
             seeds = [derive_task_seed(seed, j) for j in range(len(space))]
-            budget = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
+            budget = torus.optimize(signs, chi, seeds, restarts, [()] * len(space))
+            # each game's random starts, then its Walsh vertex, as optimize draws them
+            starts = np.concatenate([
+                np.vstack([np.random.default_rng(s).uniform(0.0, 2 * math.pi, (restarts, n)), vertex])
+                for s, vertex in zip(seeds, torus._walsh_vertex(signs))])
+            rows = np.repeat(signs, restarts + 1, axis=0)
             with monkeypatch.context() as heavy:
-                heavy.setattr(torus, "_budget", lambda n: (10, 10**6))
+                heavy.setattr(torus, "_SWEEPS", 10)
                 heavy.setattr(torus, "_NEWTON_STEPS", 10)
-                reference = torus.optimize(signs, chi, seeds, 20, [()] * len(space))
+                _, total = torus._polish(rows, *torus._sweep(rows, starts))
+            reference = np.abs(total).reshape(len(space), restarts + 1).max(axis=1)
             # |S| <= 2**n; as win probabilities, 1/2 + |S| / 2**(n+1)
-            deviation = max(deviation, np.abs(self.torus_value(signs, budget)
-                                              - self.torus_value(signs, reference)).max())
+            deviation = max(deviation, np.abs(self.torus_value(signs, budget) - reference).max())
         return deviation
 
     @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
     def test_the_budget_meets_a_heavy_reference(self, seed, monkeypatch):
-        # the 20 classes at n = 3 and the criterion-7 subsample at n = 4: two sweeps and
-        # each game's one best swept start polished
+        # the 20 classes at n = 3 and the criterion-7 subsample at n = 4
         spaces = [list(reduce_function_space(3)),
                   stratified_subsample(list(reduce_function_space(4)), 300, DEFAULT_SEED)]
         assert [len(space) for space in spaces] == [20, 300]
@@ -828,22 +831,6 @@ class TestTorusPath:
         space = list(reduce_function_space(4))
         assert len(space) == 2191
         assert self.heavy_reference_deviation(space, seed, monkeypatch) <= 1e-12
-
-    @pytest.mark.parametrize("restarts, warm", [(1, 0), (2, 1)])
-    def test_games_with_at_most_polished_starts_polish_all_of_them(self, restarts, warm, monkeypatch):
-        # at n = 5, where a game polishes more than one start: raw sign vectors, since
-        # the game equations stop at four players
-        n = 5
-        rng = np.random.default_rng(restarts)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, (30, 1 << n))
-        chi = rng.uniform(0.0, 2 * math.pi, len(signs))
-        seeds = [int(s) for s in rng.integers(0, 2**31, len(signs))]
-        extras = [[rng.uniform(0.0, 4 * math.pi, n * 6) for _ in range(warm)] for _ in signs]
-        sweeps, polished = torus._budget(n)
-        assert 1 < restarts + 1 + warm <= polished
-        few = torus.optimize(signs, chi, seeds, restarts, extras)
-        monkeypatch.setattr(torus, "_budget", lambda n: (sweeps, 10**6))
-        assert np.array_equal(few, torus.optimize(signs, chi, seeds, restarts, extras))
 
     @pytest.mark.slow
     def test_full_space_gap_spectrum(self):
@@ -864,33 +851,21 @@ class TestTorusPath:
         assert len(results) == 2191
         assert min(r.gap for r in results) >= -2.3e-16
 
-    @staticmethod
-    def leading_by_loop(counts, value, keep):
-        """Each game's ``keep`` rows of largest value in row order, ties to the earlier row,
-        one game at a time."""
-        bounds = np.cumsum([0] + list(counts))
-        return np.concatenate([lo + np.sort(np.argsort(-value[lo:hi], kind="stable")[:keep])
-                               for lo, hi in zip(bounds[:-1], bounds[1:])])
-
     # 12 games of 21 starts (20 restarts and the vertex); warm starts on some games, as in
-    # a sweep step; 1 or 2 restarts, so that some games have fewer starts than n >= 5 polishes
+    # a sweep step; few restarts, as a see-saw game of few starts may have
     @pytest.mark.parametrize("counts", [[21] * 12, [21, 22, 21, 21, 23, 22, 21],
                                         [2, 3, 2, 4, 5, 2, 3], [3, 21, 2, 7]])
     @pytest.mark.parametrize("ties", [False, True])
     def test_start_ranking_and_pick_equal_a_loop_over_games(self, counts, ties):
         rng = np.random.default_rng(len(counts) + sum(counts))
-        game = np.repeat(np.arange(len(counts)), counts)
+        # game labels need only not decrease: the see-saw's are a subset of the games
+        game = np.repeat(3 * np.arange(len(counts)), counts)
         # swept |S| values; with ties, few distinct values, so that most rows tie
         value = rng.integers(0, 3, game.size) * 1.0 if ties else rng.uniform(0.0, 16.0, game.size)
-        keep = torus._budget(5)[1]
-        polished = torus._leading(game, value, keep)
-        assert np.array_equal(polished, self.leading_by_loop(counts, value, keep))
-        # each game's best polished start: the first of largest |S|, as argmax picks
-        total = rng.integers(0, 2, polished.size) * 1.0 if ties else rng.uniform(0.0, 16.0, polished.size)
-        kept = [min(count, keep) for count in counts]
-        bounds = np.cumsum([0] + kept)
-        best = [lo + int(np.argmax(total[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        assert torus._leading(game[polished], total, 1).tolist() == best
+        # each game's best start: the first of largest value, as argmax picks
+        bounds = np.cumsum([0] + counts)
+        best = [lo + int(np.argmax(value[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert torus._leading(game, value).tolist() == best
 
     @pytest.mark.parametrize("n, weights", [(5, (2, 3)), (6, (0, 3, 4))])
     def test_symmetric_games_beyond_four_players_reach_tsirelson(self, n, weights):
@@ -912,10 +887,10 @@ class TestTorusPath:
             assert vertex.tolist() == [math.pi * (m >> (n - 1 - k) & 1) for k in range(n)]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_the_walsh_table_is_one_read_only_table(self, n):
-        # the Pauli form's g-hat and the torus path's Walsh vertex read the same table
+    def test_the_walsh_table_is_read_only(self, n):
+        # the kernel's g-hat and the torus path's Walsh vertex read the same cached table
         walsh = _walsh(n)
-        assert walsh is _form_index(n)[0] and not walsh.flags.writeable
+        assert not walsh.flags.writeable
         assert walsh.tolist() == [[(-1) ** bin(a & m).count("1") for m in range(1 << n)]
                                   for a in range(1 << n)]
 
