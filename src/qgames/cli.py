@@ -209,19 +209,32 @@ class _Run:
 
     @functools.cached_property
     def directory(self) -> Path:
-        """The run's directory, made on first use.  Run ids are never reused."""
+        """The run's directory, made on first use.  Run ids are never reused: the
+        ``mkdir`` that makes a directory claims its name, so runs started together
+        never share one."""
         stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
         digest = hashlib.sha256(
             json.dumps(self.config(), sort_keys=True, default=str).encode()
         ).hexdigest()[:8]
         base = Path(self.args.output_dir) / f"{stamp}-{self.args.subcommand}-{digest}"
+        base.parent.mkdir(parents=True, exist_ok=True)
         run_dir = base
         counter = 1
-        while run_dir.exists():
-            counter += 1
-            run_dir = base.with_name(f"{base.name}-{counter}")
-        run_dir.mkdir(parents=True)
-        return run_dir
+        while True:
+            try:
+                run_dir.mkdir()
+                return run_dir
+            except FileExistsError:
+                counter += 1
+                run_dir = base.with_name(f"{base.name}-{counter}")
+
+    def check_target(self, path: str | Path) -> None:
+        """OSError unless ``path``'s directory exists or ``write`` would make it, so
+        that a run fails before it computes results it could not write."""
+        parent = Path(path).parent.resolve()
+        output_dir = Path(self.args.output_dir).resolve()
+        if not (parent.is_dir() or parent == output_dir or parent in output_dir.parents):
+            raise NotADirectoryError(f"cannot write {str(path)!r}: no directory {str(parent)!r}")
 
     def write(self, name: str, text: str, path: str | Path | None = None) -> Path:
         """Write ``text`` to ``path`` if given, else to ``name`` in the run directory."""
@@ -383,6 +396,8 @@ def _cmd_sweep(args, run: _Run) -> None:
     if not args.spec:
         raise ValueError("sweep needs --spec")
     spec = _sweep_spec_from_file(args)
+    if spec.output_path is not None:
+        run.check_target(spec.output_path)
     result = run_sweep(spec)
     csv_path = run.write("sweep.csv", result.to_csv(), spec.output_path)
     sidecar_path = run.write("sweep.json", _dumps(result.sidecar_dict(), indent=2) + "\n",
@@ -488,6 +503,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
         _refuse_empty_paths(args, ("output_dir", "output"))
         run = _Run(args)
+        if getattr(args, "output", None) is not None:
+            run.check_target(args.output)
         _HANDLERS[args.subcommand][0](args, run)
         run.record()
         return 0

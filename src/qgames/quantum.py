@@ -197,14 +197,19 @@ def _form_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     - ``support`` (4**n,): for each Pauli index mu in player order, the set S
       of the players with mu_k != 0, as a bit mask in the order of answers;
-    - ``paulis`` (n, 4**n) and ``questions`` (n, 2**n): player k's layouts,
-      axes k, k+1, ..., n-1, 0, ..., k-1, as indices into player order.
+    - ``paulis`` (n, 4**n): player k's layout of L, that of its first
+      contraction, axes k-1, k, ..., k-2;
+    - ``questions`` (n, 2**n): player k's layout of the signs, axes k,
+      k+1, ..., n-1, 0, ..., k-1;
+
+    each layout as indices into player order.
     """
     index = np.arange(1 << n)
     mu = np.arange(4**n)
     support = sum(((mu >> 2 * (n - 1 - k) & 3) != 0) << (n - 1 - k) for k in range(n))
     axes = [[(k + j) % n for j in range(n)] for k in range(n)]
-    paulis = np.stack([mu.reshape((4,) * n).transpose(order).reshape(-1) for order in axes])
+    paulis = np.stack([mu.reshape((4,) * n).transpose(order).reshape(-1)
+                       for order in axes[-1:] + axes[:-1]])
     questions = np.stack([index.reshape((2,) * n).transpose(order).reshape(-1) for order in axes])
     for table in (support, paulis, questions):
         table.flags.writeable = False
@@ -236,12 +241,14 @@ def _angles_from_bloch(rows: np.ndarray) -> np.ndarray:
     return np.stack([theta, np.zeros_like(theta), np.arctan2(y, -x)], axis=-1)
 
 
-def _unit_bloch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(..., 4) rows (c, w) -> the rows (1, w / |w|), (1, 0, 0, 1) where w = 0, and |w|."""
+def _unit_bloch(v: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 4) rows (c, w) -> the rows (1, w / |w|), (1, 0, 0, 1) where w = 0, and |w|.
+
+    The unit rows go to ``out`` if given, else to a new array."""
     w = v[..., 1:]
     norm = np.sqrt((w * w).sum(-1))
     zero = norm == 0
-    unit = v / np.where(zero, 1.0, norm)[..., None]
+    unit = np.divide(v, np.where(zero, 1.0, norm)[..., None], out=out)
     unit[..., 0] = 1.0
     if zero.any():
         unit[zero] = (1.0, 0.0, 0.0, 1.0)
@@ -257,9 +264,10 @@ class GainKernel:
     ValueError.  ``game`` is the (B,) index of each row's game, which
     picks both its state and its f, and None means that every row plays
     the first.  Every product is stacked per row, never one 2-D product
-    across rows, and no arithmetic reuses a temporary in place, so a row's
-    results do not depend on the other rows of its batch, bit for bit, at
-    any batch size.
+    across rows, and no arithmetic reuses a temporary in place (a sweep
+    writes each player's new rows into its own input), so a row's results
+    do not depend on the other rows of its batch, bit for bit, at any
+    batch size.
 
     Every win probability comes from one form in Bloch rows: (B, n, 2, 4),
     per player k and question bit q the row A_k^q = (1, r_k^q), where
@@ -273,14 +281,17 @@ class GainKernel:
     with c_f the share of questions where f is 0, mu over {I, X, Y, Z}**n,
     and L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, where
     g-hat(S) = sum_a g(a) (-1)^{a . S}.  ``gains`` turns gate angles into
-    Bloch rows and evaluates the form; the see-saw steps on the rows.
+    Bloch rows and evaluates the form.  The see-saw works on the rows, one
+    ``sweep`` call per sweep: every player's best response in turn, in
+    place; ``bloch_response`` is one such step on its own.
 
     Its tables are built once, in ``__init__``, and the torus path reads
     its games from them too: ``g_hat`` (2**n,) holds g-hat(S), exact
     integers, at the bit mask S of the players in the order of answers;
-    ``pauli`` (n, S, 4**n) holds 4**-n L of each state, in each player's
-    layout (``_form_index``); ``signs`` (n, F, 2, 2**(n-1)) holds s_q of
-    each f in each player's layout, and ``constant`` (F,) c_f.  Each row
+    ``pauli`` (n, S, 4, 4**(n-1)) holds 4**-n L of each state, contiguous,
+    in the layout of each player's first contraction (``_form_index``), so
+    that product reads it as it is; ``signs`` (n, F, 2, 2**(n-1)) holds s_q
+    of each f in each player's layout, and ``constant`` (F,) c_f.  Each row
     reads its game's entry of every table (``_per_row``), and a table of
     one entry broadcasts it to every row.
     """
@@ -313,7 +324,8 @@ class GainKernel:
             t = _PAULI @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
         form = self.g_hat[support] * t.reshape(-1, 4**n).real / 4**n
         signs = (2.0 * f_values - 1.0)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
-        self.pauli = np.ascontiguousarray(form[:, paulis].swapaxes(0, 1))
+        pauli = np.ascontiguousarray(form[:, paulis].swapaxes(0, 1))
+        self.pauli = pauli.reshape(n, -1, 4, 4**(n - 1))
         self.signs = np.ascontiguousarray(signs.swapaxes(0, 1))
         self.constant = (1.0 - f_values).sum(axis=1) / (1 << n)
 
@@ -336,14 +348,21 @@ class GainKernel:
 
         V is L contracted with the other players' rows of ``rows``, then
         summed over their question bits with the signs s_q.  L, in the
-        player's layout (mu_k outermost), meets players k-1, k-2, ..., k+1
-        in turn: each product takes the last axis and puts its question bit
-        first, which leaves (q_{k+1}, ..., q_{k-1}, mu_k) for the sign table.
+        player's layout (mu_{k-1}, then mu_k, ..., mu_{k-2}), meets players
+        k-1, k-2, ..., k+1 in turn.  The first product reads the stored
+        table as it is; each later one takes the last axis and puts its
+        question bit first, which leaves (q_{k+1}, ..., q_{k-1}, mu_k) for
+        the sign table.
         """
-        t = self._per_row(self.pauli[player], game)
-        for j in range(player - 1, player - self.n, -1):
+        t = rows[:, player - 1] @ self._per_row(self.pauli[player], game)
+        for j in range(player - 2, player - self.n, -1):
             t = rows[:, j] @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
         return self._per_row(self.signs[player], game) @ t.reshape(t.shape[0], -1, 4)
+
+    def _step_gains(self, v: np.ndarray, norm: np.ndarray, game: np.ndarray | None) -> np.ndarray:
+        """(B,) gains after a best response to V: c_f + sum_q (V[q, 0] + |V[q, 1:]|)."""
+        top = v[..., 0] + norm
+        return self._per_row(self.constant, game) + top[:, 0] + top[:, 1]
 
     def bloch_gains(self, rows: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, n, 2, 4) Bloch rows -> (B,) win probabilities, by the Pauli form."""
@@ -366,8 +385,19 @@ class GainKernel:
         """
         v = self._response(rows, player, game)
         new, norm = _unit_bloch(v)
-        top = v[..., 0] + norm
-        return new, self._per_row(self.constant, game) + top[:, 0] + top[:, 1]
+        return new, self._step_gains(v, norm, game)
+
+    def sweep(self, rows: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
+        """One see-saw sweep, in place: the (B,) gains after it.
+
+        Player 1's best response (``bloch_response``) replaces its rows in
+        ``rows``, then player 2's, and so on; only the last step's gains are
+        formed.
+        """
+        for player in range(self.n):
+            v = self._response(rows, player, game)
+            norm = _unit_bloch(v, rows[:, player])[1]
+        return self._step_gains(v, norm, game)
 
 
 def win_probability(psi: StateVector, strategy: QuantumStrategy, eq: GameEquation) -> float:

@@ -6,9 +6,10 @@ player's measurements, except for XOR games on GHZ-type states, whose
 value is a maximum over the players' phase differences (the torus path).
 The see-saw runs on the Bloch vectors of the players' answer-0 vectors,
 against each game's Pauli correlation tensor (``GainKernel``): starts are
-turned into Bloch vectors once, and each game's best restart back into
-gate angles once.  Its slow tails are accelerated by a safeguarded SQUAREM
-step on those vectors (Varadhan & Roland 2008; see ``_see_saw``).
+turned into Bloch vectors once, each sweep of a block's rows is one kernel
+call, and each game's best restart goes back into gate angles once.  Its
+slow tails are accelerated by a safeguarded SQUAREM step on those vectors
+(Varadhan & Roland 2008; see ``_see_saw``).
 Every reported quantum gain is the re-evaluated win probability of the
 returned strategy, so it is always an achievable lower bound.
 
@@ -17,9 +18,10 @@ split the functions into contiguous tasks of at most ``_TASK_ROWS`` start
 rows, or of one game.  Each task runs the restarts of all its see-saw games
 as one block of rows in lockstep, each row with its own game's sign table;
 a row that stops leaves the block.  Its games on the torus path never enter
-the block.  Worker processes take whole tasks.  Every game is seeded from (master seed,
-function index), and no game's result depends on the other games of its
-task, which makes results independent of worker count and schedule.
+the block.  Worker processes take whole tasks.  Every game is seeded from
+(master seed, function index), and no game's result depends on the other
+games of its task, which makes results independent of worker count and
+schedule.
 """
 
 from __future__ import annotations
@@ -265,13 +267,15 @@ def _see_saw(
     Returns each row's final Bloch rows and the see-saw's own gain of them
     (from its last step, not re-evaluated).  Row r plays game ``game[r]``
     of the kernel, on that game's state.  A sweep replaces both question
-    bits' rows of player 1 by their best response
-    (``GainKernel.bloch_response``), then of player 2, and so on: 2n
-    updates, none of which can lower a row's gain, and the last one gives
-    the sweep's gain.  A row stops when a sweep raises its gain by less
-    than ``tol`` or after ``max_sweeps`` sweeps.  The rows run in
-    lockstep: all start together, and a row that stops is written out and
-    leaves, so every live row has swept as often as the others.
+    bits' rows of player 1 by their best response, then of player 2, and
+    so on: 2n updates, none of which can lower a row's gain, and the last
+    one gives the sweep's gain.  Each sweep of all live rows is one
+    kernel call (``GainKernel.sweep``), in place.  A row stops when a
+    sweep raises its gain by less than ``tol`` or after ``max_sweeps``
+    sweeps.  The rows run in lockstep: all start together, and a row that
+    stops is written out and leaves, so every live row has swept as often
+    as the others.  Only a sweep where some row stops writes outputs and
+    compacts the live rows.
 
     A slow tail is accelerated by SQUAREM (Varadhan & Roland 2008) on the
     rows themselves.  The sweeps, counted from the start, run in cycles of
@@ -283,47 +287,58 @@ def _see_saw(
     the paper's games, trials there saved no sweeps.)  A row keeps x3 only
     if g3 > g2, and otherwise goes back to x2 and its gain without
     stopping.  A trial sweep counts as a sweep, and trial rows ride the
-    regular sweep of all live rows.
+    regular sweep of all live rows.  Only sweeps 3c + 1 and 3c + 2 keep a
+    copy of the rows they start from, x0 and x1, and only sweep 3c + 2
+    runs the tail test.
 
     Every kernel step treats each row on its own, so a row's path does not
     depend on the other rows it runs with, whatever their number.
     """
     out, out_gains = np.empty_like(starts), np.empty(starts.shape[0])
-    rows = np.arange(starts.shape[0])
+    rows, row_game = np.arange(starts.shape[0]), game
     live = starts.copy()
     gains = kernel.bloch_gains(live, game)
-    # per row: the rise of its last sweep and its rows one sweep back; the
-    # rows on trial, and the plain point x2 that each goes back to
+    # per row: the rise of its last sweep; x0 and x1, its rows after sweeps 3c
+    # and 3c + 1, which a trial after sweep 3c + 2 reads; the rows on trial,
+    # and the plain point x2 that each goes back to
     rise = np.zeros(rows.size)
-    back1 = live.copy()
-    trial = np.zeros(0, dtype=int)
-    plain = None
+    x0 = x1 = trial = plain = None
     for sweep in range(1, max_sweeps + 1):
-        row_game = game[rows]
-        back2, back1 = back1, live.copy()
-        for k in range(kernel.n):
-            live[:, k], new_gains = kernel.bloch_response(live, k, row_game)
+        # a cycle is two plain sweeps and one that may start from x'; the first
+        # cycle, not yet on the tail, is all plain
+        phase = sweep % 3 if sweep > 3 else 0
+        if phase == 1:
+            x0 = live.copy()
+        elif phase == 2:
+            x1 = live.copy()
+        new_gains = kernel.sweep(live, row_game)
         new_rise = new_gains - gains
-        if trial.size:
+        if trial is not None:
             worse = ~(new_gains[trial] > gains[trial])
             back = trial[worse]
             live[back] = plain[worse]
             # a failed trial is no sign that the row has converged
             new_gains[back], new_rise[back] = gains[back], np.inf
+            trial = None
         stop = (new_rise < tol) | (sweep == max_sweeps)
-        out[rows[stop]], out_gains[rows[stop]] = live[stop], new_gains[stop]
-        # a cycle is two plain sweeps and one that may start from x'; the first
-        # cycle, not yet on the tail, is all plain
-        tail = (sweep % 3 == 2 and sweep > 3) & (new_rise > _TAIL_RATIO * rise)
-        keep = ~stop
-        rows, live, gains, rise, back1, back2 = (
-            rows[keep], live[keep], new_gains[keep], new_rise[keep], back1[keep], back2[keep])
-        if not rows.size:
-            break
-        trial = np.flatnonzero(tail[keep])
-        if trial.size:
-            plain = live[trial]
-            live[trial] = _extrapolated(back2[trial], back1[trial], plain)
+        if stop.any():
+            out[rows[stop]], out_gains[rows[stop]] = live[stop], new_gains[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            rows, live, new_gains, new_rise, rise = (
+                rows[keep], live[keep], new_gains[keep], new_rise[keep], rise[keep])
+            row_game = game[rows]
+            if phase:
+                x0 = x0[keep]
+            if phase == 2:
+                x1 = x1[keep]
+        if phase == 2:
+            tail = np.flatnonzero(new_rise > _TAIL_RATIO * rise)
+            if tail.size:
+                trial, plain = tail, live[tail]
+                live[trial] = _extrapolated(x0[trial], x1[trial], plain)
+        gains, rise = new_gains, new_rise
     return out, out_gains
 
 

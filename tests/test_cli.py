@@ -1,10 +1,12 @@
 """End-to-end command-line tests: subcommands, exit codes, run records."""
 
+import datetime
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -328,6 +330,28 @@ class TestInputRefusals:
         assert code == VALIDATION_ERROR
         assert not (out / "refused").exists()
         assert f"sweep spec {str(spec)!r} has an empty output path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reduce", "search", "sweep"])
+    def test_an_output_path_in_a_missing_directory(
+        self, out, capsys, monkeypatch, functions_file, command,
+    ):
+        # refused before the handler computes anything it could not write
+        computed = []
+        for name in ("reduce_function_space", "search_space", "run_sweep"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: computed.append(args))
+        target = out / "missing" / "out.txt"
+        spec = out / "spec.json"
+        spec.write_text(json.dumps(TestRunRecords.SPEC | {"output": str(target)}))
+        argv = {
+            "reduce": ["reduce", "--arity", "2", "--output", str(target)],
+            "search": ["search", "--state", "epr", "--g", "a^b", "--functions",
+                       str(functions_file), "--output", str(target)],
+            "sweep": ["sweep", "--spec", str(spec)],
+        }[command]
+        code = run_cli(*argv, "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR and computed == []
+        assert not (out / "refused").exists() and not (out / "missing").exists()
+        assert f"cannot write {str(target)!r}: no directory" in capsys.readouterr().err
 
 
 class TestSearchAndScore:
@@ -796,6 +820,28 @@ class TestRunStore:
         run_dirs = list((out / "runs").iterdir())
         assert len(run_dirs) == 2
         assert len({d.name for d in run_dirs}) == 2
+
+    def test_a_taken_run_id_gets_the_next_suffix(self, out, capsys, monkeypatch):
+        # every run in the same second: each claims the next free name by making it
+        class Frozen(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return cls(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+        monkeypatch.setattr(cli, "_dt", types.SimpleNamespace(datetime=Frozen,
+                                                              timezone=datetime.timezone))
+        argv = ["eval", "--state", "epr", "--f", "xy", "--g", "a^b", "--mode", "classical",
+                "--output-dir", str(out / "runs")]
+        assert run_cli(*argv) == 0
+        (first,) = [d.name for d in (out / "runs").iterdir()]
+        # a directory of the next name, made by another run, is skipped too
+        (out / "runs" / f"{first}-2").mkdir()
+        assert run_cli(*argv) == 0 and run_cli(*argv) == 0
+        capsys.readouterr()
+        names = sorted(d.name for d in (out / "runs").iterdir())
+        assert names == [first, f"{first}-2", f"{first}-3", f"{first}-4"]
+        assert [record.run_id for record, _ in _records(out / "runs")] == [
+            first, f"{first}-3", f"{first}-4"]
 
 
 def _records(runs):

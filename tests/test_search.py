@@ -474,11 +474,16 @@ class TestBestResponseStep:
             support = sum((m != 0) << (n - 1 - k) for k, m in enumerate(mu))
             expect[mu] = g_hat[support] * (psi.conj() @ op @ psi).real / 4**n
         # one row of L per state, whatever the number of f
-        assert kernel.pauli.shape == (n, 1, 4**n) and kernel.signs.shape == (n, 3, 2, 1 << (n - 1))
-        # player k's layout: axes k, k+1, ..., n-1, 0, ..., k-1
+        assert kernel.pauli.shape == (n, 1, 4, 4 ** (n - 1))
+        assert kernel.signs.shape == (n, 3, 2, 1 << (n - 1))
+        # player k's L is its first contraction's layout, contiguous: axes k-1, k, ..., k-2
+        assert kernel.pauli.flags.c_contiguous
+        for k in range(n):
+            order = [(k - 1 + i) % n for i in range(n)]
+            expect_k = expect.transpose(order).reshape(4, -1)
+            assert np.abs(kernel.pauli[k, 0] - expect_k).max() < 1e-12
+        # player k's signs: axes k, k+1, ..., n-1, 0, ..., k-1
         orders = [[(k + i) % n for i in range(n)] for k in range(n)]
-        for k, order in enumerate(orders):
-            assert np.abs(kernel.pauli[k, 0] - expect.transpose(order).reshape(-1)).max() < 1e-12
         for j, f in enumerate(eq.f.values() for eq in eqs):
             # c_f, the share of questions where f is 0
             assert kernel.constant[j] == ((1 << n) - f.sum()) / (1 << n)
@@ -545,6 +550,28 @@ class TestBestResponseStep:
             assert np.abs(gains - _gains(kernel, updated)).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_sweep_is_the_players_steps_in_turn_bit_for_bit(self, n):
+        psi, eqs, rng = _step_games(n, 80 + n)
+        rows = _bloch(rng.uniform(0.0, 4 * math.pi, (30, n, 2, 3)))
+        game = rng.integers(0, 3, 30)
+        # three f on one state, each f on its own state, and the W game on ghz4
+        # against Z-basis measurements, where coefficient vectors are 0
+        cases = [(GainKernel(psi, eqs), rows, game),
+                 (GainKernel([psi, *_random_states(rng, 2, n)], eqs), rows, game)]
+        if n == 4:
+            z_rows = np.zeros((256, 4, 2, 4))
+            z_rows[..., 0] = 1.0
+            z_rows[..., 3] = np.array(list(itertools.product([1.0, -1.0], repeat=8))).reshape(256, 4, 2)
+            cases.append((GainKernel(make_named_state("ghz4"), w_game_equation()), z_rows, None))
+        for kernel, start, games in cases:
+            expect = start.copy()
+            for player in range(n):
+                expect[:, player], gains = kernel.bloch_response(expect, player, games)
+            swept = start.copy()
+            assert np.array_equal(kernel.sweep(swept, games), gains)
+            assert np.array_equal(swept, expect)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_see_saw_cap_of_s_sweeps_matches_steps_in_turn(self, n):
         kernel, angles, game, _ = _step_setup(n, 20 + n)
         starts = _bloch(angles)
@@ -553,9 +580,9 @@ class TestBestResponseStep:
         expect = starts.copy()
         for cap in range(1, 4):
             for player in range(n):
-                expect[:, player], _ = kernel.bloch_response(expect, player, game)
+                expect[:, player], step_gains = kernel.bloch_response(expect, player, game)
             got, gains = _see_saw(kernel, starts, game, cap, -np.inf)
-            assert np.abs(got - expect).max() < 1e-9
+            assert np.array_equal(got, expect) and np.array_equal(gains, step_gains)
             assert np.abs(gains - _gains(kernel, expect, game)).max() < 1e-12
 
 
@@ -565,24 +592,23 @@ class TestLockstep:
     def test_rows_start_together_and_only_leave(self):
         kernel, angles, game, _ = _step_setup(4, 50, batch=150)
         starts = _bloch(angles)
-        bloch_gains, bloch_response = kernel.bloch_gains, kernel.bloch_response
-        started, sizes = [], []
+        bloch_gains, sweep = kernel.bloch_gains, kernel.sweep
+        started, sweeps, steps = [], [], []
 
         def start(batch, *args):
             started.append(batch.shape[0])
             return bloch_gains(batch, *args)
 
-        def step(batch, *args):
-            sizes.append(batch.shape[0])
-            return bloch_response(batch, *args)
+        def one_sweep(batch, *args):
+            sweeps.append(batch.shape[0])
+            return sweep(batch, *args)
 
-        kernel.bloch_gains, kernel.bloch_response = start, step
+        kernel.bloch_gains, kernel.sweep = start, one_sweep
+        kernel.bloch_response = lambda *args: steps.append(args)
         _see_saw(kernel, starts, game, 625, 1e-6)
-        # one start-gain call for every row, then one batch per sweep, all four
-        # players' steps on the same rows
-        assert started == [150]
-        sweeps = sizes[::4]
-        assert sizes == [size for size in sweeps for _ in range(4)]
+        # one start-gain call for every row, then one kernel call per sweep, which
+        # runs all four players' steps on the same rows
+        assert started == [150] and steps == []
         assert sweeps[0] == 150 and all(a >= b > 0 for a, b in zip(sweeps, sweeps[1:]))
         assert sweeps[-1] < 150 and len(sweeps) < 625
 
@@ -1406,6 +1432,16 @@ class TestRowIndependence:
                 assert np.array_equal(alone_new[0], new[r])
                 assert alone[0] == stepped[r]
             bloch[:, player] = new
+        # a sweep is the four steps above, on every row as on the row alone
+        swept = _bloch(angles)
+        sweep_gains = kernel.sweep(swept, game)
+        assert np.array_equal(swept, bloch) and np.array_equal(sweep_gains, stepped)
+        for r in range(rows):
+            one = slice(r, r + 1)
+            for alone_kernel, alone_game in ((kernel, game[one]), (single[game[r]], None)):
+                alone_rows = _bloch(angles[one])
+                assert alone_kernel.sweep(alone_rows, alone_game)[0] == sweep_gains[r]
+                assert np.array_equal(alone_rows[0], swept[r])
 
     def test_kernel_takes_one_state_or_one_per_game(self):
         rng = np.random.default_rng(5)
@@ -1413,13 +1449,13 @@ class TestRowIndependence:
         eqs = [eq, GameEquation(w_game_equation().f, eq.g), eq]
         with pytest.raises(ValueError, match="2 states for 3 games"):
             GainKernel(_random_states(rng, 2), eqs)
-        # the form's tables: (n, states, 4**n) L, (n, games, 2, 2**(n-1)) signs
+        # the form's tables: (n, states, 4, 4**(n-1)) L, (n, games, 2, 2**(n-1)) signs
         shared = GainKernel(_random_states(rng, 1), eqs)
         assert shared.states.shape == (1, 16) and shared.g_hat.shape == (16,)
-        assert shared.pauli.shape == (4, 1, 256)
+        assert shared.pauli.shape == (4, 1, 4, 64)
         assert shared.signs.shape == (4, 3, 2, 8) and shared.constant.shape == (3,)
         per_state = GainKernel(_random_states(rng, 2), eq)
-        assert per_state.pauli.shape == (4, 2, 256)
+        assert per_state.pauli.shape == (4, 2, 4, 64)
         assert per_state.signs.shape == (4, 1, 2, 8) and per_state.constant.shape == (1,)
 
     def test_a_kernel_plays_one_g(self):
@@ -1433,7 +1469,7 @@ class TestRowIndependence:
             _optimize_games(_random_states(rng, 2), eqs, [1, 2], OptimizerConfig(restarts=2))
         # the same f and g as a different object is the same g
         twin = GameEquation(eqs[1].f, TruthTable.from_text(eqs[0].g.to_text()))
-        assert GainKernel(_random_states(rng, 1), [eqs[0], twin]).pauli.shape == (4, 1, 256)
+        assert GainKernel(_random_states(rng, 1), [eqs[0], twin]).pauli.shape == (4, 1, 4, 64)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pauli_has_one_row_per_state_and_one_state_broadcasts_it(self, n):
@@ -1442,12 +1478,12 @@ class TestRowIndependence:
         eqs = [GameEquation(TruthTable(n, int(f)), g) for f in rng.integers(0, 1 << (1 << n), 3)]
         states = _random_states(rng, 3, n)
         per_state = GainKernel(states, eqs)
-        assert per_state.pauli.shape == (n, 3, 4**n)
+        assert per_state.pauli.shape == (n, 3, 4, 4 ** (n - 1))
         for j, psi in enumerate(states):
             assert np.array_equal(per_state.pauli[:, j], GainKernel(psi, eqs[j]).pauli[:, 0])
         # one state: its one row, read by every game's rows, gives each game's own gains
         shared = GainKernel(states[0], eqs)
-        assert shared.pauli.shape == (n, 1, 4**n)
+        assert shared.pauli.shape == (n, 1, 4, 4 ** (n - 1))
         angles = rng.uniform(0.0, 4 * math.pi, (12, 6 * n))
         game = np.arange(12) % 3
         gains = shared.gains(angles, game)
