@@ -244,14 +244,15 @@ def _angles_from_bloch(rows: np.ndarray) -> np.ndarray:
 def _unit_bloch(v: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(..., 4) rows (c, w) -> the rows (1, w / |w|), (1, 0, 0, 1) where w = 0, and |w|.
 
-    The unit rows go to ``out`` if given, else to a new array."""
+    The unit rows go to ``out`` if given, else to a new array.  Calls cost more than arithmetic
+    at a see-saw's few rows, so the mask of zero norms is built only when some norm is 0."""
     w = v[..., 1:]
-    norm = np.sqrt((w * w).sum(-1))
-    zero = norm == 0
-    unit = np.divide(v, np.where(zero, 1.0, norm)[..., None], out=out)
+    norm = np.sqrt(np.add.reduce(w * w, -1))
+    some_zero = np.count_nonzero(norm) < norm.size
+    unit = np.divide(v, (np.where(norm == 0, 1.0, norm) if some_zero else norm)[..., None], out=out)
     unit[..., 0] = 1.0
-    if zero.any():
-        unit[zero] = (1.0, 0.0, 0.0, 1.0)
+    if some_zero:
+        unit[norm == 0] = (1.0, 0.0, 0.0, 1.0)
     return unit, norm
 
 
@@ -282,8 +283,9 @@ class GainKernel:
     and L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, where
     g-hat(S) = sum_a g(a) (-1)^{a . S}.  ``gains`` turns gate angles into
     Bloch rows and evaluates the form.  The see-saw works on the rows, one
-    ``sweep`` call per sweep: every player's best response in turn, in
-    place; ``bloch_response`` is one such step on its own.
+    ``sweep`` call per sweep: every player's best response in turn, in place,
+    on views of each player's rows taken once a sweep; ``bloch_response`` is
+    one such step on its own.
 
     Its tables are built once, in ``__init__``, and the torus path reads
     its games from them too: ``g_hat`` (2**n,) holds g-hat(S), exact
@@ -343,10 +345,13 @@ class GainKernel:
         # rounding can put a sure win a few ulps above 1 and a sure loss below 0
         return np.clip(wins, 0.0, 1.0)
 
-    def _response(self, rows: np.ndarray, player: int, game: np.ndarray | None) -> np.ndarray:
+    def _response(self, players: Sequence[np.ndarray], player: int,
+                  game: np.ndarray | None) -> np.ndarray:
         """(B, 2, 4): per question bit q of the player, the V[q] of c_f + sum_q V[q] . A^q.
 
-        V is L contracted with the other players' rows of ``rows``, then
+        ``players`` lists each player's (B, 2, 4) rows, the views
+        ``list(rows.swapaxes(0, 1))`` of (B, n, 2, 4) rows, made once a sweep.
+        V is L contracted with the other players' rows, then
         summed over their question bits with the signs s_q.  L, in the
         player's layout (mu_{k-1}, then mu_k, ..., mu_{k-2}), meets players
         k-1, k-2, ..., k+1 in turn.  The first product reads the stored
@@ -354,9 +359,9 @@ class GainKernel:
         question bit first, which leaves (q_{k+1}, ..., q_{k-1}, mu_k) for
         the sign table.
         """
-        t = rows[:, player - 1] @ self._per_row(self.pauli[player], game)
+        t = players[player - 1] @ self._per_row(self.pauli[player], game)
         for j in range(player - 2, player - self.n, -1):
-            t = rows[:, j] @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
+            t = players[j] @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
         return self._per_row(self.signs[player], game) @ t.reshape(t.shape[0], -1, 4)
 
     def _step_gains(self, v: np.ndarray, norm: np.ndarray, game: np.ndarray | None) -> np.ndarray:
@@ -366,8 +371,9 @@ class GainKernel:
 
     def bloch_gains(self, rows: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, n, 2, 4) Bloch rows -> (B,) win probabilities, by the Pauli form."""
-        batch = rows.shape[0]
-        dots = self._response(rows, 0, game).reshape(batch, 1, 8) @ rows[:, 0].reshape(batch, 8, 1)
+        batch, players = rows.shape[0], list(rows.swapaxes(0, 1))
+        v = self._response(players, 0, game)
+        dots = v.reshape(batch, 1, 8) @ players[0].reshape(batch, 8, 1)
         return self._per_row(self.constant, game) + dots.reshape(batch)
 
     def bloch_response(
@@ -383,7 +389,7 @@ class GainKernel:
         is as good, and the step takes +z.  Both question bits' rows are
         replaced; ``rows`` is read, not written.
         """
-        v = self._response(rows, player, game)
+        v = self._response(list(rows.swapaxes(0, 1)), player, game)
         new, norm = _unit_bloch(v)
         return new, self._step_gains(v, norm, game)
 
@@ -394,9 +400,10 @@ class GainKernel:
         ``rows``, then player 2's, and so on; only the last step's gains are
         formed.
         """
+        players = list(rows.swapaxes(0, 1))
         for player in range(self.n):
-            v = self._response(rows, player, game)
-            norm = _unit_bloch(v, rows[:, player])[1]
+            v = self._response(players, player, game)
+            norm = _unit_bloch(v, players[player])[1]
         return self._step_gains(v, norm, game)
 
 

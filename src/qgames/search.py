@@ -320,12 +320,16 @@ def _see_saw(
             # a failed trial is no sign that the row has converged
             new_gains[back], new_rise[back] = gains[back], np.inf
             trial = None
-        stop = (new_rise < tol) | (sweep == max_sweeps)
-        if stop.any():
+        if sweep == max_sweeps:
+            out[rows], out_gains[rows] = live, new_gains
+            break
+        stop = new_rise < tol
+        stopped = np.count_nonzero(stop)
+        if stopped:
             out[rows[stop]], out_gains[rows[stop]] = live[stop], new_gains[stop]
-            keep = ~stop
-            if not keep.any():
+            if stopped == rows.size:
                 break
+            keep = ~stop
             rows, live, new_gains, new_rise, rise = (
                 rows[keep], live[keep], new_gains[keep], new_rise[keep], rise[keep])
             row_game = game[rows]

@@ -22,6 +22,7 @@ from qgames.quantum import (
     StateVector,
     UnitaryParams,
     _bloch,
+    _unit_bloch,
     apply_strategy,
     build_unitary,
     check_family_params,
@@ -386,6 +387,37 @@ class TestPauliForm:
         for f, expect in (("4:FFFF", 0.0), ("4:0000", 1.0)):
             eq = GameEquation(TruthTable.from_text(f), parity)
             assert win_probability(make_named_state("ghz4"), strategy, eq) == expect
+
+
+def _unit_bloch_reference(v):
+    """``_unit_bloch`` by a mask of zero norms, built and used on every call."""
+    w = v[..., 1:]
+    norm = np.sqrt((w * w).sum(-1))
+    zero = norm == 0
+    unit = v / np.where(zero, 1.0, norm)[..., None]
+    unit[..., 0] = 1.0
+    unit[zero] = (1.0, 0.0, 0.0, 1.0)
+    return unit, norm
+
+
+class TestUnitBloch:
+    @pytest.mark.parametrize("shape", [(9, 2, 4), (6, 3, 2, 4)])
+    @pytest.mark.parametrize("zeros", [0.0, 0.4, 1.0])
+    def test_equals_the_masked_formula_bit_for_bit(self, shape, zeros):
+        rng = np.random.default_rng(len(shape) + int(10 * zeros))
+        v = rng.normal(size=shape)
+        # rows whose w is 0 (one entry -0.0), on a nonzero c
+        zero = rng.random(shape[:-1]) < zeros
+        v[zero, 1:] = (0.0, -0.0, 0.0)
+        v.setflags(write=False)
+        expect, expect_norm = _unit_bloch_reference(v)
+        # a new array, and a strided view like a sweep's rows of one player
+        holder = np.full(shape[:1] + (2,) + shape[1:], np.nan)
+        for out in (None, holder[:, 1]):
+            unit, norm = _unit_bloch(v, out)
+            assert out is None or unit is out
+            assert unit.tobytes() == expect.tobytes() and norm.tobytes() == expect_norm.tobytes()
+        assert np.isnan(holder[:, 0]).all()
 
 
 class TestNamedStates:

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -540,7 +541,7 @@ class TestBestResponseStep:
         rows[..., 0] = 1.0
         rows[..., 3] = np.array(list(itertools.product([1.0, -1.0], repeat=8))).reshape(256, 4, 2)
         for player in range(4):
-            v = kernel._response(rows, player, None)
+            v = kernel._response(list(rows.swapaxes(0, 1)), player, None)
             zero = np.all(v[..., 1:] == 0.0, axis=-1)
             assert zero.any() and not zero.all()
             new, gains = kernel.bloch_response(rows, player, None)
@@ -570,6 +571,30 @@ class TestBestResponseStep:
             swept = start.copy()
             assert np.array_equal(kernel.sweep(swept, games), gains)
             assert np.array_equal(swept, expect)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_a_constant_g_zeroes_every_coefficient_vector(self, n, constant):
+        # g-hat of a constant g is 0 off the empty set, so L is 0 off I...I and every
+        # V[q, 1:] is exactly 0: each step takes +z on every row, and no division warns
+        psi, eqs, rng = _step_games(n, 90 + n)
+        g = TruthTable(n, constant * ((1 << (1 << n)) - 1))
+        kernel = GainKernel(psi, [GameEquation(eq.f, g) for eq in eqs])
+        share = np.array([np.mean(eq.f.values() == constant) for eq in eqs])
+        rows = _bloch(rng.uniform(0.0, 4 * math.pi, (30, n, 2, 3)))
+        game = rng.integers(0, 3, 30)
+        expect, swept = rows.copy(), rows.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for player in range(n):
+                v = kernel._response(list(expect.swapaxes(0, 1)), player, game)
+                assert np.all(v[..., 1:] == 0.0)
+                expect[:, player], gains = kernel.bloch_response(expect, player, game)
+            sweep_gains = kernel.sweep(swept, game)
+        assert np.array_equal(sweep_gains, gains) and np.array_equal(swept, expect)
+        assert np.array_equal(swept, np.broadcast_to([1.0, 0.0, 0.0, 1.0], swept.shape))
+        # L at I...I is g-hat(empty set) <psi|psi> / 4**n, and <psi|psi> is 1 within ulps
+        assert np.abs(sweep_gains - share[game]).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_see_saw_cap_of_s_sweeps_matches_steps_in_turn(self, n):
