@@ -354,7 +354,8 @@ def _cmd_score(args, run: _Run) -> None:
     print(text)
 
 
-def _sweep_spec_from_file(args) -> SweepSpec:
+def _sweep_spec_from_file(args) -> tuple[SweepSpec, str | None]:
+    """The sweep spec in the file ``args.spec``, and its ``output`` path (None if unset)."""
     raw = _read_json(args.spec, "sweep spec")
     if not (isinstance(raw, dict) and isinstance(raw.get("axes", []), list)
             and isinstance(raw.get("fixed", {}), dict)
@@ -388,18 +389,19 @@ def _sweep_spec_from_file(args) -> SweepSpec:
     # the spec's config block comes ahead of the flags, so it overrides them in ``args``
     block = _flat_object(raw.get("config", {}), "a sweep spec's config")
     vars(args).update(_config_values(block, "sweep", _SPEC_CONFIG, "sweep spec config key"))
-    return SweepSpec(family=family, axes=axes, equation=GameEquation(f_table, g_table),
-                     fixed=fixed, config=_optimizer_config(args), output_path=raw.get("output"))
+    spec = SweepSpec(family=family, axes=axes, equation=GameEquation(f_table, g_table),
+                     fixed=fixed, config=_optimizer_config(args))
+    return spec, raw.get("output")
 
 
 def _cmd_sweep(args, run: _Run) -> None:
     if not args.spec:
         raise ValueError("sweep needs --spec")
-    spec = _sweep_spec_from_file(args)
-    if spec.output_path is not None:
-        run.check_target(spec.output_path)
+    spec, output = _sweep_spec_from_file(args)
+    if output is not None:
+        run.check_target(output)
     result = run_sweep(spec)
-    csv_path = run.write("sweep.csv", result.to_csv(), spec.output_path)
+    csv_path = run.write("sweep.csv", result.to_csv(), output)
     sidecar_path = run.write("sweep.json", _dumps(result.sidecar_dict(), indent=2) + "\n",
                              csv_path.with_suffix(".json"))
     print(_dumps({

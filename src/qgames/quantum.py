@@ -527,7 +527,7 @@ def random_family_params(
     names = FAMILY_PARAM_NAMES[family]
     if not names:
         raise ValueError(f"family {family.value} is parameter-free")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     out = {}
     for name in names:
         modulus = rng.uniform(0.2, 2.0)

@@ -4,6 +4,8 @@ The classical optimum is exact: all 2**(2n) deterministic strategies are
 enumerated.  The quantum optimum is a multi-start see-saw ascent over every
 player's measurements, except for XOR games on GHZ-type states, whose
 value is a maximum over the players' phase differences (the torus path).
+Warm starts feed see-saw games only; the torus path plays its seeded
+restarts and each game's best Walsh vertex.
 The see-saw runs on the Bloch vectors of the players' answer-0 vectors,
 against each game's Pauli correlation tensor (``GainKernel``): starts are
 turned into Bloch vectors once, each sweep of a block's rows is one kernel
@@ -358,13 +360,16 @@ def _optimize_games(
     Game j plays ``eqs[j]`` on ``states[j]``; a single state or equation is
     shared by every game, and the equations share one g (ValueError
     otherwise: one ``GainKernel`` holds every game).  It draws its starts
-    from ``seeds[j]`` and adds the warm starts ``extra_starts[j]`` after them.
+    from ``seeds[j]``; a see-saw game adds the warm starts
+    ``extra_starts[j]`` after them.  Every game takes warm starts, since a
+    sweep does not know which path its point takes, but only see-saw games
+    play them.
 
     The input picks each game's path.  An XOR game on a GHZ-type state,
     which ``torus.xor_games`` reads off the kernel's g-hat, signs and
     states, takes the torus path, ``torus.optimize``, which reads only
     ``cfg.restarts``; ``max_evals`` and ``tol`` are see-saw settings.
-    Every other game takes the see-saw: the restarts of all of them, in
+    Every other game takes the see-saw: the starts of all of them, in
     game order, run in consecutive blocks of at most ``_TASK_ROWS`` rows,
     so a block may split a game.  Each solver picks a game's best start by
     its own score (the torus value, the see-saw's gain), the first of the
@@ -377,21 +382,17 @@ def _optimize_games(
     kernel = GainKernel(states, eqs)
     on, signs, chi = torus.xor_games(kernel, count)
     on_torus, seesaw = np.flatnonzero(on), np.flatnonzero(~on)
-    dim = 6 * kernel.n
     best = np.empty((count, kernel.n, 2, 3))
     if on_torus.size:
-        best[on_torus] = torus.optimize(
-            signs, chi, [seeds[j] for j in on_torus], cfg.restarts,
-            [extra_starts[j] for j in on_torus])
+        best[on_torus] = torus.optimize(signs, chi, [seeds[j] for j in on_torus], cfg.restarts)
     if seesaw.size:
-        starts, counts = [], []
-        for j in seesaw:
-            rng = np.random.default_rng(seeds[j])
-            starts.extend(rng.uniform(0.0, FOUR_PI, (cfg.restarts, dim)))
-            starts.extend(np.asarray(s, dtype=float).reshape(dim) for s in extra_starts[j])
-            counts.append(cfg.restarts + len(extra_starts[j]))
-        game = np.repeat(seesaw, counts)
-        start_rows = _bloch(np.array(starts).reshape(len(starts), kernel.n, 2, 3))
+        # each game's restarts, then its warm starts
+        dim = 6 * kernel.n
+        starts = [np.vstack([
+            np.random.default_rng(seeds[j]).uniform(0.0, FOUR_PI, (cfg.restarts, dim)),
+            np.reshape(extra_starts[j], (-1, dim))]) for j in seesaw]
+        game = np.repeat(seesaw, [len(rows) for rows in starts])
+        start_rows = _bloch(np.concatenate(starts).reshape(game.size, kernel.n, 2, 3))
         max_sweeps = -(-cfg.max_evals // (2 * kernel.n))
         final, row_gains = np.empty_like(start_rows), np.empty(game.size)
         for lo in range(0, game.size, _TASK_ROWS):
@@ -422,9 +423,10 @@ def optimize_quantum(
     restart stops when one sweep (2n best-response updates) raises its
     gain by less than ``cfg.tol``, or after ceil(``cfg.max_evals`` / 2n)
     sweeps.  ``extra_starts`` adds warm starts after the random restarts
-    (used for sweep chaining).  The returned angles have phi = 0, and the
-    returned gain is the win probability of the returned strategy,
-    re-evaluated from its angles, never taken from the optimizer state.
+    (used for sweep chaining); they feed see-saw games only.  The returned
+    angles have phi = 0, and the returned gain is the win probability of
+    the returned strategy, re-evaluated from its angles, never taken from
+    the optimizer state.
     """
     cfg = cfg or OptimizerConfig()
     return _optimize_games(psi, eq, [cfg.seed], cfg, [extra_starts])[0]

@@ -7,7 +7,8 @@ primary axis the previous point's best angles are added as one extra warm
 start, which removes optimizer noise from landscape plots; rows of a 2D
 sweep are independent chains.  A sweep runs in one process: the see-saw
 rows of step i of every chain run together in lockstep, each chain on its
-own state (a GHZ-type point of an XOR game takes the torus path instead).
+own state.  A GHZ-type point of an XOR game takes the torus path instead,
+which plays no warm starts: they feed see-saw points only.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class SweepSpec:
     equation: GameEquation
     fixed: dict[str, complex] = field(default_factory=dict)
     config: OptimizerConfig = OptimizerConfig()
-    output_path: str | None = None
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:

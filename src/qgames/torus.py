@@ -22,7 +22,8 @@ holds for any other g, such as the W game's, nor on other states.
 the kernel's own tables (its states, g-hat and signs), and ``optimize``
 finds the best delta of each and returns its equatorial strategy: a few
 coordinate sweeps from every start, then Newton steps from each game's
-best swept start.
+best swept start.  Its starts are each game's seeded restarts and its best
+Walsh vertex; warm starts feed see-saw games only.
 """
 
 from __future__ import annotations
@@ -196,9 +197,11 @@ def _walsh_vertex(signs: np.ndarray) -> np.ndarray:
 def _delta_of(angles: np.ndarray) -> np.ndarray:
     """(..., n, 2, 3) angles -> (..., n): each player's delta = alpha(1) - alpha(0).
 
-    A gate answers 0 on the state u with <u| its first row, so the
-    player's +-1 observable has <0|A|1> = -sin(theta) e^{i lam}, whose
-    phase is -alpha: the azimuth of its equatorial part.
+    ``optimize`` never calls it: the tests read a returned strategy's deltas
+    with it, at n = 5 and 6 as well, where no kernel plays the strategy.
+    A gate answers 0 on the state u with <u| its first row, so the player's
+    +-1 observable has <0|A|1> = -sin(theta) e^{i lam}, whose phase is
+    -alpha: the azimuth of its equatorial part.
     """
     theta, lam = angles[..., 0], angles[..., 2]
     return np.angle(np.sin(theta[..., 0]) * np.sin(theta[..., 1])
@@ -232,35 +235,20 @@ def _leading(game: np.ndarray, value: np.ndarray) -> np.ndarray:
     return order[np.arange(game.size) == np.searchsorted(game, game)]
 
 
-def optimize(
-    signs: np.ndarray,
-    chi: np.ndarray,
-    seeds: Sequence[int],
-    restarts: int,
-    extra_starts: Sequence[Sequence[np.ndarray]],
-) -> np.ndarray:
+def optimize(signs: np.ndarray, chi: np.ndarray, seeds: Sequence[int], restarts: int) -> np.ndarray:
     """(G, n, 2, 3) angles of the best equatorial strategy of each game.
 
     ``signs`` (G, 2**n) and ``chi`` (G,) are ``xor_games`` results.  Game j
     starts from ``restarts`` deltas drawn uniformly from [0, 2pi)^n by
-    ``seeds[j]``, then from its best Walsh vertex, then from the deltas of
-    its warm starts.  Every start takes ``_sweep``; then the game's start
-    of largest swept |S| takes ``_polish``, and its strategy is that of
-    the polished start.
+    ``seeds[j]``, then from its best Walsh vertex; it takes no warm starts.
+    Every start takes ``_sweep``; then the game's start of largest swept
+    |S| takes ``_polish``, and its strategy is that of the polished start.
     """
     n = signs.shape[1].bit_length() - 1
-    warm = np.array([len(extras) for extras in extra_starts], dtype=int)
-    counts = restarts + 1 + warm
-    game = np.repeat(np.arange(len(counts)), counts)
-    # each start's place among its game's: random, then the vertex, then warm
-    place = np.arange(game.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    delta = np.empty((game.size, n))
-    delta[place < restarts] = np.concatenate(
-        [np.random.default_rng(seed).uniform(0.0, TWO_PI, (restarts, n)) for seed in seeds])
-    delta[place == restarts] = _walsh_vertex(signs)
-    if warm.any():
-        angles = np.array([start for extras in extra_starts for start in extras], dtype=float)
-        delta[place > restarts] = _delta_of(angles.reshape(-1, n, 2, 3))
+    delta = np.concatenate([
+        np.vstack([np.random.default_rng(seed).uniform(0.0, TWO_PI, (restarts, n)), vertex])
+        for seed, vertex in zip(seeds, _walsh_vertex(signs))])
+    game = np.repeat(np.arange(len(seeds)), restarts + 1)
     delta, terms = _sweep(signs[game], delta)
     best = _leading(game, np.abs(terms.sum(axis=1)))
     delta, total = _polish(signs, delta[best], terms[best])

@@ -63,6 +63,10 @@ class TestTruthTable:
             index = (inputs[0] << 3) | (inputs[1] << 2) | (inputs[2] << 1) | inputs[3]
             assert t.evaluate(inputs) == (0x81E8 >> index) & 1
 
+    def test_evaluate_refuses_the_wrong_number_of_inputs(self):
+        with pytest.raises(ValueError, match="expected 4 inputs, got 3"):
+            TruthTable(4, 0).evaluate((0, 1, 0))
+
     def test_values_match_indexing(self):
         for t in (TruthTable(2, 0b0110), TruthTable(3, 0xE8), TruthTable(4, 0x81E8), TruthTable(4, 0xFFFF)):
             assert t.values().tolist() == [t.value(i) for i in range(t.num_inputs)]

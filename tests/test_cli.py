@@ -320,6 +320,30 @@ class TestInputRefusals:
         assert f"{flag} is an empty path" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--state", "epr", "--g", "a^b"], "eval needs --state, --f and --g"),
+        (["search", "--state", "epr", "--g", "a^b"], "search needs --state, --g and --functions"),
+        (["sweep"], "sweep needs --spec"),
+    ], ids=["eval-without-f", "search-without-functions", "sweep-without-spec"])
+    def test_a_missing_required_setting(self, out, capsys, argv, message):
+        code = run_cli(*argv, "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "refused").exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("4:6996\n3:96\n", "function '3:96' has arity 3, expected 4"),
+        ("", "is empty"),
+    ], ids=["three-player-line", "empty"])
+    def test_a_functions_file_without_four_player_tables(self, out, capsys, text, message):
+        path = out / "fns.txt"
+        path.write_text(text)
+        code = run_cli("search", "--state", "ghz4", "--g", "a^b^c^d", "--functions", str(path),
+                       "--output-dir", str(out / "refused"))
+        assert code == VALIDATION_ERROR
+        assert not (out / "refused").exists()
+        assert message in capsys.readouterr().err
+
     def test_an_empty_sweep_output_path(self, out, capsys):
         spec = out / "spec.json"
         spec.write_text(json.dumps({
@@ -414,6 +438,31 @@ class TestSearchAndScore:
         assert 0.0 <= report["game_score"] <= 1.0
         assert report["max_gap"]["gap"] == pytest.approx(0.1036, abs=2e-3)
 
+    def test_blank_lines_in_a_functions_file_are_skipped(self, out, capsys):
+        path = out / "fns.txt"
+        path.write_text("2:1\n\n2:6\n")
+        code = run_cli("search", "--state", "epr", "--g", "a^b", "--functions", str(path),
+                       "--restarts", "2", "--output", str(out / "blank.jsonl"),
+                       "--output-dir", str(out / "runs"), "--workers", "1")
+        assert code == 0
+        results, summary = load_results_jsonl(out / "blank.jsonl")
+        assert [r.equation.f.to_text() for r in results] == ["2:1", "2:6"]
+        assert summary["count"] == 2
+
+    def test_a_score_with_no_game_above_the_gap_threshold(self, out, capsys):
+        # f = w and f = x: a player answers f alone, so each game is won classically
+        path = out / "fns.txt"
+        path.write_text("4:00FF\n4:0F0F\n")
+        code = run_cli("score", "--state", "ghz4", "--g", "a^b^c^d", "--functions", str(path),
+                       "--restarts", "2", "--output-dir", str(out / "runs"), "--workers", "1")
+        assert code == 0
+        report = read_stdout(capsys)
+        assert report["count"] == 2 and report["game_score"] == 0.0
+        assert report["average_gap"] is None
+        assert report["max_gap"]["gap"] <= 0.01
+        (score,) = (out / "runs").glob("*/score.json")
+        assert json.loads(score.read_text()) == report
+
     def test_sample_flag_subsamples(self, out, functions_file, capsys):
         code = run_cli(
             "search", "--state", "epr", "--g", "a^b", "--functions", str(functions_file),
@@ -450,6 +499,18 @@ class TestSweepCommand:
         sidecar = json.loads((out / "sweep.json").read_text())
         assert sidecar["family"] == "l_a2b2"
         assert sidecar["fixed"]["b"] == [0.3, 0.0]
+
+    def test_a_sweep_through_the_zero_state(self, out, capsys):
+        # g_abcd at a = b = c = d = 0 is the zero vector: an invalid point, not an error
+        spec_path = self.write_spec(
+            out / "spec.json", family="g_abcd",
+            axes=[{"param": "a", "start": -1, "stop": 1, "steps": 3}],
+            fixed={"b": 0, "c": 0, "d": 0}, output=str(out / "sweep.csv"))
+        code = run_cli("sweep", "--spec", str(spec_path), "--output-dir", str(out / "runs"))
+        assert code == 0
+        info = read_stdout(capsys)
+        assert (info["points"], info["valid"]) == (3, 2)
+        assert (out / "sweep.csv").read_text().splitlines()[2] == "0.0,,0" + "," * 24
 
     def test_empty_range_is_validation_error_without_partial_file(self, out):
         spec_path = self.write_spec(

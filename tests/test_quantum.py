@@ -222,6 +222,10 @@ class TestApplyStrategy:
         assert abs(out0.amplitudes[0]) == pytest.approx(1.0)
         assert abs(out1.amplitudes[2]) == pytest.approx(1.0)
 
+    def test_a_strategy_needs_two_gates_of_three_angles_a_player(self):
+        with pytest.raises(ValueError, match=r"expected shape \(n, 2, 3\), got \(4, 3, 3\)"):
+            QuantumStrategy(np.zeros((4, 3, 3)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_strategy(make_named_state("ghz4"), QuantumStrategy.identity(3), (0, 0, 0))
@@ -249,6 +253,11 @@ class TestOutcomeDistribution:
 
 
 class TestWinProbability:
+    def test_refuses_a_strategy_of_another_player_count(self):
+        strategy = QuantumStrategy.identity(4)
+        with pytest.raises(ValueError, match="state has 2 qubits but the strategy has 4 players"):
+            win_probability(make_named_state("epr"), strategy, ghz_game_equation())
+
     def test_trivial_zero_game(self):
         psi = StateVector([1] + [0] * 15)
         eq = GameEquation(TruthTable(4, 0), TruthTable(4, 0x6996))
@@ -348,6 +357,11 @@ class TestPauliForm:
         gains = kernel.gains(angles.reshape(angles.shape[0], -1), game)
         assert np.abs(gains - expect).max() < 1e-12
         assert np.abs(kernel.bloch_gains(_bloch(angles), game) - expect).max() < 1e-12
+
+    def test_gains_refuse_rows_of_the_wrong_width(self):
+        kernel = GainKernel(make_named_state("ghz4"), ghz_game_equation())
+        with pytest.raises(ValueError, match=r"expected shape \(B, 24\), got \(3, 25\)"):
+            kernel.gains(np.zeros((3, 25)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_states_and_games(self, n):
@@ -639,6 +653,10 @@ class TestStateLiterals:
     def test_bad_family_name(self):
         with pytest.raises(ValueError):
             parse_state_literal("g_abce:a=1")
+
+    def test_a_family_parameter_without_a_value(self):
+        with pytest.raises(ValueError, match="bad family parameter 'a'"):
+            parse_state_literal("g_abcd:a")
 
     def test_bad_complex_literal(self):
         with pytest.raises(ValueError):

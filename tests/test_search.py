@@ -742,6 +742,18 @@ class TestTorusPath:
             assert np.all(strategy.angles[..., 0] == math.pi / 2)
             assert np.all(strategy.angles[..., 1] == 0.0)
 
+    def test_warm_starts_feed_the_see_saw_only(self):
+        # a torus game plays its seeded restarts and its Walsh vertex only: one restart
+        # misses this game's value, and a warm start at a best strategy changes nothing
+        psi, eq = make_named_state("ghz4"), GameEquation(TruthTable(4, 0x0C7B), _parity(4))
+        best_gain, best = optimize_quantum(psi, eq, OptimizerConfig(restarts=20, seed=1017))
+        cfg = OptimizerConfig(restarts=1, seed=17)
+        cold_gain, cold = optimize_quantum(psi, eq, cfg)
+        assert cold_gain < best_gain - 0.01
+        warm_gain, warmed = optimize_quantum(psi, eq, cfg, extra_starts=[best.angles.reshape(-1)])
+        assert warm_gain == cold_gain
+        assert np.array_equal(warmed.angles, cold.angles)
+
     def test_at_least_the_see_saw_on_the_rotated_state(self):
         # the benchmark's 12 search-ghz4 functions, and random parity games at n = 2 and 3
         # against parity and its complement
@@ -852,7 +864,7 @@ class TestTorusPath:
             on, signs, chi = torus.xor_games(kernel, len(space))
             assert on.all()
             seeds = [derive_task_seed(seed, j) for j in range(len(space))]
-            budget = torus.optimize(signs, chi, seeds, restarts, [()] * len(space))
+            budget = torus.optimize(signs, chi, seeds, restarts)
             # each game's random starts, then its Walsh vertex, as optimize draws them
             starts = np.concatenate([
                 np.vstack([np.random.default_rng(s).uniform(0.0, 2 * math.pi, (restarts, n)), vertex])
@@ -902,8 +914,8 @@ class TestTorusPath:
         assert len(results) == 2191
         assert min(r.gap for r in results) >= -2.3e-16
 
-    # 12 games of 21 starts (20 restarts and the vertex); warm starts on some games, as in
-    # a sweep step; few restarts, as a see-saw game of few starts may have
+    # 12 torus games of 21 starts (20 restarts and the vertex); see-saw games with warm
+    # starts, as in a sweep step; few restarts, as a see-saw game of few starts may have
     @pytest.mark.parametrize("counts", [[21] * 12, [21, 22, 21, 21, 23, 22, 21],
                                         [2, 3, 2, 4, 5, 2, 3], [3, 21, 2, 7]])
     @pytest.mark.parametrize("ties", [False, True])
@@ -923,7 +935,7 @@ class TestTorusPath:
         # f = 1 on the questions of these weights, parity g: raw sign vectors,
         # since the game equations stop at four players
         signs = np.array([[-1.0 if bin(q).count("1") in weights else 1.0 for q in range(1 << n)]])
-        angles = torus.optimize(signs, np.zeros(1), [DEFAULT_SEED], 20, [()])
+        angles = torus.optimize(signs, np.zeros(1), [DEFAULT_SEED], 20)
         gain = 0.5 + self.torus_value(signs, angles)[0] / 2 ** (n + 1)
         assert abs(gain - TSIRELSON) <= 1e-12
 
@@ -946,7 +958,7 @@ class TestTorusPath:
                                   for a in range(1 << n)]
 
     def test_a_torus_strategy_projects_back_onto_its_deltas(self):
-        # warm starts enter the torus path as the deltas of their gates
+        # the tests read a torus strategy's deltas back from its gates
         rng = np.random.default_rng(3)
         delta = rng.uniform(-math.pi, math.pi, (6, 4))
         total = rng.normal(size=6) + 1j * rng.normal(size=6)

@@ -152,6 +152,10 @@ class TestRunSweep:
         flags = [p.valid for p in result.points]
         assert flags == [True, False, True]  # a=0 gives the zero vector
         assert result.points[1].gain is None
+        # its CSV row: a, an empty gain, valid 0, then 24 empty angle fields
+        lines = result.to_csv().splitlines()
+        assert lines[2] == "0.0,,0" + "," * 24
+        assert [line.split(",")[2] for line in lines[1:]] == ["1", "0", "1"]
 
     def test_2d_sweep_raster_order(self):
         spec = SweepSpec(
