@@ -231,9 +231,8 @@ def parse_table(text: str, alphabet: Sequence[str]) -> TruthTable:
     return TruthTable(len(alphabet), _evaluate(text, alphabet))
 
 
-def parse_expression(text: str, alphabet: Sequence[str]) -> TruthTable:
-    """The truth table of an expression; the same as ``parse_table``."""
-    return parse_table(text, alphabet)
+#: ``parse_table`` under its other exported name: one function, not a wrapper.
+parse_expression = parse_table
 
 
 def to_truth_table(t: TruthTable, arity: int) -> TruthTable:

@@ -274,28 +274,28 @@ class GainKernel:
     per player k and question bit q the row A_k^q = (1, r_k^q), where
     r_k^q is the Bloch vector of the answer-0 vector.  Player k's answer
     projectors are (I +- r_k^q . sigma) / 2, and [f(q) = g(a)] =
-    1 - f(q) + s_q g(a) with s_q = 2 f(q) - 1, so the win probability is
+    (1 + s_q (-1)^g(a)) / 2 with s_q = (-1)^f(q), so the win probability is
     the multilinear form
 
-        c_f + 4**-n sum_q s_q sum_mu L[mu] prod_k A_k^{q_k}[mu_k],
+        1/2 + 2**-(2n+1) sum_q s_q sum_mu L[mu] prod_k A_k^{q_k}[mu_k],
 
-    with c_f the share of questions where f is 0, mu over {I, X, Y, Z}**n,
-    and L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, where
-    g-hat(S) = sum_a g(a) (-1)^{a . S}.  ``gains`` turns gate angles into
-    Bloch rows and evaluates the form.  The see-saw works on the rows, one
-    ``sweep`` call per sweep: every player's best response in turn, in place,
-    on views of each player's rows taken once a sweep; ``bloch_response`` is
-    one such step on its own.
+    a Bell functional in the players' +-1 correlators, with mu over
+    {I, X, Y, Z}**n and L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, where
+    g-hat(S) = sum_a (-1)^(g(a) + a . S), the Walsh spectrum of (-1)^g.
+    ``gains`` turns gate angles into Bloch rows and evaluates the form.  The
+    see-saw works on the rows, one ``sweep`` call per sweep: every player's
+    best response in turn, in place, on views of each player's rows taken
+    once a sweep; ``bloch_response`` is one such step on its own.
 
     Its tables are built once, in ``__init__``, and the torus path reads
     its games from them too: ``g_hat`` (2**n,) holds g-hat(S), exact
     integers, at the bit mask S of the players in the order of answers;
-    ``pauli`` (n, S, 4, 4**(n-1)) holds 4**-n L of each state, contiguous,
-    in the layout of each player's first contraction (``_form_index``), so
-    that product reads it as it is; ``signs`` (n, F, 2, 2**(n-1)) holds s_q
-    of each f in each player's layout, and ``constant`` (F,) c_f.  Each row
-    reads its game's entry of every table (``_per_row``), and a table of
-    one entry broadcasts it to every row.
+    ``pauli`` (n, S, 4, 4**(n-1)) holds 2**-(2n+1) L of each state,
+    contiguous, in the layout of each player's first contraction
+    (``_form_index``), so that product reads it as it is; ``signs``
+    (n, F, 2, 2**(n-1)) holds s_q of each f in each player's layout.  Each
+    row reads its game's entry of every table (``_per_row``), and a table
+    of one entry broadcasts it to every row.
     """
 
     def __init__(
@@ -317,19 +317,18 @@ class GainKernel:
         states = self.states = np.stack([psi.amplitudes for psi in states])
         f_values = np.array([eq.f.bits for eq in eqs])[:, None] >> np.arange(1 << n) & 1
         support, paulis, questions = _form_index(n)
-        self.g_hat = eqs[0].g.values() @ _walsh(n)
+        self.g_hat = (1 - 2 * eqs[0].g.values()) @ _walsh(n)
         # (S, 4**n): <psi| sigma_mu |psi>, each qubit's (i, j) pair of psi psi^dagger
         # mapped to its Pauli index, one qubit per product
         rho = (states[:, :, None] * states[:, None, :].conj()).reshape((-1,) + (2,) * (2 * n))
         t = rho.transpose(0, *(1 + k + n * side for k in range(n) for side in (0, 1)))
         for _ in range(n):
             t = _PAULI @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
-        form = self.g_hat[support] * t.reshape(-1, 4**n).real / 4**n
-        signs = (2.0 * f_values - 1.0)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
+        form = self.g_hat[support] * t.reshape(-1, 4**n).real / (2 * 4**n)
+        signs = (1.0 - 2.0 * f_values)[:, questions].reshape(-1, n, 2, 1 << (n - 1))
         pauli = np.ascontiguousarray(form[:, paulis].swapaxes(0, 1))
         self.pauli = pauli.reshape(n, -1, 4, 4**(n - 1))
         self.signs = np.ascontiguousarray(signs.swapaxes(0, 1))
-        self.constant = (1.0 - f_values).sum(axis=1) / (1 << n)
 
     @staticmethod
     def _per_row(tables: np.ndarray, index: np.ndarray | None) -> np.ndarray:
@@ -347,7 +346,7 @@ class GainKernel:
 
     def _response(self, players: Sequence[np.ndarray], player: int,
                   game: np.ndarray | None) -> np.ndarray:
-        """(B, 2, 4): per question bit q of the player, the V[q] of c_f + sum_q V[q] . A^q.
+        """(B, 2, 4): per question bit q of the player, the V[q] of 1/2 + sum_q V[q] . A^q.
 
         ``players`` lists each player's (B, 2, 4) rows, the views
         ``list(rows.swapaxes(0, 1))`` of (B, n, 2, 4) rows, made once a sweep.
@@ -364,17 +363,18 @@ class GainKernel:
             t = players[j] @ t.reshape(t.shape[0], -1, 4).swapaxes(1, 2)
         return self._per_row(self.signs[player], game) @ t.reshape(t.shape[0], -1, 4)
 
-    def _step_gains(self, v: np.ndarray, norm: np.ndarray, game: np.ndarray | None) -> np.ndarray:
-        """(B,) gains after a best response to V: c_f + sum_q (V[q, 0] + |V[q, 1:]|)."""
+    @staticmethod
+    def _step_gains(v: np.ndarray, norm: np.ndarray) -> np.ndarray:
+        """(B,) gains after a best response to V: 1/2 + sum_q (V[q, 0] + |V[q, 1:]|)."""
         top = v[..., 0] + norm
-        return self._per_row(self.constant, game) + top[:, 0] + top[:, 1]
+        return 0.5 + top[:, 0] + top[:, 1]
 
     def bloch_gains(self, rows: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """(B, n, 2, 4) Bloch rows -> (B,) win probabilities, by the Pauli form."""
         batch, players = rows.shape[0], list(rows.swapaxes(0, 1))
         v = self._response(players, 0, game)
         dots = v.reshape(batch, 1, 8) @ players[0].reshape(batch, 8, 1)
-        return self._per_row(self.constant, game) + dots.reshape(batch)
+        return 0.5 + dots.reshape(batch)
 
     def bloch_response(
         self, rows: np.ndarray, player: int, game: np.ndarray | None = None,
@@ -382,16 +382,16 @@ class GainKernel:
         """One see-saw step: the player's best (B, 2, 4) rows and the (B,) gains they give.
 
         With every other player fixed, the win probability is
-        c_f + sum_q (V[q, 0] + V[q, 1:] . r^q) (``_response``), and the unit
+        1/2 + sum_q (V[q, 0] + V[q, 1:] . r^q) (``_response``), and the unit
         vector r^q = V[q, 1:] / |V[q, 1:]| maximizes each question bit's
         term (Werner & Wolf 2001; Liang & Doherty 2007), at
-        c_f + sum_q (V[q, 0] + |V[q, 1:]|).  Where V[q, 1:] is 0 every r^q
+        1/2 + sum_q (V[q, 0] + |V[q, 1:]|).  Where V[q, 1:] is 0 every r^q
         is as good, and the step takes +z.  Both question bits' rows are
         replaced; ``rows`` is read, not written.
         """
         v = self._response(list(rows.swapaxes(0, 1)), player, game)
         new, norm = _unit_bloch(v)
-        return new, self._step_gains(v, norm, game)
+        return new, self._step_gains(v, norm)
 
     def sweep(self, rows: np.ndarray, game: np.ndarray | None = None) -> np.ndarray:
         """One see-saw sweep, in place: the (B,) gains after it.
@@ -404,7 +404,7 @@ class GainKernel:
         for player in range(self.n):
             v = self._response(players, player, game)
             norm = _unit_bloch(v, players[player])[1]
-        return self._step_gains(v, norm, game)
+        return self._step_gains(v, norm)
 
 
 def win_probability(psi: StateVector, strategy: QuantumStrategy, eq: GameEquation) -> float:

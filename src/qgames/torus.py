@@ -65,18 +65,18 @@ def xor_games(kernel: GainKernel, count: int) -> tuple[np.ndarray, np.ndarray, n
     A game of ``kernel`` takes the torus path when its g is parity or its
     complement and its state is GHZ-type: exactly two non-zero amplitudes,
     of equal modulus, on |0...0> and |1...1>, with any relative phase chi.
-    The kernel's g-hat tells the g: parity's is 2**(n-1) on the empty set,
-    -2**(n-1) on the set of all players and 0 elsewhere, its complement's
-    +2**(n-1) on both, and no other g has g-hat 0 off those two sets with
-    g-hat(all players) != 0.  Then s_q = (-1)^(f(q) ^ c), with c = 1 for
-    the complement, which is sign(g-hat(all players)) times the kernel's
-    signs 2 f(q) - 1.  Each state is read once, and g is tested once.
+    The kernel's g-hat, the Walsh spectrum of (-1)^g, tells the g: it
+    vanishes off the set of all players exactly for parity, where it is
+    2**n there, and for its complement, where it is -2**n.  Then
+    s_q = (-1)^(f(q) ^ c), with c = 1 for the complement, which is
+    sign(g-hat(all players)) times the kernel's signs (-1)^f(q).  Each
+    state is read once, and g is tested once.
     """
     states, g_hat = kernel.states, kernel.g_hat
     ends = states[:, [0, -1]]
     ghz = ((np.count_nonzero(states, axis=1) == 2) & ends.all(axis=1)
            & (np.abs(np.abs(ends[:, 0]) - np.abs(ends[:, 1])) <= 1e-12))
-    xor = g_hat[-1] != 0 and not g_hat[1:-1].any()
+    xor = not g_hat[:-1].any()
     game = np.arange(count)
     on = ghz[game % len(ghz)] & xor
     # player 0's layout of the kernel's signs is the order of questions

@@ -163,7 +163,15 @@ class TestParser:
 
     @pytest.mark.parametrize("text", ["x^y", "!w(x + 1)", "wxyz + !w!x!y!z", "0"])
     def test_parse_expression_is_parse_table(self, text):
+        assert parse_expression is parse_table
         assert parse_expression(text, QUESTION_VARS[4]) == parse_table(text, QUESTION_VARS[4])
+
+    @pytest.mark.parametrize("text, position", [("", 0), ("x +", 3), ("x + )", 4), ("(", 1),
+                                                ("x ^ ^ y", 4), ("!", 1)])
+    def test_a_missing_operand_reports_position(self, text, position):
+        with pytest.raises(ParseError, match="expected a variable, constant, '!' or '\\('") as err:
+            parse_table(text, ("x", "y"))
+        assert err.value.position == position
 
 
 class TestToTruthTable:
@@ -317,6 +325,16 @@ def test_minterm_form_round_trips(arity, data):
     t = TruthTable(arity, bits)
     alphabet = QUESTION_VARS[arity]
     assert parse_table(format_minterms(t, alphabet), alphabet) == t
+
+
+class TestFormatMinterms:
+    def test_the_default_alphabet_is_the_question_variables(self):
+        assert format_minterms(TruthTable(2, 0b1000)) == "xy"
+        assert format_minterms(TruthTable(4, 1)) == "!w!x!y!z"
+
+    def test_an_alphabet_of_another_length_is_refused(self):
+        with pytest.raises(ValueError, match="alphabet length"):
+            format_minterms(TruthTable(4, 1), ("x",))
 
 
 class TestReduce:

@@ -105,6 +105,12 @@ class TestEval:
                        "--output-dir", str(out / "runs"))
         assert code == USAGE_ERROR
 
+    def test_a_missing_operand_is_usage_error(self, out, capsys):
+        code = run_cli("eval", "--state", "epr", "--f", "xy", "--g", "a +",
+                       "--output-dir", str(out / "runs"))
+        assert code == USAGE_ERROR
+        assert "expected a variable, constant, '!' or '(' (at position 3)" in capsys.readouterr().err
+
     def test_unknown_state_is_validation_error(self, out):
         code = run_cli("eval", "--state", "nope", "--f", "xy", "--g", "a^b",
                        "--output-dir", str(out / "runs"))

@@ -462,8 +462,8 @@ class TestBestResponseStep:
                  np.diag([1.0, -1.0])]
         (psi,) = kernel.states
         g = eqs[0].g.values()
-        # g-hat(S) = sum_a g(a) (-1)^{|a & S|}, S a bit mask of players in the order of answers
-        g_hat = [sum(g[a] * (-1) ** bin(a & support).count("1") for a in range(1 << n))
+        # g-hat(S) = sum_a (-1)^(g(a) + |a & S|), S a bit mask of players in the order of answers
+        g_hat = [sum((-1) ** (g[a] + bin(a & support).count("1")) for a in range(1 << n))
                  for support in range(1 << n)]
         assert kernel.g_hat.tolist() == g_hat
         # L[mu] = g-hat(supp mu) <psi| sigma_mu |psi>, mu in player order, player 1 first
@@ -473,7 +473,7 @@ class TestBestResponseStep:
             for m in mu:
                 op = np.kron(op, sigma[m])
             support = sum((m != 0) << (n - 1 - k) for k, m in enumerate(mu))
-            expect[mu] = g_hat[support] * (psi.conj() @ op @ psi).real / 4**n
+            expect[mu] = g_hat[support] * (psi.conj() @ op @ psi).real / 2 ** (2 * n + 1)
         # one row of L per state, whatever the number of f
         assert kernel.pauli.shape == (n, 1, 4, 4 ** (n - 1))
         assert kernel.signs.shape == (n, 3, 2, 1 << (n - 1))
@@ -483,13 +483,12 @@ class TestBestResponseStep:
             order = [(k - 1 + i) % n for i in range(n)]
             expect_k = expect.transpose(order).reshape(4, -1)
             assert np.abs(kernel.pauli[k, 0] - expect_k).max() < 1e-12
-        # player k's signs: axes k, k+1, ..., n-1, 0, ..., k-1
+        # player k's signs (-1)^f(q): axes k, k+1, ..., n-1, 0, ..., k-1; no per-game constant
+        assert not hasattr(kernel, "constant")
         orders = [[(k + i) % n for i in range(n)] for k in range(n)]
         for j, f in enumerate(eq.f.values() for eq in eqs):
-            # c_f, the share of questions where f is 0
-            assert kernel.constant[j] == ((1 << n) - f.sum()) / (1 << n)
             for k, order in enumerate(orders):
-                signs = (2.0 * f - 1.0).reshape((2,) * n).transpose(order).reshape(2, -1)
+                signs = ((-1.0) ** f).reshape((2,) * n).transpose(order).reshape(2, -1)
                 assert np.array_equal(kernel.signs[k, j], signs)
 
     def test_bloch_rows_and_angles_convert_both_ways(self):
@@ -593,7 +592,7 @@ class TestBestResponseStep:
             sweep_gains = kernel.sweep(swept, game)
         assert np.array_equal(sweep_gains, gains) and np.array_equal(swept, expect)
         assert np.array_equal(swept, np.broadcast_to([1.0, 0.0, 0.0, 1.0], swept.shape))
-        # L at I...I is g-hat(empty set) <psi|psi> / 4**n, and <psi|psi> is 1 within ulps
+        # L at I...I is g-hat(empty set) <psi|psi>, and <psi|psi> is 1 within ulps
         assert np.abs(sweep_gains - share[game]).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1059,6 +1058,29 @@ class TestTaskSetUp:
                 assert chi.tolist() == [pytest.approx(0.9, abs=1e-12)] * len(eqs)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_g_hat_vanishes_off_all_players_for_parity_and_its_complement_alone(self, n):
+        # every answer side g, all 65,536 at n = 4: the kernel's g-hat is
+        # sum_a (-1)^(g(a) + |a & S|) as integers, it is 0 off the set of all players
+        # exactly for parity and its complement, and the torus path takes g on that test
+        answers = np.arange(1 << n, dtype=np.uint8)
+        dots = np.array([[bin(a & s).count("1") for s in answers] for a in answers], dtype=np.uint8)
+        sides = np.arange(1 << (1 << n))
+        values = (sides[:, None] >> answers & 1).astype(np.uint8)
+        expect = (1 - 2 * ((values[:, :, None] + dots) & 1).astype(np.int64)).sum(axis=1)
+        xor_sides = [_parity(n).bits, _parity(n).complement().bits]
+        psi, f = _ghz(n), TruthTable(n, 1)
+        g_hats, on = [], []
+        for bits in sides.tolist():
+            kernel = GainKernel(psi, GameEquation(f, TruthTable(n, bits)))
+            g_hats.append(kernel.g_hat)
+            on.append(torus.xor_games(kernel, 1)[0][0])
+        g_hats = np.array(g_hats)
+        assert g_hats.dtype.kind == "i" and np.array_equal(g_hats, expect)
+        xor = ~g_hats[:, :-1].any(axis=1)
+        assert np.flatnonzero(xor).tolist() == sorted(xor_sides)
+        assert np.array_equal(on, xor)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_the_form_wins_where_f_of_the_questions_equals_g_of_the_answers(self, n):
         rng = np.random.default_rng(23 + n)
         paper = {2: [chsh_equation()], 3: [], 4: [ghz_game_equation(), w_game_equation()]}[n]
@@ -1486,14 +1508,16 @@ class TestRowIndependence:
         eqs = [eq, GameEquation(w_game_equation().f, eq.g), eq]
         with pytest.raises(ValueError, match="2 states for 3 games"):
             GainKernel(_random_states(rng, 2), eqs)
-        # the form's tables: (n, states, 4, 4**(n-1)) L, (n, games, 2, 2**(n-1)) signs
+        # the form's tables: (n, states, 4, 4**(n-1)) L, (n, games, 2, 2**(n-1)) signs +-1,
+        # and no per-game constant
         shared = GainKernel(_random_states(rng, 1), eqs)
         assert shared.states.shape == (1, 16) and shared.g_hat.shape == (16,)
         assert shared.pauli.shape == (4, 1, 4, 64)
-        assert shared.signs.shape == (4, 3, 2, 8) and shared.constant.shape == (3,)
+        assert shared.signs.shape == (4, 3, 2, 8) and set(np.unique(shared.signs)) == {-1.0, 1.0}
         per_state = GainKernel(_random_states(rng, 2), eq)
         assert per_state.pauli.shape == (4, 2, 4, 64)
-        assert per_state.signs.shape == (4, 1, 2, 8) and per_state.constant.shape == (1,)
+        assert per_state.signs.shape == (4, 1, 2, 8)
+        assert not hasattr(shared, "constant") and not hasattr(per_state, "constant")
 
     def test_a_kernel_plays_one_g(self):
         rng = np.random.default_rng(6)
